@@ -52,6 +52,8 @@ def laplace_sample(rng: np.random.Generator, scale: float) -> float:
     if not scale > 0:
         raise ValueError(f"scale must be positive, got {scale}")
     u = rng.random() - 0.5
+    if u == -0.5:  # rng.random() returned 0.0, where log1p(-1) would raise
+        u = math.nextafter(-0.5, 0.0)
     return -scale * math.copysign(1.0, u) * math.log1p(-2.0 * abs(u))
 
 

@@ -1,10 +1,13 @@
 """Pairwise-masked secure aggregation over a prime-order multiplicative group.
 
-Each party derives a Diffie-Hellman shared key with every other party,
-hashes it into Z_q, and adds the scalars with a sign that depends on the
-party ordering.  Summed over all parties the masks telescope to zero, so
-the collector recovers the exact plaintext sum while any single masked
-value is uniformly distributed.
+A protocol run (one theta selection) starts with key agreement: every
+party draws one key pair and derives a Diffie-Hellman shared key with
+every other party.  Each round of the run then hashes every shared key
+together with the round index into Z_q (Bonawitz et al., CCS 2017) and
+adds the scalars with a sign that depends on the party ordering.  Summed
+over all parties the masks telescope to zero, so the collector recovers
+the exact plaintext sum while any single masked value is uniformly
+distributed.  Keys live for one run only; the next run agrees new ones.
 
 This is a protocol simulation for experiments, not hardened
 cryptography: group sizes are small (default 61-bit modulus), there is
@@ -94,15 +97,38 @@ def ka_agree(sk: int, pk: int, params: GroupParams) -> int:
     return pow(pk, sk, params.q)
 
 
-def mask_scalar(shared_key: int, params: GroupParams) -> int:
-    """Fixed public derivation of a Z_q mask scalar from a shared group key."""
-    data = b"mask-kdf\x00" + params.q.to_bytes(16, "big") + shared_key.to_bytes(16, "big")
+def agree_keys(n: int, params: GroupParams, rng: np.random.Generator) -> np.ndarray:
+    """Key agreement for one protocol run of n parties, before its first round.
+
+    Every party draws one key pair, then derives its shared key with every
+    other party from its own secret key and the other's public key:
+    keys[i, j] is party i's copy, keys[j, i] party j's, and the two are
+    equal.  The diagonal is unused.  Keys are uint64 for moduli below
+    2^64 and Python ints for the wider groups.
+    """
+    if n < 2:
+        raise ValueError(f"masking needs at least 2 parties, got {n}")
+    pairs = [ka_gen(params, rng) for _ in range(n)]
+    keys = np.zeros((n, n), dtype=np.uint64 if params.q < 2**64 else object)
+    for i, own in enumerate(pairs):
+        keys[i] = [0 if j == i else ka_agree(own.sk, other.pk, params) for j, other in enumerate(pairs)]
+    return keys
+
+
+def mask_scalar(shared_key: int, params: GroupParams, round_index: int = 0) -> int:
+    """Fixed public derivation of round round_index's Z_q mask scalar from a shared group key."""
+    data = (
+        b"mask-kdf\x00"
+        + params.q.to_bytes(16, "big")
+        + round_index.to_bytes(8, "big")
+        + shared_key.to_bytes(16, "big")
+    )
     digest = hashlib.sha256(data).digest()
     return int.from_bytes(digest, "big") % params.q
 
 
-def compute_mask(i: int, shared_keys: Mapping[int, int], params: GroupParams) -> int:
-    """Party i's additive mask from its shared keys with every other party.
+def compute_mask(i: int, shared_keys: Mapping[int, int], params: GroupParams, round_index: int = 0) -> int:
+    """Party i's additive mask in round round_index from its shared keys with every other party.
 
     Keys with higher-indexed parties enter positively, lower-indexed
     negatively, so the masks cancel when all parties are summed.
@@ -115,7 +141,7 @@ def compute_mask(i: int, shared_keys: Mapping[int, int], params: GroupParams) ->
         raise ValueError(f"party {i}: missing pairwise keys for parties {missing}")
     m = 0
     for j, key in shared_keys.items():
-        s = mask_scalar(key, params)
+        s = mask_scalar(key, params, round_index)
         m = (m + s) % params.q if j > i else (m - s) % params.q
     return m
 
@@ -151,30 +177,43 @@ def masked_sum_round(
     rng: np.random.Generator,
     masked: bool = True,
     round_log: list | None = None,
+    keys: np.ndarray | None = None,
+    round_index: int = 0,
 ) -> int:
     """One aggregation round: every party masks its value, the collector sums.
 
-    Fresh keys are generated per round.  With masked=False the plaintext
-    values are summed directly; the result is bit-identical because the
-    masks cancel exactly.  round_log, when given, receives one record per
-    round (the per-party payloads in party order).
+    keys are the run's pairwise keys from agree_keys and round_index the
+    round's place in that run; each party hashes its keys with the round
+    index into its mask.  Without keys the call is a run of one round and
+    agrees its own keys from rng.  With masked=False the plaintext values
+    are summed directly; the result is bit-identical because the masks
+    cancel exactly.  round_log, when given, receives one record per round
+    (the per-party payloads in party order).
+
+    Masking needs at least 2 parties, and the round is refused when
+    n * max(values) reaches q, since the sum could then wrap mod q.
     """
     values = [int(v) for v in values]
     n = len(values)
     for v in values:
         if not 0 <= v < params.q:
             raise ValueError(f"value {v} outside [0, {params.q})")
+    if values and n * max(values) >= params.q:
+        raise ValueError(f"{n} values up to {max(values)} could sum past q={params.q}")
     if not masked:
         total = sum(values) % params.q
         if round_log is not None:
             round_log.append(("plain", tuple(values)))
         return total
 
-    keys = [ka_gen(params, rng) for _ in range(n)]
+    if keys is None:
+        keys = agree_keys(n, params, rng)
+    elif keys.shape != (n, n):
+        raise ValueError(f"keys have shape {keys.shape}, expected ({n}, {n})")
     masked_vals: list[MaskedValue] = []
     for i in range(n):
-        shared = {j: ka_agree(keys[i].sk, keys[j].pk, params) for j in range(n) if j != i}
-        m_i = compute_mask(i, shared, params)
+        shared = {j: key for j, key in enumerate(keys[i].tolist()) if j != i}
+        m_i = compute_mask(i, shared, params, round_index)
         masked_vals.append(mask_value(values[i], m_i, params))
     if round_log is not None:
         round_log.append(("masked", tuple(mv.value for mv in masked_vals)))

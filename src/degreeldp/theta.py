@@ -10,6 +10,10 @@ learns aggregate statistics and nothing per-node.
 - by deviation: binary-search the threshold at which the number of
   nodes above it drops below n / epsilon, probing one masked indicator
   sum per round.
+
+A masked selection is one protocol run: the parties agree their pairwise
+keys once, before the first round, and every round derives its masks
+from those keys and its round index.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import numpy as np
 
 from .graph import Graph, degree_sequence
 from .projection import ProjectionConfig, Strategy, lpea_low, projection_error
-from .secure_agg import DEFAULT_BITS, ka_param, masked_sum_round
+from .secure_agg import DEFAULT_BITS, agree_keys, ka_param, masked_sum_round
 
 
 @dataclass(frozen=True)
@@ -86,18 +90,24 @@ def theta_by_deviation(
     indicator of its degree exceeding the probe, and the collector
     compares the exact sum against n / epsilon.  The search runs until
     the candidate window is empty, which lands on the same threshold as
-    the linear-scan oracle, in at most ceil(log2 K) + 1 rounds.
+    the linear-scan oracle, in at most ceil(log2 K) + 1 rounds.  Keys
+    are agreed once for all the rounds.
     """
     degrees = np.asarray(degrees)
     n = int(degrees.size)
     if n == 0:
         raise ValueError("degrees must be nonempty")
     params = ka_param(cfg.bits)
+    keys = agree_keys(n, params, rng) if masked else None
     lo, hi = 1, cfg.K
+    r = 0
     while lo <= hi:
         probe = (lo + hi) // 2
         indicators = (degrees > probe).astype(int)
-        count = masked_sum_round(indicators.tolist(), params, rng, masked=masked, round_log=round_log)
+        count = masked_sum_round(
+            indicators.tolist(), params, rng, masked=masked, round_log=round_log, keys=keys, round_index=r
+        )
+        r += 1
         ## compare count < n / epsilon without dividing
         if count * cfg.epsilon < n:
             hi = probe - 1
@@ -118,21 +128,25 @@ def theta_by_sum(
 
     For each k in 1..K the parties run one truthful low-order-first
     addition projection at bound k and submit their degree losses to a
-    masked sum (fresh keys every round).  The collector scores each k as
-    n * k / epsilon plus the summed loss and returns the smallest
-    minimizer.  Exactly K aggregation rounds.
+    masked sum.  The keys are agreed once, before round 1, and round k
+    hashes them with its index into fresh masks.  The collector scores
+    each k as n * k / epsilon plus the summed loss and returns the
+    smallest minimizer.  Exactly K aggregation rounds.
     """
     n = g.n
     if n == 0:
         raise ValueError("graph must be nonempty")
     params = ka_param(cfg.bits)
+    keys = agree_keys(n, params, rng) if masked else None
     best_k = 1
     best_score = None
     for k in range(1, cfg.K + 1):
         pcfg = ProjectionConfig(theta=k, strategy=Strategy.LPEA_LOW, private=False)
         pg = lpea_low(g, orders, pcfg, rng)
         losses, _ = projection_error(g, pg)
-        total_loss = masked_sum_round(losses.tolist(), params, rng, masked=masked, round_log=round_log)
+        total_loss = masked_sum_round(
+            losses.tolist(), params, rng, masked=masked, round_log=round_log, keys=keys, round_index=k - 1
+        )
         score = ErrorModel(laplace_term=n * k / cfg.epsilon, projection_term=float(total_loss)).total
         if best_score is None or score < best_score:
             best_score = score

@@ -51,6 +51,17 @@ class TestLaplace:
         b = [laplace_sample(np.random.default_rng(5), 2.0) for _ in range(50)]
         assert b == pytest.approx([2 * x for x in a])
 
+    def test_zero_uniform_gives_finite_draw(self):
+        ## random() may return 0.0, i.e. u = -0.5; it maps to the nearest u
+        ## inside (-0.5, 0.5) instead of raising from log1p(-1)
+        class ZeroRng:
+            def random(self):
+                return 0.0
+
+        draw = laplace_sample(ZeroRng(), 2.0)
+        assert math.isfinite(draw)
+        assert draw == pytest.approx(-2.0 * 53 * math.log(2))
+
 
 class TestWrr:
     def test_budget_must_be_positive(self):

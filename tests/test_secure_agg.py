@@ -6,10 +6,13 @@ from scipy import stats as sstats
 
 from degreeldp import (
     FIXED_POINT_SCALE,
+    Graph,
     MaskedValue,
+    ThetaSearchConfig,
     aggregate,
     compute_mask,
     decode_fixed,
+    degree_sequence,
     encode_fixed,
     ka_agree,
     ka_gen,
@@ -17,8 +20,11 @@ from degreeldp import (
     mask_scalar,
     mask_value,
     masked_sum_round,
+    secure_agg,
+    theta_by_deviation,
+    theta_by_sum,
 )
-from degreeldp.secure_agg import _GROUPS
+from degreeldp.secure_agg import _GROUPS, agree_keys
 
 
 class TestGroupTable:
@@ -147,13 +153,34 @@ class TestFixedPoint:
 
 class TestMaskedSumRound:
     @given(
-        values=st.lists(st.integers(0, 10**9), min_size=1, max_size=8),
+        values=st.lists(st.integers(0, 10**9), min_size=2, max_size=8),
         seed=st.integers(0, 2**31),
     )
     @settings(max_examples=40, deadline=None)
     def test_matches_plaintext_sum(self, values, seed):
         p = ka_param(61)
         assert masked_sum_round(values, p, np.random.default_rng(seed)) == sum(values)
+
+    def test_one_party_masked_round_rejected(self):
+        ## a lone party's "mask" would be zero and its value would go out in the clear
+        p = ka_param(61)
+        with pytest.raises(ValueError, match="at least 2 parties"):
+            masked_sum_round([42], p, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="at least 2 parties"):
+            masked_sum_round([], p, np.random.default_rng(0))
+        assert masked_sum_round([42], p, np.random.default_rng(0), masked=False) == 42
+
+    @pytest.mark.parametrize("masked", [True, False])
+    def test_sum_that_could_wrap_rejected(self, masked):
+        p = ka_param(16)
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="sum past q"):
+            masked_sum_round([p.q - 1, 5], p, rng, masked=masked)
+        with pytest.raises(ValueError, match="sum past q"):
+            masked_sum_round([(p.q + 1) // 2, 0], p, rng, masked=masked)
+        ## n * max just below q is still exact
+        half = (p.q - 1) // 2
+        assert masked_sum_round([half, half], p, rng, masked=masked) == p.q - 1
 
     def test_bypass_is_bit_identical(self):
         p = ka_param(61)
@@ -189,3 +216,86 @@ class TestMaskedSumRound:
             buckets[first * 16 // p.q] += 1
         _, pvalue = sstats.chisquare(buckets)
         assert pvalue > 0.01
+
+
+class TestKeyReuse:
+    """One run agrees its keys once; each round hashes them with the round index."""
+
+    @staticmethod
+    def _round_masks(keys, p, r):
+        n = keys.shape[0]
+        return [compute_mask(i, {j: int(keys[i, j]) for j in range(n) if j != i}, p, r) for i in range(n)]
+
+    @pytest.mark.parametrize("bits", [16, 61, 127])
+    def test_every_round_telescopes_to_zero(self, bits):
+        p = ka_param(bits)
+        keys = agree_keys(6, p, np.random.default_rng(bits))
+        assert np.array_equal(keys, keys.T)
+        for r in range(20):
+            assert sum(self._round_masks(keys, p, r)) % p.q == 0
+
+    def test_rounds_of_one_run_recover_sums(self):
+        p = ka_param(61)
+        rng = np.random.default_rng(9)
+        keys = agree_keys(5, p, rng)
+        for r in range(10):
+            values = [int(v) for v in rng.integers(0, 10**6, 5)]
+            assert masked_sum_round(values, p, rng, keys=keys, round_index=r) == sum(values)
+
+    def test_keys_must_match_party_count(self):
+        p = ka_param(61)
+        keys = agree_keys(3, p, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="shape"):
+            masked_sum_round([1, 2], p, np.random.default_rng(0), keys=keys)
+
+    def test_pair_mask_changes_between_rounds(self):
+        p = ka_param(61)
+        keys = agree_keys(2, p, np.random.default_rng(4))
+        scalars = [mask_scalar(int(keys[0, 1]), p, r) for r in range(50)]
+        assert len(set(scalars)) == 50
+        assert self._round_masks(keys, p, 0) != self._round_masks(keys, p, 1)
+
+    def test_payloads_across_rounds_look_uniform(self):
+        ## chi-square on the first party's masked value over the rounds of one run
+        p = ka_param(61)
+        keys = agree_keys(3, p, np.random.default_rng(2024))
+        buckets = np.zeros(16, dtype=int)
+        log: list = []
+        for r in range(4000):  # rounds with keys given draw no randomness, hence rng=None
+            masked_sum_round([7, 130, 55], p, None, round_log=log, keys=keys, round_index=r)
+        for _, payloads in log:
+            buckets[payloads[0] * 16 // p.q] += 1
+        _, pvalue = sstats.chisquare(buckets)
+        assert pvalue > 0.01
+
+    @pytest.fixture
+    def key_calls(self, monkeypatch):
+        calls = {"ka_gen": 0, "ka_agree": 0}
+        for name in calls:
+            original = getattr(secure_agg, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(secure_agg, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("masked", [True, False])
+    def test_deviation_agrees_once_per_run(self, key_calls, masked):
+        degrees = list(range(1, 41))
+        cfg = ThetaSearchConfig(K=40, epsilon=2.0)
+        log: list = []
+        theta_by_deviation(degrees, cfg, np.random.default_rng(0), masked=masked, round_log=log)
+        n = len(degrees)
+        assert len(log) > 1
+        assert key_calls == ({"ka_gen": n, "ka_agree": n * (n - 1)} if masked else {"ka_gen": 0, "ka_agree": 0})
+
+    @pytest.mark.parametrize("masked", [True, False])
+    def test_sum_agrees_once_per_run(self, key_calls, masked):
+        g = Graph.from_edges(8, [(0, i) for i in range(1, 8)] + [(1, 2), (3, 4)])
+        cfg = ThetaSearchConfig(K=7, epsilon=1.0, method="sum")
+        log: list = []
+        theta_by_sum(g, degree_sequence(g), cfg, np.random.default_rng(0), masked=masked, round_log=log)
+        assert len(log) == 7
+        assert key_calls == ({"ka_gen": 8, "ka_agree": 8 * 7} if masked else {"ka_gen": 0, "ka_agree": 0})
