@@ -7,6 +7,7 @@ Three modes, each writing one CSV per dataset under --out (default ./results):
   release      private end-to-end release over an epsilon grid, auto theta
   theta-table  print the selected threshold per epsilon, no CSV
 
+CSV rows come strategy by strategy, the grid in order within each.
 Datasets are named as loader tokens: a file path, a bare name resolved via
 $LDP_DEGREE_DATA_DIR, or synthetic:<n>[:<attach>[:<seed>]].
 """
@@ -24,41 +25,24 @@ from degreeldp import (
     degree_sequence,
     emit_csv,
     load_dataset,
-    run_pipeline,
+    run_grid,
     theta_by_deviation,
 )
-
-STRATEGIES = [s.value for s in Strategy]
 
 
 def _slug(label: str) -> str:
     return label.replace(":", "-").replace("/", "-")
 
 
-def projection_sweep(token, thetas, trials, seed, out_dir):
-    g, label = load_dataset(token)
-    rows = []
-    for theta in thetas:
-        for strategy in STRATEGIES:
-            cfg = ExperimentConfig(dataset=token, strategy=Strategy(strategy), theta=theta,
-                                   trials=trials, seed=seed, private=False, projection_only=True)
-            got, _ = run_pipeline(cfg, graph=g)
-            rows.extend(got)
-    path = out_dir / f"projection_{_slug(label)}.csv"
-    emit_csv(rows, str(path))
-    print(f"{label}: {len(rows)} rows -> {path}")
-
-
-def release_sweep(token, epsilons, trials, seed, out_dir):
-    g, label = load_dataset(token)
-    rows = []
-    for eps in epsilons:
-        for strategy in STRATEGIES:
-            cfg = ExperimentConfig(dataset=token, strategy=Strategy(strategy), epsilon=eps,
-                                   theta="auto-deviation", trials=trials, seed=seed, private=True)
-            got, _ = run_pipeline(cfg, graph=g)
-            rows.extend(got)
-    path = out_dir / f"release_{_slug(label)}.csv"
+def sweep(mode, token, args):
+    if mode == "projection":
+        base = ExperimentConfig(dataset=token, trials=args.trials, seed=args.seed, private=False)
+        grid = [{"theta": theta} for theta in args.thetas]
+    else:
+        base = ExperimentConfig(dataset=token, theta="auto-deviation", trials=args.trials, seed=args.seed)
+        grid = [{"epsilon": eps} for eps in args.epsilons]
+    label, rows = run_grid(base, list(Strategy), grid)
+    path = args.out / f"{mode}_{_slug(label)}.csv"
     emit_csv(rows, str(path))
     print(f"{label}: {len(rows)} rows -> {path}")
 
@@ -92,12 +76,10 @@ def main(argv=None) -> int:
     status = 0
     for token in args.datasets:
         try:
-            if args.mode == "projection":
-                projection_sweep(token, args.thetas, args.trials, args.seed, args.out)
-            elif args.mode == "release":
-                release_sweep(token, args.epsilons, args.trials, args.seed, args.out)
-            else:
+            if args.mode == "theta-table":
                 theta_table(token, args.epsilons)
+            else:
+                sweep(args.mode, token, args)
         except (OSError, ValueError) as exc:
             print(f"{token}: error: {exc}", file=sys.stderr)
             status = 1

@@ -27,6 +27,7 @@ from .harness import (
     mae,
     mae_dist,
     mse,
+    run_grid,
     run_pipeline,
 )
 from .mechanisms import (
@@ -43,31 +44,25 @@ from .projection import (
     ProjectionConfig,
     Strategy,
     edge_remove,
-    lpea_high,
     lpea_low,
     project,
     projection_error,
-    random_add,
 )
 from .release import ReleaseReport, degree_distribution, dsr, noise_scale
 from .secure_agg import (
     DEFAULT_BITS,
-    FIXED_POINT_SCALE,
     GroupParams,
     KeyPair,
-    MaskedValue,
+    agree_keys,
     aggregate,
     compute_mask,
-    decode_fixed,
-    encode_fixed,
     ka_agree,
     ka_gen,
     ka_param,
     mask_scalar,
-    mask_value,
     masked_sum_round,
 )
 from .synthetic import powerlaw_graph
-from .theta import ErrorModel, ThetaSearchConfig, quantile_oracle, resolve_theta, theta_by_deviation, theta_by_sum
+from .theta import ThetaSearchConfig, quantile_oracle, resolve_theta, theta_by_deviation, theta_by_sum
 
 __version__ = "0.1.0"

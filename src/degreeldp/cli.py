@@ -18,7 +18,7 @@ import sys
 from collections import OrderedDict
 
 from .graph import degree_sequence, stats
-from .harness import ExperimentConfig, MetricsRow, emit_csv, load_dataset, run_pipeline
+from .harness import ExperimentConfig, MetricsRow, emit_csv, load_dataset, run_grid
 from .projection import Strategy
 from .secure_agg import DEFAULT_BITS
 from .theta import ThetaSearchConfig, resolve_theta
@@ -96,6 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_project)
     p_project.add_argument("--theta", type=_theta_arg, default="auto-deviation",
                            help="projection bound, or auto-sum / auto-deviation (default auto-deviation)")
+    p_project.set_defaults(private=False)
 
     p_theta = sub.add_parser("select-theta", help="run a threshold-selection protocol and print theta")
     add_common(p_theta, with_strategy=False)
@@ -106,6 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_release)
     p_release.add_argument("--theta", type=_theta_arg, default="auto-deviation",
                            help="projection bound, or auto-sum / auto-deviation (default auto-deviation)")
+    p_release.set_defaults(private=True)
 
     p_sweep = sub.add_parser("sweep", help="grid of runs over thresholds or budgets")
     add_common(p_sweep)
@@ -176,38 +178,19 @@ def cli_main(argv: list[str] | None = None) -> int:
             print(theta)
             return 0
 
-        if args.command in ("project", "release"):
-            private = args.command == "release"
-            rows: list[MetricsRow] = []
-            for strategy in _strategies(args.strategy):
-                cfg = ExperimentConfig(
-                    dataset=args.dataset, strategy=strategy, epsilon=args.epsilon, alpha=args.alpha,
-                    theta=args.theta, K=args.K, p_size=args.psize, bits=args.bits,
-                    trials=args.trials, seed=args.seed, private=private,
-                    projection_only=not private, masked=not args.no_mask,
-                )
-                rows.extend(run_pipeline(cfg)[0])
-            _write_rows(rows, args.out)
-            return 0
-
-        if args.command == "sweep":
-            if (args.thetas is None) == (args.epsilons is None):
-                print("usage: degreeldp sweep needs exactly one of --thetas or --epsilons", file=sys.stderr)
-                return 2
-            rows = []
-            grid = [("theta", v) for v in args.thetas] if args.thetas else [("epsilon", v) for v in args.epsilons]
-            for strategy in _strategies(args.strategy):
-                for kind, value in grid:
-                    cfg = ExperimentConfig(
-                        dataset=args.dataset, strategy=strategy,
-                        epsilon=value if kind == "epsilon" else args.epsilon,
-                        alpha=args.alpha,
-                        theta=value if kind == "theta" else args.theta,
-                        K=args.K, p_size=args.psize, bits=args.bits,
-                        trials=args.trials, seed=args.seed, private=args.private,
-                        projection_only=not args.private, masked=not args.no_mask,
-                    )
-                    rows.extend(run_pipeline(cfg)[0])
+        if args.command in ("project", "release", "sweep"):
+            grid = [{}]
+            if args.command == "sweep":
+                if (args.thetas is None) == (args.epsilons is None):
+                    print("usage: degreeldp sweep needs exactly one of --thetas or --epsilons", file=sys.stderr)
+                    return 2
+                grid = [{"theta": v} for v in args.thetas] if args.thetas else [{"epsilon": v} for v in args.epsilons]
+            base = ExperimentConfig(
+                dataset=args.dataset, epsilon=args.epsilon, alpha=args.alpha, theta=args.theta,
+                K=args.K, p_size=args.psize, bits=args.bits, trials=args.trials, seed=args.seed,
+                private=args.private, masked=not args.no_mask,
+            )
+            _, rows = run_grid(base, _strategies(args.strategy), grid)
             _write_rows(rows, args.out)
             return 0
     except (OSError, ValueError) as exc:

@@ -26,10 +26,9 @@ class Graph:
         m: number of distinct undirected edges.
         adj: per-node neighbor lists, each sorted by internal id.
         labels: internal id -> original external label.
-        id_map: external label -> internal id.
     """
 
-    __slots__ = ("n", "m", "adj", "labels", "id_map", "_edges")
+    __slots__ = ("n", "m", "adj", "labels", "_edges")
 
     def __init__(self, n: int, edges: list[tuple[int, int]], labels: list[str] | None = None):
         if labels is None:
@@ -48,7 +47,6 @@ class Graph:
         self.m = len(edges)
         self.adj = adj
         self.labels = labels
-        self.id_map = {lab: i for i, lab in enumerate(labels)}
         ## edges kept in insertion order so serialization round-trips exactly
         self._edges = edges
 
@@ -66,12 +64,6 @@ class Graph:
             seen.add(e)
             kept.append(e)
         return cls(n, kept)
-
-    def neighbors(self, i: int) -> list[int]:
-        return self.adj[i]
-
-    def degree(self, i: int) -> int:
-        return len(self.adj[i])
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Edges as (min, max) id pairs, in first-appearance order."""

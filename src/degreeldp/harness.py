@@ -1,7 +1,8 @@
-"""Experiment harness: seeded end-to-end runs and CSV emission.
+"""Experiment harness: seeded end-to-end runs, experiment grids and CSV emission.
 
 A run loads one dataset, resolves the projection threshold, and repeats
-the (encode, project, perturb) pipeline over independent trials.  All
+the (encode, project, perturb) pipeline over independent trials; a grid
+repeats runs over strategies and config overrides.  All
 error metrics compare against the original degree sequence.  Seeding is
 hierarchical: the master seed draws one integer seed per trial, and each
 trial seed is split into per-stage substreams (order encoding,
@@ -13,8 +14,8 @@ from __future__ import annotations
 import csv
 import os
 import time
-from dataclasses import dataclass
-from typing import IO, Sequence
+from dataclasses import dataclass, replace
+from typing import IO, Mapping, Sequence
 
 import numpy as np
 
@@ -81,8 +82,7 @@ class ExperimentConfig:
     bits: int = DEFAULT_BITS
     trials: int = 20
     seed: int = 0
-    private: bool = True
-    projection_only: bool = False
+    private: bool = True  # False: true-degree orders, truthful negotiation, no Laplace release
     masked: bool = True
 
     def __post_init__(self):
@@ -134,7 +134,7 @@ def load_dataset(token: str) -> tuple[Graph, str]:
     """
     if token.startswith(SYNTHETIC_PREFIX):
         parts = token[len(SYNTHETIC_PREFIX):].split(":")
-        if not parts or not parts[0]:
+        if not parts[0] or len(parts) > 3:
             raise ValueError(f"bad synthetic token {token!r}; expected synthetic:<n>[:<attach>[:<seed>]]")
         n = int(parts[0])
         attach = int(parts[1]) if len(parts) > 1 else 4
@@ -151,8 +151,9 @@ def load_dataset(token: str) -> tuple[Graph, str]:
 def run_pipeline(cfg: ExperimentConfig, graph: Graph | None = None) -> tuple[list[MetricsRow], list[ReleaseReport]]:
     """Run all trials for one configuration.
 
-    Returns one metrics row per trial plus the release reports (empty in
-    projection-only mode).
+    Returns one metrics row per trial plus the release reports (empty
+    when the run is not private: the rows then score the projected
+    degrees themselves).
     """
     if graph is None:
         graph, label = load_dataset(cfg.dataset)
@@ -190,14 +191,14 @@ def run_pipeline(cfg: ExperimentConfig, graph: Graph | None = None) -> tuple[lis
         else:
             orders = degs
         pg = project(graph, pcfg, proj_rng, orders=orders)
-        if cfg.projection_only:
-            released = pg.degree_sequence()
-            dist_rel = degree_distribution(released, graph.n)
-        else:
+        if cfg.private:
             report = dsr(pg, theta, params, release_rng, seed=trial_seed)
             reports.append(report)
             released = list(report.noisy_degrees)
             dist_rel = np.asarray(report.distribution)
+        else:
+            released = pg.degrees
+            dist_rel = degree_distribution(released, graph.n)
         runtime_ms = (time.perf_counter() - t0) * 1000.0
         rows.append(
             MetricsRow(
@@ -216,6 +217,27 @@ def run_pipeline(cfg: ExperimentConfig, graph: Graph | None = None) -> tuple[lis
             )
         )
     return rows, reports
+
+
+def run_grid(
+    base: ExperimentConfig,
+    strategies: Sequence[Strategy],
+    grid: Sequence[Mapping[str, object]] = ({},),
+) -> tuple[str, list[MetricsRow]]:
+    """Run base once per strategy and grid point, loading its dataset once.
+
+    Each grid point maps config fields to the values that replace base's
+    (e.g. {"theta": 16}).  Rows come strategy by strategy, grid points in
+    order within each, and carry the dataset's label.  Returns the label
+    and the rows.
+    """
+    graph, label = load_dataset(base.dataset)
+    rows: list[MetricsRow] = []
+    for strategy in strategies:
+        for point in grid:
+            cfg = replace(base, dataset=label, strategy=strategy, **point)
+            rows.extend(run_pipeline(cfg, graph=graph)[0])
+    return label, rows
 
 
 def _format(value) -> str:

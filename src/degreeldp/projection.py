@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -55,17 +55,11 @@ class ProjectedGraph:
         self.neighbors = neighbors
         self.degrees = [len(s) for s in neighbors]
 
-    def degree_sequence(self) -> list[int]:
-        return list(self.degrees)
-
     def edge_count(self) -> int:
         return sum(self.degrees) // 2
 
     def edge_set(self) -> set[tuple[int, int]]:
         return {(i, j) for i in range(self.n) for j in self.neighbors[i] if i < j}
-
-    def edges(self) -> Iterator[tuple[int, int]]:
-        return iter(sorted(self.edge_set()))
 
 
 def _addition_run(
@@ -138,21 +132,12 @@ def lpea_low(g: Graph, orders: Sequence[int], cfg: ProjectionConfig, rng: np.ran
 
     Initiators run in ascending (order, id) and connect to their
     lowest-ranked willing neighbors first, which favors nodes that can
-    least afford to lose edges.
+    least afford to lose edges.  The paper's method under its own name;
+    cfg must name it.
     """
-    _check_orders(g, orders)
-    return _addition_run(g, orders, cfg, rng)
-
-
-def lpea_high(g: Graph, orders: Sequence[int], cfg: ProjectionConfig, rng: np.random.Generator) -> ProjectedGraph:
-    """Edge addition with both sort keys reversed: high-order nodes go first."""
-    _check_orders(g, orders)
-    return _addition_run(g, orders, cfg, rng)
-
-
-def random_add(g: Graph, cfg: ProjectionConfig, rng: np.random.Generator) -> ProjectedGraph:
-    """Edge addition with a uniform-random schedule and uniform responder choice."""
-    return _addition_run(g, None, cfg, rng)
+    if cfg.strategy is not Strategy.LPEA_LOW:
+        raise ValueError(f"lpea_low runs the lpea-low strategy, got {cfg.strategy.value}")
+    return project(g, cfg, rng, orders=orders)
 
 
 def edge_remove(g: Graph, cfg: ProjectionConfig, rng: np.random.Generator) -> ProjectedGraph:
@@ -188,19 +173,23 @@ def project(
     rng: np.random.Generator,
     orders: Sequence[int] | None = None,
 ) -> ProjectedGraph:
-    """Dispatch to the configured strategy.
+    """Run the configured strategy.
 
     The two rank-scheduled strategies need per-node orders (private
-    encodings, or true degrees in non-private mode).
+    encodings, or true degrees in non-private mode); lpea-high runs both
+    sort keys reversed, so high-order nodes go first.  random-add draws a
+    uniform schedule and uniform responders; edge-remove deletes excess
+    edges instead of adding.
     """
-    if cfg.strategy in (Strategy.LPEA_LOW, Strategy.LPEA_HIGH):
-        if orders is None:
-            raise ValueError(f"{cfg.strategy.value} requires per-node orders")
-        fn = lpea_low if cfg.strategy is Strategy.LPEA_LOW else lpea_high
-        return fn(g, orders, cfg, rng)
+    if cfg.strategy is Strategy.EDGE_REMOVE:
+        return edge_remove(g, cfg, rng)
     if cfg.strategy is Strategy.RANDOM_ADD:
-        return random_add(g, cfg, rng)
-    return edge_remove(g, cfg, rng)
+        return _addition_run(g, None, cfg, rng)
+    if orders is None:
+        raise ValueError(f"{cfg.strategy.value} requires per-node orders")
+    if len(orders) != g.n:
+        raise ValueError(f"orders must cover all {g.n} nodes, got {len(orders)}")
+    return _addition_run(g, orders, cfg, rng)
 
 
 def projection_error(g: Graph, pg: ProjectedGraph) -> tuple[np.ndarray, int]:
@@ -212,7 +201,3 @@ def projection_error(g: Graph, pg: ProjectedGraph) -> tuple[np.ndarray, int]:
     loss = np.abs(orig - proj)
     return loss, int(loss.sum())
 
-
-def _check_orders(g: Graph, orders: Sequence[int]) -> None:
-    if len(orders) != g.n:
-        raise ValueError(f"orders must cover all {g.n} nodes, got {len(orders)}")

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -39,8 +39,6 @@ _GROUPS: dict[int, tuple[int, int, tuple[int, ...]]] = {
 
 DEFAULT_BITS = 61
 
-FIXED_POINT_SCALE = 10**6
-
 
 @dataclass(frozen=True)
 class GroupParams:
@@ -54,11 +52,6 @@ class GroupParams:
 class KeyPair:
     sk: int
     pk: int
-
-
-@dataclass(frozen=True)
-class MaskedValue:
-    value: int
 
 
 def ka_param(bits: int = DEFAULT_BITS) -> GroupParams:
@@ -127,54 +120,29 @@ def mask_scalar(shared_key: int, params: GroupParams, round_index: int = 0) -> i
     return int.from_bytes(digest, "big") % params.q
 
 
-def compute_mask(i: int, shared_keys: Mapping[int, int], params: GroupParams, round_index: int = 0) -> int:
-    """Party i's additive mask in round round_index from its shared keys with every other party.
+def compute_mask(i: int, key_row: np.ndarray, params: GroupParams, round_index: int = 0) -> int:
+    """Party i's additive mask in round round_index from its row of the run's keys.
 
-    Keys with higher-indexed parties enter positively, lower-indexed
-    negatively, so the masks cancel when all parties are summed.
-    shared_keys must cover exactly the other parties 0..n-1.
+    key_row is keys[i] from agree_keys.  Keys with higher-indexed parties
+    enter positively, lower-indexed negatively, so the masks cancel when
+    all parties are summed.
     """
-    n = len(shared_keys) + 1
-    expected = set(range(n)) - {i}
-    if set(shared_keys) != expected:
-        missing = sorted(expected - set(shared_keys))
-        raise ValueError(f"party {i}: missing pairwise keys for parties {missing}")
     m = 0
-    for j, key in shared_keys.items():
-        s = mask_scalar(key, params, round_index)
-        m = (m + s) % params.q if j > i else (m - s) % params.q
-    return m
+    for j, key in enumerate(key_row.tolist()):
+        if j != i:
+            s = mask_scalar(key, params, round_index)
+            m += s if j > i else -s
+    return m % params.q
 
 
-def mask_value(x: int, mask: int, params: GroupParams) -> MaskedValue:
-    if not 0 <= x < params.q:
-        raise ValueError(f"value {x} outside [0, {params.q})")
-    return MaskedValue((x + mask) % params.q)
-
-
-def aggregate(values: Sequence[MaskedValue], params: GroupParams) -> int:
+def aggregate(values: Sequence[int], params: GroupParams) -> int:
     """Sum of masked values mod q; exact when the plaintext sum is below q."""
-    total = 0
-    for v in values:
-        total = (total + v.value) % params.q
-    return total
-
-
-def encode_fixed(x: float) -> int:
-    """Fixed-point encoding of a nonnegative real at 1e-6 resolution."""
-    if x < 0:
-        raise ValueError(f"fixed-point encoding expects nonnegative values, got {x}")
-    return int(round(x * FIXED_POINT_SCALE))
-
-
-def decode_fixed(v: int) -> float:
-    return v / FIXED_POINT_SCALE
+    return sum(values) % params.q
 
 
 def masked_sum_round(
     values: Sequence[int],
     params: GroupParams,
-    rng: np.random.Generator,
     masked: bool = True,
     round_log: list | None = None,
     keys: np.ndarray | None = None,
@@ -184,14 +152,14 @@ def masked_sum_round(
 
     keys are the run's pairwise keys from agree_keys and round_index the
     round's place in that run; each party hashes its keys with the round
-    index into its mask.  Without keys the call is a run of one round and
-    agrees its own keys from rng.  With masked=False the plaintext values
-    are summed directly; the result is bit-identical because the masks
-    cancel exactly.  round_log, when given, receives one record per round
-    (the per-party payloads in party order).
+    index into its mask.  With masked=False the plaintext values are
+    summed directly and keys are not needed; the result is bit-identical
+    because the masks cancel exactly.  round_log, when given, receives one
+    record per round (the per-party payloads in party order).
 
-    Masking needs at least 2 parties, and the round is refused when
-    n * max(values) reaches q, since the sum could then wrap mod q.
+    Masking needs at least 2 parties and the run's keys, and the round is
+    refused when n * max(values) reaches q, since the sum could then wrap
+    mod q.
     """
     values = [int(v) for v in values]
     n = len(values)
@@ -201,20 +169,17 @@ def masked_sum_round(
     if values and n * max(values) >= params.q:
         raise ValueError(f"{n} values up to {max(values)} could sum past q={params.q}")
     if not masked:
-        total = sum(values) % params.q
         if round_log is not None:
             round_log.append(("plain", tuple(values)))
-        return total
+        return sum(values) % params.q
 
+    if n < 2:
+        raise ValueError(f"masking needs at least 2 parties, got {n}")
     if keys is None:
-        keys = agree_keys(n, params, rng)
-    elif keys.shape != (n, n):
+        raise ValueError("a masked round needs the run's keys from agree_keys")
+    if keys.shape != (n, n):
         raise ValueError(f"keys have shape {keys.shape}, expected ({n}, {n})")
-    masked_vals: list[MaskedValue] = []
-    for i in range(n):
-        shared = {j: key for j, key in enumerate(keys[i].tolist()) if j != i}
-        m_i = compute_mask(i, shared, params, round_index)
-        masked_vals.append(mask_value(values[i], m_i, params))
+    payloads = tuple((values[i] + compute_mask(i, keys[i], params, round_index)) % params.q for i in range(n))
     if round_log is not None:
-        round_log.append(("masked", tuple(mv.value for mv in masked_vals)))
-    return aggregate(masked_vals, params)
+        round_log.append(("masked", payloads))
+    return aggregate(payloads, params)

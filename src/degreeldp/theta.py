@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .graph import Graph, degree_sequence
-from .projection import ProjectionConfig, Strategy, lpea_low, projection_error
+from .projection import ProjectionConfig, lpea_low, projection_error
 from .secure_agg import DEFAULT_BITS, agree_keys, ka_param, masked_sum_round
 
 
@@ -43,18 +43,6 @@ class ThetaSearchConfig:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
         if self.method not in ("sum", "deviation"):
             raise ValueError(f"method must be 'sum' or 'deviation', got {self.method!r}")
-
-
-@dataclass(frozen=True)
-class ErrorModel:
-    """Additive decomposition of the expected release error at a threshold."""
-
-    laplace_term: float
-    projection_term: float
-
-    @property
-    def total(self) -> float:
-        return self.laplace_term + self.projection_term
 
 
 def quantile_oracle(degrees: Sequence[int], epsilon: float, K: int) -> int:
@@ -105,7 +93,7 @@ def theta_by_deviation(
         probe = (lo + hi) // 2
         indicators = (degrees > probe).astype(int)
         count = masked_sum_round(
-            indicators.tolist(), params, rng, masked=masked, round_log=round_log, keys=keys, round_index=r
+            indicators.tolist(), params, masked=masked, round_log=round_log, keys=keys, round_index=r
         )
         r += 1
         ## compare count < n / epsilon without dividing
@@ -141,13 +129,13 @@ def theta_by_sum(
     best_k = 1
     best_score = None
     for k in range(1, cfg.K + 1):
-        pcfg = ProjectionConfig(theta=k, strategy=Strategy.LPEA_LOW, private=False)
-        pg = lpea_low(g, orders, pcfg, rng)
+        pg = lpea_low(g, orders, ProjectionConfig(theta=k), rng)
         losses, _ = projection_error(g, pg)
         total_loss = masked_sum_round(
-            losses.tolist(), params, rng, masked=masked, round_log=round_log, keys=keys, round_index=k - 1
+            losses.tolist(), params, masked=masked, round_log=round_log, keys=keys, round_index=k - 1
         )
-        score = ErrorModel(laplace_term=n * k / cfg.epsilon, projection_term=float(total_loss)).total
+        ## modeled release error: Laplace noise term plus projection loss
+        score = n * k / cfg.epsilon + float(total_loss)
         if best_score is None or score < best_score:
             best_score = score
             best_k = k

@@ -24,8 +24,8 @@ def test_load_basic_dedupe_and_comments():
 
 def test_load_first_appearance_ids():
     g = load_edge_list(io.StringIO("7 3\n3 9\n"))
-    assert g.id_map == {"7": 0, "3": 1, "9": 2}
     assert g.labels == ["7", "3", "9"]
+    assert g.edge_set() == {(0, 1), (1, 2)}
 
 
 def test_self_loop_registers_node_but_drops_edge():
@@ -60,7 +60,7 @@ def test_stats_fig(fig_graph):
 
 def test_adjacency_sorted(fig_graph):
     for i in range(fig_graph.n):
-        nbrs = fig_graph.neighbors(i)
+        nbrs = fig_graph.adj[i]
         assert nbrs == sorted(nbrs)
 
 

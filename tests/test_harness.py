@@ -16,8 +16,10 @@ from degreeldp import (
     mae,
     mae_dist,
     mse,
+    run_grid,
     run_pipeline,
 )
+from degreeldp import harness
 from degreeldp.harness import find_dataset
 from conftest import FIG_EDGE_LIST
 
@@ -79,6 +81,10 @@ class TestDatasetResolution:
         with pytest.raises(ValueError):
             load_dataset("synthetic:")
 
+    def test_extra_synthetic_fields_rejected(self):
+        with pytest.raises(ValueError, match="synthetic:<n>"):
+            load_dataset("synthetic:300:11:1:99")
+
     def test_env_dir_fallback(self, tmp_path, monkeypatch):
         (tmp_path / "toy.txt").write_text("1 2\n")
         monkeypatch.setenv(DATA_DIR_ENV, str(tmp_path))
@@ -95,7 +101,7 @@ class TestDatasetResolution:
 class TestRunPipeline:
     def test_row_count_and_schema(self, fig_file):
         cfg = ExperimentConfig(dataset=fig_file, theta=1, trials=3, seed=5,
-                               private=False, projection_only=True)
+                               private=False)
         rows, reports = run_pipeline(cfg)
         assert len(rows) == 3
         assert reports == []
@@ -105,7 +111,7 @@ class TestRunPipeline:
 
     def test_projection_only_metrics_match_worked_example(self, fig_file):
         cfg = ExperimentConfig(dataset=fig_file, theta=1, trials=1, seed=5,
-                               private=False, projection_only=True)
+                               private=False)
         rows, _ = run_pipeline(cfg)
         ## low-first addition at bound 1 keeps B-D and A-C: degrees all 1
         assert rows[0].mae_seq == pytest.approx(1.0)
@@ -145,15 +151,42 @@ class TestRunPipeline:
     def test_explicit_graph_skips_loading(self, fig_file):
         g, _ = load_dataset(fig_file)
         cfg = ExperimentConfig(dataset="in-memory", theta=1, trials=1,
-                               private=False, projection_only=True)
+                               private=False)
         rows, _ = run_pipeline(cfg, graph=g)
         assert rows[0].dataset == "in-memory"
 
     def test_strategy_flows_into_rows(self, fig_file):
         cfg = ExperimentConfig(dataset=fig_file, theta=2, trials=1, strategy=Strategy.EDGE_REMOVE,
-                               private=False, projection_only=True)
+                               private=False)
         rows, _ = run_pipeline(cfg)
         assert rows[0].strategy == "edge-remove"
+
+
+class TestRunGrid:
+    def test_loads_once_and_matches_single_runs(self, monkeypatch):
+        loads = []
+        original = harness.load_dataset
+
+        def counted(token):
+            loads.append(token)
+            return original(token)
+
+        monkeypatch.setattr(harness, "load_dataset", counted)
+        base = ExperimentConfig(dataset="synthetic:40:3:1", trials=2, seed=4, private=False)
+        strategies = [Strategy.LPEA_HIGH, Strategy.EDGE_REMOVE]
+        label, rows = run_grid(base, strategies, [{"theta": 2}, {"theta": 5}])
+        assert loads == ["synthetic:40:3:1"]
+        assert label == "synthetic-40-3-1"
+        assert [(r.strategy, r.theta) for r in rows] == [
+            (s.value, t) for s in strategies for t in (2, 5) for _ in range(2)
+        ]
+        ## each grid point equals its own run_pipeline call, runtime aside
+        single, _ = run_pipeline(ExperimentConfig(dataset="synthetic:40:3:1", strategy=Strategy.EDGE_REMOVE,
+                                                  theta=5, trials=2, seed=4, private=False))
+        for a, b in zip(rows[-2:], single):
+            for col in CSV_COLUMNS:
+                if col != "runtime_ms":
+                    assert getattr(a, col) == getattr(b, col)
 
 
 class TestEmitCsv:

@@ -9,11 +9,9 @@ from degreeldp import (
     Strategy,
     degree_sequence,
     edge_remove,
-    lpea_high,
     lpea_low,
     project,
     projection_error,
-    random_add,
 )
 from conftest import random_graph
 
@@ -53,14 +51,14 @@ class TestWorkedExample:
 
     def test_high_first_keeps_single_hub_edge(self, fig_graph):
         cfg = nonprivate(1, Strategy.LPEA_HIGH)
-        pg = lpea_high(fig_graph, degree_sequence(fig_graph), cfg, np.random.default_rng(0))
+        pg = project(fig_graph, cfg, np.random.default_rng(0), orders=degree_sequence(fig_graph))
         assert pg.edge_set() == {(1, 2)}
         assert pg.edge_count() <= 2  # never beats the low-first variant here
 
     def test_random_add_seeded_hub_pick(self, fig_graph):
         ## frozen seed where B initiates early and picks C: only B-C survives
         cfg = nonprivate(1, Strategy.RANDOM_ADD)
-        pg = random_add(fig_graph, cfg, np.random.default_rng(16))
+        pg = project(fig_graph, cfg, np.random.default_rng(16))
         assert pg.edge_set() == {(1, 2)}
 
     def test_edge_remove_seeded_loss(self, fig_graph):
@@ -116,7 +114,7 @@ class TestInvariants:
                 assert pg.edge_set() <= orig
                 for i in range(g.n):
                     assert pg.degrees[i] <= theta
-                    assert pg.degrees[i] <= g.degree(i)
+                    assert pg.degrees[i] <= len(g.adj[i])
                     for j in pg.neighbors[i]:
                         assert i in pg.neighbors[j]
 
@@ -153,3 +151,11 @@ class TestOrdersValidation:
     def test_orders_length_checked(self, fig_graph):
         with pytest.raises(ValueError):
             lpea_low(fig_graph, [1, 2], nonprivate(1), np.random.default_rng(0))
+        with pytest.raises(ValueError, match="cover all 4 nodes"):
+            project(fig_graph, nonprivate(1, Strategy.LPEA_HIGH), np.random.default_rng(0), orders=[1, 2])
+
+    @pytest.mark.parametrize("strategy", [s for s in Strategy if s is not Strategy.LPEA_LOW])
+    def test_lpea_low_refuses_other_strategies(self, fig_graph, strategy):
+        ## lpea_low is the paper's named method; other strategies go through project
+        with pytest.raises(ValueError, match="lpea-low"):
+            lpea_low(fig_graph, degree_sequence(fig_graph), nonprivate(1, strategy), np.random.default_rng(0))

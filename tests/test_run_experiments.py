@@ -1,0 +1,39 @@
+"""Smoke test of scripts/run_experiments.py on a small synthetic graph."""
+
+import csv
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from degreeldp import CSV_COLUMNS, Strategy
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "run_experiments.py"
+
+
+@pytest.fixture(scope="module")
+def script():
+    spec = importlib.util.spec_from_file_location("run_experiments", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("mode,grid_flag,grid", [
+    ("projection", "--thetas", ["2", "4", "8"]),
+    ("release", "--epsilons", ["1.0", "3.0"]),
+])
+def test_one_csv_per_mode(script, tmp_path, mode, grid_flag, grid):
+    argv = [mode, "synthetic:60:3", grid_flag, *grid, "--trials", "1", "--out", str(tmp_path)]
+    assert script.main(argv) == 0
+    paths = list(tmp_path.iterdir())
+    assert [p.name for p in paths] == [f"{mode}_synthetic-60-3-0.csv"]
+    with open(paths[0]) as fh:
+        rows = list(csv.reader(fh))
+    assert tuple(rows[0]) == CSV_COLUMNS
+    body = rows[1:]
+    assert len(body) == len(Strategy) * len(grid) * 1
+    ## strategy by strategy, the grid in order within each
+    column = CSV_COLUMNS.index("theta" if mode == "projection" else "epsilon")
+    strategy = CSV_COLUMNS.index("strategy")
+    assert [(r[strategy], r[column]) for r in body] == [(s.value, v) for s in Strategy for v in grid]

@@ -5,26 +5,27 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats as sstats
 
 from degreeldp import (
-    FIXED_POINT_SCALE,
     Graph,
-    MaskedValue,
     ThetaSearchConfig,
+    agree_keys,
     aggregate,
     compute_mask,
-    decode_fixed,
     degree_sequence,
-    encode_fixed,
     ka_agree,
     ka_gen,
     ka_param,
     mask_scalar,
-    mask_value,
     masked_sum_round,
     secure_agg,
     theta_by_deviation,
     theta_by_sum,
 )
-from degreeldp.secure_agg import _GROUPS, agree_keys
+from degreeldp.secure_agg import _GROUPS
+
+
+def run_keys(values, p, seed):
+    """Keys of a one-round run over len(values) parties."""
+    return agree_keys(len(values), p, np.random.default_rng(seed))
 
 
 class TestGroupTable:
@@ -99,8 +100,8 @@ class TestMasking:
         keys = [ka_gen(p, rng) for _ in range(n)]
         masks = []
         for i in range(n):
-            shared = {j: ka_agree(keys[i].sk, keys[j].pk, p) for j in range(n) if j != i}
-            masks.append(compute_mask(i, shared, p))
+            row = np.array([0 if j == i else ka_agree(keys[i].sk, keys[j].pk, p) for j in range(n)], dtype=np.uint64)
+            masks.append(compute_mask(i, row, p))
         return p, masks
 
     @pytest.mark.parametrize("n,seed", [(2, 0), (3, 1), (5, 2), (8, 3)])
@@ -109,46 +110,32 @@ class TestMasking:
         assert sum(masks) % p.q == 0
 
     def test_missing_pairwise_key_rejected(self):
+        ## a key row without party 1's column: keys cover 2 parties, values 3
         p = ka_param(61)
-        with pytest.raises(ValueError, match="missing"):
-            compute_mask(0, {2: 5}, p)  # party 1 absent
+        keys = agree_keys(2, p, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="shape"):
+            masked_sum_round([1, 2, 3], p, keys=keys)
+        with pytest.raises(ValueError, match="shape"):
+            masked_sum_round([1, 2], p, keys=keys[:, :1])
 
     def test_mask_value_range_checks(self):
         p = ka_param(16)
-        with pytest.raises(ValueError):
-            mask_value(-1, 0, p)
-        with pytest.raises(ValueError):
-            mask_value(p.q, 0, p)
+        keys = agree_keys(2, p, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="outside"):
+            masked_sum_round([-1, 0], p, keys=keys)
+        with pytest.raises(ValueError, match="outside"):
+            masked_sum_round([p.q, 0], p, keys=keys)
 
     def test_aggregate_recovers_sum(self):
         p, masks = self._masks(3, 7)
         vals = [10, 20, 12]
-        masked = [mask_value(v, m, p) for v, m in zip(vals, masks)]
-        assert aggregate(masked, p) == 42
+        assert aggregate([(v + m) % p.q for v, m in zip(vals, masks)], p) == 42
 
     def test_single_masked_value_is_not_plaintext(self):
-        p, masks = self._masks(3, 11)
-        assert mask_value(5, masks[0], p).value != 5
-
-
-class TestFixedPoint:
-    def test_scale(self):
-        assert FIXED_POINT_SCALE == 10**6
-
-    @given(st.integers(0, 10**12))
-    def test_round_trip_on_grid(self, k):
-        x = k / FIXED_POINT_SCALE
-        assert decode_fixed(encode_fixed(x)) == pytest.approx(x, abs=1e-9)
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            encode_fixed(-0.5)
-
-    def test_masked_sum_of_encoded_reals(self):
         p = ka_param(61)
-        reals = [1.25, 2.5, 0.125]
-        total = masked_sum_round([encode_fixed(x) for x in reals], p, np.random.default_rng(0))
-        assert decode_fixed(total) == pytest.approx(sum(reals))
+        log: list = []
+        masked_sum_round([5, 1, 9], p, keys=agree_keys(3, p, np.random.default_rng(11)), round_log=log)
+        assert log[0][1][0] != 5
 
 
 class TestMaskedSumRound:
@@ -159,46 +146,53 @@ class TestMaskedSumRound:
     @settings(max_examples=40, deadline=None)
     def test_matches_plaintext_sum(self, values, seed):
         p = ka_param(61)
-        assert masked_sum_round(values, p, np.random.default_rng(seed)) == sum(values)
+        assert masked_sum_round(values, p, keys=run_keys(values, p, seed)) == sum(values)
 
     def test_one_party_masked_round_rejected(self):
         ## a lone party's "mask" would be zero and its value would go out in the clear
         p = ka_param(61)
         with pytest.raises(ValueError, match="at least 2 parties"):
-            masked_sum_round([42], p, np.random.default_rng(0))
+            masked_sum_round([42], p, keys=np.zeros((1, 1), dtype=np.uint64))
         with pytest.raises(ValueError, match="at least 2 parties"):
-            masked_sum_round([], p, np.random.default_rng(0))
-        assert masked_sum_round([42], p, np.random.default_rng(0), masked=False) == 42
+            masked_sum_round([], p)
+        with pytest.raises(ValueError, match="at least 2 parties"):
+            agree_keys(1, p, np.random.default_rng(0))
+        assert masked_sum_round([42], p, masked=False) == 42
+
+    def test_masked_round_needs_run_keys(self):
+        p = ka_param(61)
+        with pytest.raises(ValueError, match="agree_keys"):
+            masked_sum_round([1, 2], p)
 
     @pytest.mark.parametrize("masked", [True, False])
     def test_sum_that_could_wrap_rejected(self, masked):
         p = ka_param(16)
-        rng = np.random.default_rng(0)
+        keys = agree_keys(2, p, np.random.default_rng(0)) if masked else None
         with pytest.raises(ValueError, match="sum past q"):
-            masked_sum_round([p.q - 1, 5], p, rng, masked=masked)
+            masked_sum_round([p.q - 1, 5], p, masked=masked, keys=keys)
         with pytest.raises(ValueError, match="sum past q"):
-            masked_sum_round([(p.q + 1) // 2, 0], p, rng, masked=masked)
+            masked_sum_round([(p.q + 1) // 2, 0], p, masked=masked, keys=keys)
         ## n * max just below q is still exact
         half = (p.q - 1) // 2
-        assert masked_sum_round([half, half], p, rng, masked=masked) == p.q - 1
+        assert masked_sum_round([half, half], p, masked=masked, keys=keys) == p.q - 1
 
     def test_bypass_is_bit_identical(self):
         p = ka_param(61)
         vals = [3, 1, 4, 1, 5]
-        m = masked_sum_round(vals, p, np.random.default_rng(0), masked=True)
-        b = masked_sum_round(vals, p, np.random.default_rng(0), masked=False)
+        m = masked_sum_round(vals, p, masked=True, keys=run_keys(vals, p, 0))
+        b = masked_sum_round(vals, p, masked=False)
         assert m == b == 14
 
     def test_value_out_of_range_rejected(self):
         p = ka_param(16)
         with pytest.raises(ValueError):
-            masked_sum_round([p.q], p, np.random.default_rng(0))
+            masked_sum_round([p.q], p, masked=False)
 
     def test_round_log_records_payloads(self):
         p = ka_param(61)
         log: list = []
-        masked_sum_round([1, 2], p, np.random.default_rng(0), round_log=log)
-        masked_sum_round([1, 2], p, np.random.default_rng(0), masked=False, round_log=log)
+        masked_sum_round([1, 2], p, round_log=log, keys=run_keys([1, 2], p, 0))
+        masked_sum_round([1, 2], p, masked=False, round_log=log)
         assert len(log) == 2
         assert log[0][0] == "masked" and log[1][0] == "plain"
         assert log[1][1] == (1, 2)
@@ -211,7 +205,7 @@ class TestMaskedSumRound:
         rounds = 4000
         for _ in range(rounds):
             log: list = []
-            masked_sum_round([7, 130, 55], p, rng, round_log=log)
+            masked_sum_round([7, 130, 55], p, round_log=log, keys=agree_keys(3, p, rng))
             first = log[0][1][0]
             buckets[first * 16 // p.q] += 1
         _, pvalue = sstats.chisquare(buckets)
@@ -223,8 +217,7 @@ class TestKeyReuse:
 
     @staticmethod
     def _round_masks(keys, p, r):
-        n = keys.shape[0]
-        return [compute_mask(i, {j: int(keys[i, j]) for j in range(n) if j != i}, p, r) for i in range(n)]
+        return [compute_mask(i, keys[i], p, r) for i in range(keys.shape[0])]
 
     @pytest.mark.parametrize("bits", [16, 61, 127])
     def test_every_round_telescopes_to_zero(self, bits):
@@ -240,13 +233,13 @@ class TestKeyReuse:
         keys = agree_keys(5, p, rng)
         for r in range(10):
             values = [int(v) for v in rng.integers(0, 10**6, 5)]
-            assert masked_sum_round(values, p, rng, keys=keys, round_index=r) == sum(values)
+            assert masked_sum_round(values, p, keys=keys, round_index=r) == sum(values)
 
     def test_keys_must_match_party_count(self):
         p = ka_param(61)
         keys = agree_keys(3, p, np.random.default_rng(0))
         with pytest.raises(ValueError, match="shape"):
-            masked_sum_round([1, 2], p, np.random.default_rng(0), keys=keys)
+            masked_sum_round([1, 2], p, keys=keys)
 
     def test_pair_mask_changes_between_rounds(self):
         p = ka_param(61)
@@ -261,8 +254,8 @@ class TestKeyReuse:
         keys = agree_keys(3, p, np.random.default_rng(2024))
         buckets = np.zeros(16, dtype=int)
         log: list = []
-        for r in range(4000):  # rounds with keys given draw no randomness, hence rng=None
-            masked_sum_round([7, 130, 55], p, None, round_log=log, keys=keys, round_index=r)
+        for r in range(4000):
+            masked_sum_round([7, 130, 55], p, round_log=log, keys=keys, round_index=r)
         for _, payloads in log:
             buckets[payloads[0] * 16 // p.q] += 1
         _, pvalue = sstats.chisquare(buckets)

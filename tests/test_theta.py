@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from degreeldp import (
-    ErrorModel,
     Graph,
     ThetaSearchConfig,
     degree_sequence,
@@ -33,8 +32,16 @@ class TestConfig:
 
 class TestErrorModel:
     def test_total_is_sum_of_terms(self):
-        m = ErrorModel(laplace_term=12.5, projection_term=30.0)
-        assert m.total == pytest.approx(42.5)
+        ## theta_by_sum scores k as the Laplace term n * k / epsilon plus the
+        ## summed projection loss: star(9) at epsilon 1 loses 16 edges' worth
+        ## at k=1 (score 10 + 16) and nothing at k=9 (score 90 + 0)
+        g = star(9)
+        cfg = ThetaSearchConfig(K=9, epsilon=1.0, method="sum")
+        log: list = []
+        theta_by_sum(g, degree_sequence(g), cfg, np.random.default_rng(0), masked=False, round_log=log)
+        scores = [g.n * k / cfg.epsilon + sum(payloads) for k, (_, payloads) in enumerate(log, start=1)]
+        assert scores[0] == pytest.approx(10.0 + 16.0)
+        assert scores[-1] == pytest.approx(90.0)
 
 
 class TestQuantileOracle:
