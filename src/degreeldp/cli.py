@@ -60,9 +60,12 @@ def _int_list(text: str) -> list[int]:
 
 def _float_list(text: str) -> list[float]:
     try:
-        return [float(chunk) for chunk in text.split(",") if chunk]
+        out = [float(chunk) for chunk in text.split(",") if chunk]
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad float list {text!r}")
+    if not out:
+        raise argparse.ArgumentTypeError("empty value list")
+    return out
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -72,49 +75,48 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, with_strategy: bool = True) -> None:
+    def add_selection(p: argparse.ArgumentParser) -> None:
         p.add_argument("dataset", help="edge-list path or synthetic:<n>[:<attach>[:<seed>]]")
         p.add_argument("--epsilon", type=float, default=3.0, help="total privacy budget (default 3.0)")
-        p.add_argument("--alpha", type=float, default=0.1, help="budget share for the interactive stages (default 0.1)")
         p.add_argument("--K", type=int, default=None, help="upper bound of the threshold search (default: max degree)")
-        p.add_argument("--psize", type=int, default=50, help="partition width for degree-order encoding (default 50)")
         p.add_argument("--lambda", dest="bits", type=int, default=DEFAULT_BITS,
                        help="modulus bit length for masked aggregation (default 61)")
         p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
-        p.add_argument("--trials", type=int, default=20, help="independent trials (default 20)")
-        p.add_argument("--out", default=None, help="write the metrics CSV here (default: CSV on stdout)")
         p.add_argument("--no-mask", action="store_true",
                        help="skip pairwise masking in threshold selection (same result, much faster on large graphs)")
-        if with_strategy:
-            p.add_argument("--strategy", choices=_STRATEGY_CHOICES, default=Strategy.LPEA_LOW.value,
-                           help="projection strategy (default lpea-low)")
+
+    def add_run(p: argparse.ArgumentParser) -> None:
+        add_selection(p)
+        p.add_argument("--alpha", type=float, default=0.1, help="budget share for the interactive stages (default 0.1)")
+        p.add_argument("--psize", type=int, default=50, help="partition width for degree-order encoding (default 50)")
+        p.add_argument("--trials", type=int, default=20, help="independent trials (default 20)")
+        p.add_argument("--out", default=None, help="write the metrics CSV here (default: CSV on stdout)")
+        p.add_argument("--strategy", choices=_STRATEGY_CHOICES, default=Strategy.LPEA_LOW.value,
+                       help="projection strategy (default lpea-low)")
+        p.add_argument("--theta", type=_theta_arg, default="auto-deviation",
+                       help="projection bound, or auto-sum / auto-deviation (default auto-deviation)")
 
     p_stats = sub.add_parser("stats", help="print dataset summary")
     p_stats.add_argument("dataset")
 
     p_project = sub.add_parser("project", help="non-private projection, metrics vs original degrees")
-    add_common(p_project)
-    p_project.add_argument("--theta", type=_theta_arg, default="auto-deviation",
-                           help="projection bound, or auto-sum / auto-deviation (default auto-deviation)")
+    add_run(p_project)
     p_project.set_defaults(private=False)
 
     p_theta = sub.add_parser("select-theta", help="run a threshold-selection protocol and print theta")
-    add_common(p_theta, with_strategy=False)
+    add_selection(p_theta)
     p_theta.add_argument("--method", choices=["sum", "deviation"], default="deviation",
                          help="selection protocol (default deviation)")
 
     p_release = sub.add_parser("release", help="full private pipeline with Laplace release")
-    add_common(p_release)
-    p_release.add_argument("--theta", type=_theta_arg, default="auto-deviation",
-                           help="projection bound, or auto-sum / auto-deviation (default auto-deviation)")
+    add_run(p_release)
     p_release.set_defaults(private=True)
 
     p_sweep = sub.add_parser("sweep", help="grid of runs over thresholds or budgets")
-    add_common(p_sweep)
-    p_sweep.add_argument("--theta", type=_theta_arg, default="auto-deviation",
-                         help="bound used when sweeping budgets (default auto-deviation)")
+    add_run(p_sweep)
     p_sweep.add_argument("--thetas", type=_int_list, default=None, help="comma list or a:b[:step] range of bounds")
-    p_sweep.add_argument("--epsilons", type=_float_list, default=None, help="comma list of budgets")
+    p_sweep.add_argument("--epsilons", type=_float_list, default=None,
+                         help="comma list of budgets, each run at --theta")
     p_sweep.add_argument("--private", action="store_true",
                          help="run the full private pipeline instead of non-private projection")
     return parser
@@ -172,8 +174,7 @@ def cli_main(argv: list[str] | None = None) -> int:
             graph, _ = load_dataset(args.dataset)
             degs = degree_sequence(graph)
             K = args.K if args.K is not None else max(max(degs), 1)
-            tcfg = ThetaSearchConfig(K=K, epsilon=args.epsilon, alpha=args.alpha,
-                                     bits=args.bits, method=args.method)
+            tcfg = ThetaSearchConfig(K=K, epsilon=args.epsilon, bits=args.bits, method=args.method)
             theta = resolve_theta(graph, tcfg, np.random.default_rng(args.seed), masked=not args.no_mask)
             print(theta)
             return 0

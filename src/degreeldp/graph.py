@@ -3,13 +3,16 @@
 Graphs are read from plain edge lists: one edge per line, two
 whitespace-separated node labels, lines starting with '#' ignored.
 Node labels are remapped to contiguous internal ids 0..n-1 in order of
-first appearance.  Self-loops are dropped (the endpoint still counts as
-a node) and duplicate edges are merged.
+first appearance.  The ``Graph`` constructor is the one place that drops
+self-loops (the endpoint still counts as a node) and merges duplicate
+edges; a graph holds only its sorted neighbor lists and derives its edges
+from them, in an order that writes out and reloads to the same ids.
 """
 
 from __future__ import annotations
 
 import gzip
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import IO, Iterable, Iterator
 
@@ -28,49 +31,48 @@ class Graph:
         labels: internal id -> original external label.
     """
 
-    __slots__ = ("n", "m", "adj", "labels", "_edges")
+    __slots__ = ("n", "m", "adj", "labels")
 
-    def __init__(self, n: int, edges: list[tuple[int, int]], labels: list[str] | None = None):
+    def __init__(self, n: int, edges: Iterable[tuple[int, int]], labels: list[str] | None = None):
+        """Build from integer id pairs, dropping self-loops and merging duplicates."""
         if labels is None:
             labels = [str(i) for i in range(n)]
         if len(labels) != n:
             raise ValueError("labels must have one entry per node")
-        adj: list[list[int]] = [[] for _ in range(n)]
+        seen: set[tuple[int, int]] = set()
+        kept: list[tuple[int, int]] = []
         for i, j in edges:
             if not (0 <= i < n and 0 <= j < n):
                 raise ValueError(f"edge ({i}, {j}) out of range for n={n}")
+            if i == j:
+                continue
+            e = (i, j) if i < j else (j, i)
+            if e not in seen:
+                seen.add(e)
+                kept.append(e)
+        adj: list[list[int]] = [[] for _ in range(n)]
+        for i, j in kept:
             adj[i].append(j)
             adj[j].append(i)
         for nbrs in adj:
             nbrs.sort()
         self.n = n
-        self.m = len(edges)
+        self.m = len(kept)
         self.adj = adj
         self.labels = labels
-        ## edges kept in insertion order so serialization round-trips exactly
-        self._edges = edges
-
-    @classmethod
-    def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
-        """Build a graph from integer id pairs, dropping self-loops and duplicates."""
-        seen: set[tuple[int, int]] = set()
-        kept: list[tuple[int, int]] = []
-        for i, j in edges:
-            if i == j:
-                continue
-            e = (i, j) if i < j else (j, i)
-            if e in seen:
-                continue
-            seen.add(e)
-            kept.append(e)
-        return cls(n, kept)
 
     def edges(self) -> Iterator[tuple[int, int]]:
-        """Edges as (min, max) id pairs, in first-appearance order."""
-        return iter(self._edges)
+        """Edges as (i, j) pairs with i < j, by j ascending and then i descending.
+
+        Written out in this order, the edges reload to the same ids: each
+        node's label first appears in the order of its id.
+        """
+        for j, nbrs in enumerate(self.adj):
+            for i in reversed(nbrs[: bisect_left(nbrs, j)]):
+                yield i, j
 
     def edge_set(self) -> set[tuple[int, int]]:
-        return set(self._edges)
+        return set(self.edges())
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
@@ -97,8 +99,7 @@ def load_edge_list(source: Iterable[str]) -> Graph:
     """
     id_map: dict[str, int] = {}
     labels: list[str] = []
-    seen: set[tuple[int, int]] = set()
-    edges: list[tuple[int, int]] = []
+    pairs: list[tuple[int, int]] = []
 
     def intern(label: str) -> int:
         node = id_map.get(label)
@@ -115,25 +116,18 @@ def load_edge_list(source: Iterable[str]) -> Graph:
         parts = line.split()
         if len(parts) != 2:
             raise EdgeListParseError(f"line {lineno}: expected two node labels, got {len(parts)} tokens")
-        u = intern(parts[0])
-        v = intern(parts[1])
-        if u == v:
-            continue  # self-loop: node registered, edge dropped
-        e = (u, v) if u < v else (v, u)
-        if e not in seen:
-            seen.add(e)
-            edges.append(e)
+        pairs.append((intern(parts[0]), intern(parts[1])))
 
-    g = Graph(len(labels), edges, labels)
-    return g
+    return Graph(len(labels), pairs, labels)
 
 
 def write_edge_list(g: Graph, sink: IO[str]) -> None:
     """Serialize a graph so that reloading reproduces the identical internal structure.
 
-    Edges are written in first-appearance order with original labels, which
-    preserves the id assignment on reload.  Degree-zero nodes (possible only
-    via self-loop-only input) cannot be expressed in an edge list and are lost.
+    Edges are written in the order of ``Graph.edges`` with original labels,
+    which preserves the id assignment on reload.  Degree-zero nodes
+    (possible only via self-loop-only input) cannot be expressed in an edge
+    list and are lost.
     """
     for i, j in g.edges():
         sink.write(f"{g.labels[i]} {g.labels[j]}\n")

@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import os
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import IO, Mapping, Sequence
 
 import numpy as np
@@ -31,21 +31,6 @@ from .theta import ThetaSearchConfig, resolve_theta
 DATA_DIR_ENV = "LDP_DEGREE_DATA_DIR"
 
 SYNTHETIC_PREFIX = "synthetic:"
-
-CSV_COLUMNS = (
-    "dataset",
-    "strategy",
-    "epsilon",
-    "alpha",
-    "theta",
-    "trial",
-    "seed",
-    "mae_seq",
-    "mse_seq",
-    "mae_dist",
-    "edge_ratio",
-    "runtime_ms",
-)
 
 
 def mae(truth: Sequence[float], estimate: Sequence[float]) -> float:
@@ -109,6 +94,9 @@ class MetricsRow:
     mae_dist: float
     edge_ratio: float
     runtime_ms: float
+
+
+CSV_COLUMNS = tuple(f.name for f in fields(MetricsRow))
 
 
 def find_dataset(path: str) -> str:

@@ -57,15 +57,16 @@ def laplace_sample(rng: np.random.Generator, scale: float) -> float:
     return -scale * math.copysign(1.0, u) * math.log1p(-2.0 * abs(u))
 
 
+def wrr_truth_rate(budget: float) -> float:
+    """Probability e^b / (e^b + 1) that binary randomized response keeps the true bit."""
+    return math.exp(budget) / (math.exp(budget) + 1.0)
+
+
 def wrr_respond(rng: np.random.Generator, truth: bool, budget: float) -> bool:
-    """Binary randomized response: keep the true bit with probability e^b / (e^b + 1)."""
+    """Binary randomized response: keep the true bit with probability wrr_truth_rate(budget)."""
     if not budget > 0:
         raise ValueError(f"budget must be positive, got {budget}")
-    p = math.exp(budget) / (math.exp(budget) + 1.0)
-    return truth if rng.random() < p else (not truth)
-
-def wrr_truth_rate(budget: float) -> float:
-    return math.exp(budget) / (math.exp(budget) + 1.0)
+    return truth if rng.random() < wrr_truth_rate(budget) else (not truth)
 
 
 def wrr_debias_count(u1: float, u2: float, budget: float) -> float:

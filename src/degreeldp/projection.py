@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graph import Graph
+from .graph import Graph, degree_sequence
 from .mechanisms import PrivacyParams, wrr_debias_count, wrr_respond
 
 
@@ -196,7 +196,7 @@ def projection_error(g: Graph, pg: ProjectedGraph) -> tuple[np.ndarray, int]:
     """Per-node absolute degree loss and its total."""
     if pg.n != g.n:
         raise ValueError("projected graph has a different node set")
-    orig = np.array([len(g.adj[i]) for i in range(g.n)])
+    orig = np.array(degree_sequence(g))
     proj = np.array(pg.degrees)
     loss = np.abs(orig - proj)
     return loss, int(loss.sum())

@@ -40,4 +40,4 @@ def powerlaw_graph(n: int, attach: int = 4, seed: int = 0) -> Graph:
             edges.append((t, v))
             urn.append(t)
             urn.append(v)
-    return Graph.from_edges(n, edges)
+    return Graph(n, edges)

@@ -51,4 +51,4 @@ def random_graph(rng: np.random.Generator, n: int, p: float) -> Graph:
     """Erdos-Renyi style helper for property tests."""
     mask = rng.random((n, n)) < p
     edges = [(i, j) for i in range(n) for j in range(i + 1, n) if mask[i, j]]
-    return Graph.from_edges(n, edges)
+    return Graph(n, edges)

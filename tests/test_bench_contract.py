@@ -1,13 +1,17 @@
-"""The call sites that bench/tracing.py patches exist, and calls keep the layout it reads.
+"""The benchmark still runs on the package: call sites, call layout and output checks.
 
 The benchmark's tracer replaces degreeldp.<module>.<attr> for every entry
 of its SPANS, TIMED and COUNTED tables and counts masked rounds from the
 ``masked`` keyword of theta.masked_sum_round.  A refactor that renames or
 moves one of these names, or passes ``masked`` positionally, breaks
-``bench/run.py --trace 1`` without failing any other test.
+``bench/run.py --trace 1`` without failing any other test.  A short run of
+each workload on a small graph checks that the package's outputs still
+pass the benchmark's own checks.
 """
 
 import importlib
+import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -16,7 +20,9 @@ import pytest
 
 from degreeldp import Graph, ThetaSearchConfig, degree_sequence, theta
 
-BENCH_DIR = Path(__file__).resolve().parent.parent / "bench"
+ROOT = Path(__file__).resolve().parent.parent
+BENCH_DIR = ROOT / "bench"
+WORKLOADS = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
 
 
 @pytest.fixture(scope="module")
@@ -51,7 +57,7 @@ def round_calls(monkeypatch):
 
 @pytest.mark.parametrize("masked", [True, False])
 def test_theta_protocols_pass_masked_by_keyword(round_calls, masked):
-    g = Graph.from_edges(6, [(0, i) for i in range(1, 6)] + [(1, 2)])
+    g = Graph(6, [(0, i) for i in range(1, 6)] + [(1, 2)])
     degs = degree_sequence(g)
     theta.theta_by_deviation(degs, ThetaSearchConfig(K=5, epsilon=1.0), np.random.default_rng(0), masked=masked)
     theta.theta_by_sum(g, degs, ThetaSearchConfig(K=5, epsilon=1.0, method="sum"), np.random.default_rng(0),
@@ -59,3 +65,16 @@ def test_theta_protocols_pass_masked_by_keyword(round_calls, masked):
     assert len(round_calls) > 5
     for _, kwargs in round_calls:
         assert kwargs["masked"] is masked
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_workload_passes_its_output_checks(workload):
+    proc = subprocess.run(
+        [sys.executable, str(BENCH_DIR / "run.py"), "--workload", workload, "--seed", "1",
+         "--seconds", "0.5", "--trace", "0", "--graph", "synthetic:60:3"],
+        cwd=ROOT, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True
+    assert result["failed"] == 0

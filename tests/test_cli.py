@@ -80,6 +80,12 @@ class TestSelectTheta:
         assert cli_main(["select-theta", fig_file, "--method", "sum", "--epsilon", "1"]) == 0
         assert int(capsys.readouterr().out.strip()) >= 1
 
+    @pytest.mark.parametrize("flag", ["--out", "--trials", "--psize", "--alpha"])
+    def test_rejects_flags_it_does_not_read(self, flag, tmp_path):
+        value = str(tmp_path / "f") if flag == "--out" else "1"
+        assert cli_main(["select-theta", "synthetic:40:3:1", flag, value]) == 2
+        assert not (tmp_path / "f").exists()
+
 
 class TestRelease:
     def test_full_pipeline_csv(self, tmp_path):
@@ -127,6 +133,11 @@ class TestSweep:
     def test_needs_exactly_one_grid(self, fig_file):
         assert cli_main(["sweep", fig_file]) == 2
         assert cli_main(["sweep", fig_file, "--thetas", "1", "--epsilons", "1"]) == 2
+
+    @pytest.mark.parametrize("grid", ["--thetas", "--epsilons"])
+    def test_empty_grid_is_usage_error(self, grid, capsys):
+        assert cli_main(["sweep", "synthetic:40:3:1", grid, ","]) == 2
+        assert capsys.readouterr().out == ""
 
 
 class TestUsageErrors:

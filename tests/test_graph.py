@@ -64,10 +64,23 @@ def test_adjacency_sorted(fig_graph):
         assert nbrs == sorted(nbrs)
 
 
-def test_from_edges_drops_self_loops_and_duplicates():
-    g = Graph.from_edges(4, [(0, 1), (1, 0), (2, 2), (1, 3), (3, 1)])
+def test_constructor_drops_self_loops_and_duplicates():
+    g = Graph(4, [(0, 1), (1, 0), (2, 2), (1, 3), (3, 1)])
     assert g.edge_set() == {(0, 1), (1, 3)}
     assert degree_sequence(g) == [1, 2, 0, 1]
+
+
+def test_constructor_rejects_out_of_range_pairs():
+    with pytest.raises(ValueError, match="out of range"):
+        Graph(3, [(0, 1), (3, 3)])
+    with pytest.raises(ValueError, match="labels"):
+        Graph(2, [(0, 1)], labels=["a"])
+
+
+def test_edges_by_higher_endpoint_then_lower_descending():
+    g = Graph(4, [(1, 3), (0, 1), (3, 2), (0, 3)])
+    assert list(g.edges()) == [(0, 1), (2, 3), (1, 3), (0, 3)]
+    assert g.edge_set() == set(g.edges())
 
 
 def test_gz_loading(tmp_path):

@@ -121,7 +121,7 @@ class TestInvariants:
     def test_private_negotiation_can_drop_edges_even_at_dmax(self):
         ## randomized answers may exclude willing neighbors, so exact
         ## reconstruction is not guaranteed in private mode
-        tri = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
+        tri = Graph(3, [(0, 1), (1, 2), (0, 2)])
         pg = lpea_low(tri, degree_sequence(tri), private_cfg(2), np.random.default_rng(1))
         assert pg.edge_count() < 3
 

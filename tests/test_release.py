@@ -14,7 +14,7 @@ from degreeldp import (
 
 
 def small_projected(theta=2):
-    g = Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5), (1, 4)])
+    g = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5), (1, 4)])
     cfg = ProjectionConfig(theta=theta, private=False)
     return g, lpea_low(g, degree_sequence(g), cfg, np.random.default_rng(0))
 
@@ -79,7 +79,7 @@ class TestDsr:
 
     def test_empirical_noise_magnitude(self):
         ## average |noisy - projected| approaches the Laplace scale
-        g = Graph.from_edges(2000, [(i, (i + 1) % 2000) for i in range(2000)])
+        g = Graph(2000, [(i, (i + 1) % 2000) for i in range(2000)])
         cfg = ProjectionConfig(theta=2, private=False)
         pg = lpea_low(g, degree_sequence(g), cfg, np.random.default_rng(0))
         params = PrivacyParams(2.0, 0.5)

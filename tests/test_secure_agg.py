@@ -286,7 +286,7 @@ class TestKeyReuse:
 
     @pytest.mark.parametrize("masked", [True, False])
     def test_sum_agrees_once_per_run(self, key_calls, masked):
-        g = Graph.from_edges(8, [(0, i) for i in range(1, 8)] + [(1, 2), (3, 4)])
+        g = Graph(8, [(0, i) for i in range(1, 8)] + [(1, 2), (3, 4)])
         cfg = ThetaSearchConfig(K=7, epsilon=1.0, method="sum")
         log: list = []
         theta_by_sum(g, degree_sequence(g), cfg, np.random.default_rng(0), masked=masked, round_log=log)

@@ -16,7 +16,7 @@ from degreeldp import (
 
 
 def star(leaves: int) -> Graph:
-    return Graph.from_edges(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
+    return Graph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
 
 
 class TestConfig:
@@ -134,7 +134,7 @@ class TestThetaBySum:
         from degreeldp import ProjectionConfig, Strategy, lpea_low, projection_error
 
         rng = np.random.default_rng(8)
-        g = Graph.from_edges(12, [(int(a), int(b)) for a, b in rng.integers(0, 12, (30, 2)) if a != b])
+        g = Graph(12, [(int(a), int(b)) for a, b in rng.integers(0, 12, (30, 2)) if a != b])
         orders = degree_sequence(g)
         K, eps = 6, 1.3
         objectives = []
@@ -149,7 +149,7 @@ class TestThetaBySum:
     def test_tie_breaks_to_smallest(self):
         ## path on 3 nodes, epsilon 1.5: objective is exactly 4.0 at both
         ## candidates, so the protocol must return 1
-        g = Graph.from_edges(3, [(0, 1), (1, 2)])
+        g = Graph(3, [(0, 1), (1, 2)])
         cfg = ThetaSearchConfig(K=2, epsilon=1.5, method="sum")
         assert theta_by_sum(g, degree_sequence(g), cfg, np.random.default_rng(0), masked=False) == 1
 
