@@ -50,6 +50,8 @@ def _int_list(text: str) -> list[int]:
                 raise argparse.ArgumentTypeError(f"bad range {chunk!r}")
             start, stop = int(parts[0]), int(parts[1])
             step = int(parts[2]) if len(parts) == 3 else 1
+            if start > stop or step < 1:
+                raise argparse.ArgumentTypeError(f"range {chunk!r} needs start <= stop and step >= 1")
             out.extend(range(start, stop + 1, step))
         else:
             out.append(int(chunk))

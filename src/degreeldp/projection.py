@@ -8,6 +8,11 @@ the number of willing neighbors, and connects to that many of them in
 rank order.  An edge is established only while both endpoints are below
 the degree bound theta, so the bound holds unconditionally.
 
+A truthful run of a rank-scheduled strategy (lpea-low, lpea-high) has
+the same outcome as one greedy pass over the edges in schedule order,
+and runs as that pass; it draws no randomness.  Private runs and
+random-add keep the per-initiator loop and its order of draws.
+
 The removal strategy instead visits nodes in random order and deletes
 random incident edges (symmetrically) until no degree exceeds theta.
 """
@@ -16,6 +21,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -46,14 +52,44 @@ class ProjectionConfig:
 
 
 class ProjectedGraph:
-    """Mutable adjacency produced by a projection run."""
+    """Mutable adjacency produced by a projection run.
 
-    __slots__ = ("n", "neighbors", "degrees")
+    ``degrees`` is a list and ``neighbors`` a list of sets.  A graph made
+    by the truthful edge scan holds its kept edges as arrays and builds
+    the sets on the first read of ``neighbors``; the sets are then kept,
+    so edits made through them stay visible.
+    """
+
+    __slots__ = ("n", "degrees", "_neighbors", "_kept")
 
     def __init__(self, n: int, neighbors: list[set[int]]):
         self.n = n
-        self.neighbors = neighbors
         self.degrees = [len(s) for s in neighbors]
+        self._neighbors = neighbors
+        self._kept = None
+
+    @classmethod
+    def _from_kept(cls, n: int, u: np.ndarray, v: np.ndarray) -> "ProjectedGraph":
+        pg = cls.__new__(cls)
+        pg.n = n
+        pg.degrees = np.bincount(np.concatenate((u, v)), minlength=n).tolist()
+        pg._neighbors = None
+        pg._kept = (u, v)
+        return pg
+
+    @property
+    def neighbors(self) -> list[set[int]]:
+        if self._neighbors is None:
+            nbrs: list[set[int]] = [set() for _ in range(self.n)]
+            ## the sets share one int object per node, as sets of Graph.adj entries do
+            node = list(range(self.n))
+            u, v = self._kept
+            for i, j in zip(memoryview(u), memoryview(v)):
+                nbrs[i].add(node[j])
+                nbrs[j].add(node[i])
+            self._neighbors = nbrs
+            self._kept = None
+        return self._neighbors
 
     def edge_count(self) -> int:
         return sum(self.degrees) // 2
@@ -62,19 +98,66 @@ class ProjectedGraph:
         return {(i, j) for i in range(self.n) for j in self.neighbors[i] if i < j}
 
 
+def _edge_scan(g: Graph, orders: Sequence[int], cfg: ProjectionConfig) -> ProjectedGraph:
+    """Truthful rank-scheduled addition as one greedy pass over the edges.
+
+    Edges run by (earlier endpoint's rank, later endpoint's rank) and are
+    kept iff both endpoints are still below theta.  This is the
+    per-initiator loop's outcome: each edge is decided at its earlier
+    endpoint's turn, in that endpoint's neighbor-rank order, where
+    taking the first theta - deg willing neighbors is the same
+    both-below-theta test; degrees only grow, so an edge refused then
+    stays refused at the later endpoint's turn.  A node of degree at
+    most theta never fills before its last edge, so only edges with an
+    endpoint above theta are scanned; the rest are kept outright.
+    """
+    n = g.n
+    theta = cfg.theta
+    lens = np.fromiter(map(len, g.adj), dtype=np.int32, count=n)
+    src = np.repeat(np.arange(n, dtype=np.int32), lens)
+    dst = np.fromiter(chain.from_iterable(g.adj), dtype=np.int32, count=int(lens.sum()))
+    ## schedule rank by (order, id); lpea-high runs it from the other end
+    rank = np.empty(n, dtype=np.int32)
+    rank[np.lexsort((np.arange(n), np.asarray(orders)))] = np.arange(n, dtype=np.int32)
+    if cfg.strategy is Strategy.LPEA_HIGH:
+        rank = n - 1 - rank
+    ## each undirected edge once, from the endpoint whose turn decides it
+    first = rank[src] < rank[dst]
+    u, v = src[first], dst[first]
+    contested = (lens[u] > theta) | (lens[v] > theta)
+    cu, cv = u[contested], v[contested]
+    by_turn = np.argsort(rank[cu].astype(np.int64) * n + rank[cv])
+    cu, cv = cu[by_turn], cv[by_turn]
+    deg = [0] * n
+    keep = bytearray(cu.size)
+    ## memoryview hands out each int as it is read; tolist would hold all of them at once
+    for e, (i, j) in enumerate(zip(memoryview(cu), memoryview(cv))):
+        if deg[i] < theta and deg[j] < theta:
+            deg[i] += 1
+            deg[j] += 1
+            keep[e] = 1
+    kept = np.frombuffer(keep, dtype=bool)
+    free = ~contested
+    return ProjectedGraph._from_kept(
+        n, np.concatenate((u[free], cu[kept])), np.concatenate((v[free], cv[kept]))
+    )
+
+
 def _addition_run(
     g: Graph,
     order_of: Sequence[int] | None,
     cfg: ProjectionConfig,
     rng: np.random.Generator,
 ) -> ProjectedGraph:
-    """Shared engine for the three addition strategies.
+    """Per-initiator engine for private runs and for random-add.
 
     order_of gives each node's scheduling rank (private order or true
     degree); None selects the uniform-random strategy.  Randomness is
     consumed in a fixed documented order: schedule first (random
     strategy only), then per initiator one response per request in
     neighbor-rank order, then the responder draw (random strategy only).
+    Truthful rank-scheduled runs do not come here: they are one edge
+    scan (``_edge_scan``) and draw nothing.
     """
     n = g.n
     theta = cfg.theta
@@ -177,9 +260,10 @@ def project(
 
     The two rank-scheduled strategies need per-node orders (private
     encodings, or true degrees in non-private mode); lpea-high runs both
-    sort keys reversed, so high-order nodes go first.  random-add draws a
-    uniform schedule and uniform responders; edge-remove deletes excess
-    edges instead of adding.
+    sort keys reversed, so high-order nodes go first.  A truthful
+    rank-scheduled run is one edge scan and draws nothing from rng.
+    random-add draws a uniform schedule and uniform responders;
+    edge-remove deletes excess edges instead of adding.
     """
     if cfg.strategy is Strategy.EDGE_REMOVE:
         return edge_remove(g, cfg, rng)
@@ -189,6 +273,8 @@ def project(
         raise ValueError(f"{cfg.strategy.value} requires per-node orders")
     if len(orders) != g.n:
         raise ValueError(f"orders must cover all {g.n} nodes, got {len(orders)}")
+    if not cfg.private:
+        return _edge_scan(g, orders, cfg)
     return _addition_run(g, orders, cfg, rng)
 
 

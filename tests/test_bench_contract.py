@@ -6,7 +6,9 @@ of its SPANS, TIMED and COUNTED tables and counts masked rounds from the
 moves one of these names, or passes ``masked`` positionally, breaks
 ``bench/run.py --trace 1`` without failing any other test.  A short run of
 each workload on a small graph checks that the package's outputs still
-pass the benchmark's own checks.
+pass the benchmark's own checks.  The benchmark's checks and its own
+tests read and edit ``ProjectedGraph`` directly, so its layout is pinned
+here as well.
 """
 
 import importlib
@@ -18,7 +20,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from degreeldp import Graph, ThetaSearchConfig, degree_sequence, theta
+from degreeldp import Graph, ProjectionConfig, ThetaSearchConfig, degree_sequence, theta
+from degreeldp.projection import ProjectedGraph
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCH_DIR = ROOT / "bench"
@@ -78,3 +81,26 @@ def test_workload_passes_its_output_checks(workload):
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] is True
     assert result["failed"] == 0
+
+
+def test_truthful_projection_layout():
+    g = Graph(6, [(0, i) for i in range(1, 6)] + [(1, 2), (2, 3)])
+    pg = theta.lpea_low(g, degree_sequence(g), ProjectionConfig(theta=2), np.random.default_rng(0))
+    assert isinstance(pg.degrees, list)
+    assert isinstance(pg.neighbors, list) and all(isinstance(s, set) for s in pg.neighbors)
+    assert pg.degrees == [len(s) for s in pg.neighbors]
+    ## an edit through the sets stays visible on the next read
+    i = next(i for i in range(pg.n) if pg.neighbors[i])
+    j = next(iter(pg.neighbors[i]))
+    pg.neighbors[i].discard(j)
+    pg.degrees[i] -= 1
+    assert j not in pg.neighbors[i]
+    assert pg.degrees[i] == len(pg.neighbors[i])
+
+
+def test_projected_graph_keeps_sets_as_given():
+    one_way = [{1}, set(), {0, 1}]
+    pg = ProjectedGraph(3, one_way)
+    assert pg.neighbors is one_way
+    assert pg.neighbors == [{1}, set(), {0, 1}]
+    assert pg.degrees == [1, 0, 2]

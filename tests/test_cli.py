@@ -130,6 +130,18 @@ class TestSweep:
         assert len(rows) == 4
         assert sorted({r["epsilon"] for r in rows}) == ["1.0", "2.0"]
 
+    @pytest.mark.parametrize("grid", ["5:1", "5:1,2", "1,5:1", "5:1:-1", "1:5:0", "1:5:-2"])
+    def test_bad_range_is_usage_error(self, grid, capsys):
+        ## a reversed range or a step below 1 used to vanish from the list or drop its bound
+        assert cli_main(["sweep", "synthetic:40:3:1", "--thetas", grid, "--trials", "1"]) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_range_step_and_single_point(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        assert cli_main(["sweep", "synthetic:40:3:1", "--thetas", "1:7:3,4:4",
+                         "--trials", "1", "--out", str(out)]) == 0
+        assert [r["theta"] for r in read_csv(str(out))] == ["1", "4", "7", "4"]
+
     def test_needs_exactly_one_grid(self, fig_file):
         assert cli_main(["sweep", fig_file]) == 2
         assert cli_main(["sweep", fig_file, "--thetas", "1", "--epsilons", "1"]) == 2

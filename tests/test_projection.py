@@ -99,6 +99,50 @@ class TestDeterminism:
         assert a.edge_set() == b.edge_set()
 
 
+def reference_ranked_run(g: Graph, orders, theta: int, strategy: Strategy) -> set[tuple[int, int]]:
+    """The truthful rank-scheduled per-initiator loop, kept as the oracle for the edge scan."""
+    n = g.n
+    key = [orders[i] * n + i for i in range(n)]
+    if strategy is Strategy.LPEA_HIGH:
+        key = [-k for k in key]
+    schedule = sorted(range(n), key=key.__getitem__)
+    ranked_adj = [sorted(g.adj[i], key=key.__getitem__) for i in range(n)]
+    established: list[set[int]] = [set() for _ in range(n)]
+    deg = [0] * n
+    for i in schedule:
+        pending = [j for j in ranked_adj[i] if j not in established[i]]
+        willing = [j for j in pending if deg[j] < theta]
+        count = min(len(willing), theta - deg[i])
+        for j in willing[:max(count, 0)]:
+            if deg[i] < theta and deg[j] < theta:
+                established[i].add(j)
+                established[j].add(i)
+                deg[i] += 1
+                deg[j] += 1
+    return {(i, j) for i in range(n) for j in established[i] if i < j}
+
+
+class TestEdgeScan:
+    @given(seed=st.integers(0, 10_000), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_per_initiator_loop(self, seed, data):
+        rng = np.random.default_rng(seed)
+        g = random_graph(rng, int(rng.integers(1, 30)), float(rng.uniform(0.05, 0.7)))
+        ## few distinct order values, so ties are common
+        orders = rng.integers(0, int(rng.integers(1, 5)), size=g.n).tolist()
+        dmax = max(degree_sequence(g))
+        theta = data.draw(st.integers(1, dmax + 1), label="theta")
+        for strategy in (Strategy.LPEA_LOW, Strategy.LPEA_HIGH):
+            run_rng = np.random.default_rng(seed)
+            before = run_rng.bit_generator.state
+            pg = project(g, nonprivate(theta, strategy), run_rng, orders=orders)
+            assert run_rng.bit_generator.state == before, "a truthful ranked run drew from rng"
+            expected = reference_ranked_run(g, orders, theta, strategy)
+            ## degrees first: they come from the kept edges, before any set is built
+            assert pg.degrees == [sum(i in e for e in expected) for i in range(g.n)]
+            assert pg.edge_set() == expected, strategy
+
+
 class TestInvariants:
     @given(seed=st.integers(0, 10_000), theta=st.integers(1, 12))
     @settings(max_examples=60, deadline=None)

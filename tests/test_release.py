@@ -77,6 +77,17 @@ class TestDsr:
         assert report.seed == 1234
         assert len(report.noisy_degrees) == pg.n
 
+    def test_degree_above_theta_rejected(self):
+        ## sensitivity theta only holds once projection capped every degree at theta
+        _, pg = small_projected(theta=3)
+        assert max(pg.degrees) == 3
+        params = PrivacyParams(2.0, 0.1)
+        rng = np.random.default_rng(5)
+        with pytest.raises(ValueError, match="exceeds theta=2"):
+            dsr(pg, 2, params, rng)
+        assert rng.bit_generator.state == np.random.default_rng(5).bit_generator.state
+        assert dsr(pg, 3, params, rng).theta == 3
+
     def test_empirical_noise_magnitude(self):
         ## average |noisy - projected| approaches the Laplace scale
         g = Graph(2000, [(i, (i + 1) % 2000) for i in range(2000)])
