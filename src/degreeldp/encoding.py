@@ -40,10 +40,6 @@ class PartitionScheme:
         """Score sensitivity: the spread of the degree domain."""
         return self.d_max - self.d_min
 
-    @property
-    def orders(self) -> range:
-        return range(1, self.p_num + 1)
-
     def index_of(self, d: int) -> int:
         """1-based partition index containing degree d."""
         if not self.d_min <= d <= self.d_max:

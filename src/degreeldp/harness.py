@@ -24,7 +24,7 @@ from .graph import Graph, degree_sequence, load_graph, stats
 from .mechanisms import PrivacyParams
 from .projection import ProjectionConfig, Strategy, project
 from .release import ReleaseReport, degree_distribution, dsr
-from .secure_agg import DEFAULT_BITS
+from .secure_agg import DEFAULT_BITS, ka_param
 from .synthetic import powerlaw_graph
 from .theta import ThetaSearchConfig, resolve_theta
 
@@ -78,6 +78,9 @@ class ExperimentConfig:
                 raise ValueError(f"theta must be an integer, 'auto-sum' or 'auto-deviation', got {self.theta!r}")
         elif self.theta < 1:
             raise ValueError(f"theta must be at least 1, got {self.theta}")
+        if self.K is not None and self.K < 1:
+            raise ValueError(f"K must be at least 1, got {self.K}")
+        ka_param(self.bits)  # raises for a modulus bit length with no group
 
 
 @dataclass(frozen=True)
@@ -165,7 +168,7 @@ def run_pipeline(cfg: ExperimentConfig, graph: Graph | None = None) -> tuple[lis
 
     scheme = build_partitions(st.d_min, st.d_max, cfg.p_size)
     dist_orig = degree_distribution(degs, graph.n)
-    pcfg = ProjectionConfig(theta=theta, strategy=cfg.strategy, private=cfg.private, params=params)
+    pcfg = ProjectionConfig(theta=theta, strategy=cfg.strategy, params=params if cfg.private else None)
 
     rows: list[MetricsRow] = []
     reports: list[ReleaseReport] = []
@@ -216,15 +219,20 @@ def run_grid(
 
     Each grid point maps config fields to the values that replace base's
     (e.g. {"theta": 16}).  Rows come strategy by strategy, grid points in
-    order within each, and carry the dataset's label.  Returns the label
-    and the rows.
+    order within each, and carry the dataset's label.  An automatic theta
+    is selected once per grid point, by the first strategy's run; the
+    others reuse it, which draws the same seeds.  Returns the label and
+    the rows.
     """
     graph, label = load_dataset(base.dataset)
     rows: list[MetricsRow] = []
+    selected: list[int | None] = [None] * len(grid)
     for strategy in strategies:
-        for point in grid:
+        for k, point in enumerate(grid):
             cfg = replace(base, dataset=label, strategy=strategy, **point)
-            rows.extend(run_pipeline(cfg, graph=graph)[0])
+            point_rows = run_pipeline(replace(cfg, theta=selected[k] or cfg.theta), graph=graph)[0]
+            selected[k] = point_rows[0].theta
+            rows.extend(point_rows)
     return label, rows
 
 

@@ -2,16 +2,17 @@
 
 Addition strategies rebuild the graph from an empty edge set.  Nodes
 take turns initiating: the initiator asks each not-yet-connected
-neighbor whether it still has spare capacity (answered truthfully or
-through randomized response, depending on the privacy mode), estimates
-the number of willing neighbors, and connects to that many of them in
-rank order.  An edge is established only while both endpoints are below
-the degree bound theta, so the bound holds unconditionally.
+neighbor whether it still has spare capacity (through randomized
+response when the config carries PrivacyParams, truthfully otherwise),
+estimates the number of willing neighbors, and connects to that many of
+them in rank order.  An edge is established only while both endpoints
+are below the degree bound theta, so the bound holds unconditionally.
 
-A truthful run of a rank-scheduled strategy (lpea-low, lpea-high) has
-the same outcome as one greedy pass over the edges in schedule order,
-and runs as that pass; it draws no randomness.  Private runs and
-random-add keep the per-initiator loop and its order of draws.
+The rank-scheduled strategies (lpea-low, lpea-high) share one schedule
+rank: ascending (order, id), reversed for lpea-high.  A truthful run of
+either has the same outcome as one greedy pass over the edges in
+schedule order, and runs as that pass; it draws no randomness.  Private
+runs and random-add keep the per-initiator loop and its order of draws.
 
 The removal strategy instead visits nodes in random order and deletes
 random incident edges (symmetrically) until no degree exceeds theta.
@@ -39,16 +40,15 @@ class Strategy(enum.Enum):
 
 @dataclass(frozen=True)
 class ProjectionConfig:
+    """Bound theta and strategy; a projection is private iff params is set."""
+
     theta: int
     strategy: Strategy = Strategy.LPEA_LOW
-    private: bool = False
     params: PrivacyParams | None = None
 
     def __post_init__(self):
         if self.theta < 1:
             raise ValueError(f"theta must be at least 1, got {self.theta}")
-        if self.private and self.params is None:
-            raise ValueError("private projection needs PrivacyParams for the negotiation budget")
 
 
 class ProjectedGraph:
@@ -98,6 +98,16 @@ class ProjectedGraph:
         return {(i, j) for i in range(self.n) for j in self.neighbors[i] if i < j}
 
 
+def _schedule_rank(orders: Sequence[int], strategy: Strategy) -> np.ndarray:
+    """Each node's turn: ascending (order, id), reversed for lpea-high."""
+    n = len(orders)
+    rank = np.empty(n, dtype=np.int32)
+    rank[np.lexsort((np.arange(n), np.asarray(orders)))] = np.arange(n, dtype=np.int32)
+    if strategy is Strategy.LPEA_HIGH:
+        rank = n - 1 - rank
+    return rank
+
+
 def _edge_scan(g: Graph, orders: Sequence[int], cfg: ProjectionConfig) -> ProjectedGraph:
     """Truthful rank-scheduled addition as one greedy pass over the edges.
 
@@ -116,11 +126,7 @@ def _edge_scan(g: Graph, orders: Sequence[int], cfg: ProjectionConfig) -> Projec
     lens = np.fromiter(map(len, g.adj), dtype=np.int32, count=n)
     src = np.repeat(np.arange(n, dtype=np.int32), lens)
     dst = np.fromiter(chain.from_iterable(g.adj), dtype=np.int32, count=int(lens.sum()))
-    ## schedule rank by (order, id); lpea-high runs it from the other end
-    rank = np.empty(n, dtype=np.int32)
-    rank[np.lexsort((np.arange(n), np.asarray(orders)))] = np.arange(n, dtype=np.int32)
-    if cfg.strategy is Strategy.LPEA_HIGH:
-        rank = n - 1 - rank
+    rank = _schedule_rank(orders, cfg.strategy)
     ## each undirected edge once, from the endpoint whose turn decides it
     first = rank[src] < rank[dst]
     u, v = src[first], dst[first]
@@ -162,19 +168,16 @@ def _addition_run(
     n = g.n
     theta = cfg.theta
     strategy = cfg.strategy
-    budget = cfg.params.negotiation_budget if cfg.private else 0.0
+    private = cfg.params is not None
+    budget = cfg.params.negotiation_budget if private else 0.0
 
     if strategy is Strategy.RANDOM_ADD:
         schedule = [int(i) for i in rng.permutation(n)]
         ranked_adj = g.adj
     else:
-        descending = strategy is Strategy.LPEA_HIGH
-        ## composite int key sorts by (order, id); negated for the high-first variant
-        key = [order_of[i] * n + i for i in range(n)]
-        if descending:
-            key = [-k for k in key]
-        schedule = sorted(range(n), key=key.__getitem__)
-        ranked_adj = [sorted(g.adj[i], key=key.__getitem__) for i in range(n)]
+        rank = _schedule_rank(order_of, strategy).tolist()
+        schedule = sorted(range(n), key=rank.__getitem__)
+        ranked_adj = [sorted(g.adj[i], key=rank.__getitem__) for i in range(n)]
 
     established: list[set[int]] = [set() for _ in range(n)]
     deg = [0] * n
@@ -184,7 +187,7 @@ def _addition_run(
         pending = [j for j in ranked_adj[i] if j not in est_i]
         if not pending:
             continue
-        if cfg.private:
+        if private:
             willing = [j for j in pending if wrr_respond(rng, deg[j] < theta, budget)]
             debiased = wrr_debias_count(len(pending), len(willing), budget)
             count = min(max(int(round(debiased)), 0), len(willing))
@@ -259,10 +262,10 @@ def project(
     """Run the configured strategy.
 
     The two rank-scheduled strategies need per-node orders (private
-    encodings, or true degrees in non-private mode); lpea-high runs both
-    sort keys reversed, so high-order nodes go first.  A truthful
-    rank-scheduled run is one edge scan and draws nothing from rng.
-    random-add draws a uniform schedule and uniform responders;
+    encodings, or true degrees in non-private mode); lpea-high runs the
+    schedule rank reversed, so high-order nodes go first.  A truthful
+    (params None) rank-scheduled run is one edge scan and draws nothing
+    from rng.  random-add draws a uniform schedule and uniform responders;
     edge-remove deletes excess edges instead of adding.
     """
     if cfg.strategy is Strategy.EDGE_REMOVE:
@@ -273,7 +276,7 @@ def project(
         raise ValueError(f"{cfg.strategy.value} requires per-node orders")
     if len(orders) != g.n:
         raise ValueError(f"orders must cover all {g.n} nodes, got {len(orders)}")
-    if not cfg.private:
+    if cfg.params is None:
         return _edge_scan(g, orders, cfg)
     return _addition_run(g, orders, cfg, rng)
 

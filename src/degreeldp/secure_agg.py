@@ -1,10 +1,11 @@
 """Pairwise-masked secure aggregation over a prime-order multiplicative group.
 
-A protocol run (one theta selection) starts with key agreement: every
-party draws one key pair and derives a Diffie-Hellman shared key with
-every other party.  Each round of the run then hashes every shared key
-together with the round index into Z_q (Bonawitz et al., CCS 2017) and
-adds the scalars with a sign that depends on the party ordering.  Summed
+A protocol run (one theta selection) starts with key agreement
+(``agree_keys``): every party draws one key pair (sk, pk) and derives a
+Diffie-Hellman shared key with every other party.  Each round of the
+run (``masked_sum_round``) then hashes every shared key together with
+the round index into Z_q (Bonawitz et al., CCS 2017) and adds the
+scalars with a sign that depends on the party ordering.  Summed
 over all parties the masks telescope to zero, so the collector recovers
 the exact plaintext sum while any single masked value is uniformly
 distributed.  Keys live for one run only; the next run agrees new ones.
@@ -22,19 +23,19 @@ from typing import Sequence
 
 import numpy as np
 
-## Fixed published groups, keyed by modulus bit length.  Moduli are the
-## Mersenne primes 2^lam - 1 (65521, the largest 16-bit prime, fills the
-## lam=16 slot).  Generators are the smallest primitive roots; the prime
-## factors of q-1 let tests verify generator order independently.
-_GROUPS: dict[int, tuple[int, int, tuple[int, ...]]] = {
-    16: (65521, 17, (2, 3, 5, 7, 13)),
-    17: (2**17 - 1, 3, (2, 3, 5, 17, 257)),
-    19: (2**19 - 1, 3, (2, 3, 7, 19, 73)),
-    31: (2**31 - 1, 7, (2, 3, 7, 11, 31, 151, 331)),
-    61: (2**61 - 1, 37, (2, 3, 5, 7, 11, 13, 31, 41, 61, 151, 331, 1321)),
-    89: (2**89 - 1, 3, (2, 3, 5, 17, 23, 89, 353, 397, 683, 2113, 2931542417)),
-    107: (2**107 - 1, 3, (2, 3, 107, 6361, 69431, 20394401, 28059810762433)),
-    127: (2**127 - 1, 43, (2, 3, 7, 19, 43, 73, 127, 337, 5419, 92737, 649657, 77158673929)),
+## Fixed published groups, keyed by modulus bit length: (q, g).  Moduli
+## are the Mersenne primes 2^lam - 1 (65521, the largest 16-bit prime,
+## fills the lam=16 slot).  Generators are the smallest primitive roots;
+## tests/test_secure_agg.py checks their order against the factors of q-1.
+_GROUPS: dict[int, tuple[int, int]] = {
+    16: (65521, 17),
+    17: (2**17 - 1, 3),
+    19: (2**19 - 1, 3),
+    31: (2**31 - 1, 7),
+    61: (2**61 - 1, 37),
+    89: (2**89 - 1, 3),
+    107: (2**107 - 1, 3),
+    127: (2**127 - 1, 43),
 }
 
 DEFAULT_BITS = 61
@@ -45,13 +46,6 @@ class GroupParams:
     q: int
     g: int
     bits: int
-    subgroup_factors: tuple[int, ...] = ()
-
-
-@dataclass(frozen=True)
-class KeyPair:
-    sk: int
-    pk: int
 
 
 def ka_param(bits: int = DEFAULT_BITS) -> GroupParams:
@@ -60,8 +54,8 @@ def ka_param(bits: int = DEFAULT_BITS) -> GroupParams:
         raise ValueError(f"modulus bit length must be at least 16, got {bits}")
     if bits not in _GROUPS:
         raise ValueError(f"unsupported modulus bit length {bits}; supported: {sorted(_GROUPS)}")
-    q, g, factors = _GROUPS[bits]
-    return GroupParams(q=q, g=g, bits=bits, subgroup_factors=factors)
+    q, g = _GROUPS[bits]
+    return GroupParams(q=q, g=g, bits=bits)
 
 
 def _rand_below(rng: np.random.Generator, bound: int) -> int:
@@ -75,10 +69,10 @@ def _rand_below(rng: np.random.Generator, bound: int) -> int:
             return x
 
 
-def ka_gen(params: GroupParams, rng: np.random.Generator) -> KeyPair:
-    """Fresh key pair: random secret in Z_q, public key g^sk mod q."""
+def ka_gen(params: GroupParams, rng: np.random.Generator) -> tuple[int, int]:
+    """Fresh key pair (sk, pk): random secret in Z_q, public key g^sk mod q."""
     sk = _rand_below(rng, params.q)
-    return KeyPair(sk=sk, pk=pow(params.g, sk, params.q))
+    return sk, pow(params.g, sk, params.q)
 
 
 def ka_agree(sk: int, pk: int, params: GroupParams) -> int:
@@ -103,8 +97,8 @@ def agree_keys(n: int, params: GroupParams, rng: np.random.Generator) -> np.ndar
         raise ValueError(f"masking needs at least 2 parties, got {n}")
     pairs = [ka_gen(params, rng) for _ in range(n)]
     keys = np.zeros((n, n), dtype=np.uint64 if params.q < 2**64 else object)
-    for i, own in enumerate(pairs):
-        keys[i] = [0 if j == i else ka_agree(own.sk, other.pk, params) for j, other in enumerate(pairs)]
+    for i, (sk, _) in enumerate(pairs):
+        keys[i] = [0 if j == i else ka_agree(sk, pk, params) for j, (_, pk) in enumerate(pairs)]
     return keys
 
 

@@ -18,6 +18,7 @@ from those keys and its round index.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -39,8 +40,8 @@ class ThetaSearchConfig:
     def __post_init__(self):
         if self.K < 1:
             raise ValueError(f"K must be at least 1, got {self.K}")
-        if not self.epsilon > 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+        if not 0 < self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be finite and positive, got {self.epsilon}")
         if self.method not in ("sum", "deviation"):
             raise ValueError(f"method must be 'sum' or 'deviation', got {self.method!r}")
 

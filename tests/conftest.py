@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from degreeldp import Graph, load_edge_list
+from degreeldp.graph import Graph, load_edge_list
 
 ## 4-node worked example used across the protocol tests:
 ## edges A-B, B-C, B-D, A-C; ids A=0, B=1, C=2, D=3; degrees [2, 3, 2, 1]
@@ -42,7 +42,7 @@ def facebook_graph() -> Graph:
             "SNAP facebook_combined dataset not found; "
             "run scripts/fetch_datasets.py or set LDP_DEGREE_DATA_DIR"
         )
-    from degreeldp import load_graph
+    from degreeldp.graph import load_graph
 
     return load_graph(path)
 

@@ -12,35 +12,14 @@ import time
 import numpy as np
 import pytest
 
-from degreeldp import (
-    ExperimentConfig,
-    Graph,
-    PrivacyParams,
-    ProjectionConfig,
-    Strategy,
-    agree_keys,
-    build_partitions,
-    degree_sequence,
-    edge_remove,
-    ka_param,
-    laplace_sample,
-    load_edge_list,
-    load_graph,
-    lpea_low,
-    masked_sum_round,
-    ndoe_sample,
-    order_probs,
-    powerlaw_graph,
-    project,
-    quantile_oracle,
-    run_pipeline,
-    theta_by_deviation,
-    theta_by_sum,
-    ThetaSearchConfig,
-    wrr_debias_count,
-    wrr_respond,
-    wrr_truth_rate,
-)
+from degreeldp.encoding import build_partitions, ndoe_sample, order_probs
+from degreeldp.graph import Graph, degree_sequence, load_edge_list, load_graph
+from degreeldp.harness import ExperimentConfig, run_pipeline
+from degreeldp.mechanisms import PrivacyParams, laplace_sample, wrr_debias_count, wrr_respond, wrr_truth_rate
+from degreeldp.projection import ProjectionConfig, Strategy, edge_remove, lpea_low, project
+from degreeldp.secure_agg import agree_keys, ka_param, masked_sum_round
+from degreeldp.synthetic import powerlaw_graph
+from degreeldp.theta import ThetaSearchConfig, quantile_oracle, theta_by_deviation, theta_by_sum
 from conftest import FIG_EDGE_LIST, find_facebook, random_graph
 
 
@@ -55,7 +34,7 @@ def test_criterion_1_worked_example_projection():
     """Non-private low-first addition at bound 1 keeps exactly B-D and A-C."""
     t0 = time.perf_counter()
     g = load_edge_list(io.StringIO(FIG_EDGE_LIST))
-    cfg = ProjectionConfig(theta=1, strategy=Strategy.LPEA_LOW, private=False)
+    cfg = ProjectionConfig(theta=1, strategy=Strategy.LPEA_LOW)
     pg = lpea_low(g, degree_sequence(g), cfg, np.random.default_rng(0))
     got = pg.edge_set()
     _report(1, got == {(1, 3), (0, 2)}, f"edges={sorted(got)} expected BD, AC", t0)
@@ -161,17 +140,17 @@ def test_criterion_5_strategy_ordering_on_facebook():
     details = []
     for theta, want_mae in reference_mae.items():
         ## the ranked non-private run is deterministic, one evaluation suffices
-        cfg = ProjectionConfig(theta=theta, strategy=Strategy.LPEA_LOW, private=False)
+        cfg = ProjectionConfig(theta=theta, strategy=Strategy.LPEA_LOW)
         pg = lpea_low(g, degs, cfg, np.random.default_rng(0))
         ll_ratio = pg.edge_count() / g.m
         ll_mae = sum(abs(a - b) for a, b in zip(degs, pg.degrees)) / g.n
         ra = np.mean([
-            project(g, ProjectionConfig(theta=theta, strategy=Strategy.RANDOM_ADD, private=False),
+            project(g, ProjectionConfig(theta=theta, strategy=Strategy.RANDOM_ADD),
                     np.random.default_rng(s)).edge_count() / g.m
             for s in range(trials)
         ])
         er = np.mean([
-            edge_remove(g, ProjectionConfig(theta=theta, strategy=Strategy.EDGE_REMOVE, private=False),
+            edge_remove(g, ProjectionConfig(theta=theta, strategy=Strategy.EDGE_REMOVE),
                         np.random.default_rng(s)).edge_count() / g.m
             for s in range(trials)
         ])
@@ -199,7 +178,7 @@ def test_criterion_5_strategy_ordering_on_synthetic():
     for theta in (8, 16, 32):
         ratio = {}
         for strategy in (Strategy.LPEA_LOW, Strategy.RANDOM_ADD, Strategy.EDGE_REMOVE):
-            cfg = ProjectionConfig(theta=theta, strategy=strategy, private=False)
+            cfg = ProjectionConfig(theta=theta, strategy=strategy)
             ratio[strategy] = np.mean([
                 project(g, cfg, np.random.default_rng(s), orders=degs).edge_count() / g.m for s in seeds
             ])
@@ -269,8 +248,7 @@ def test_criterion_7_projection_invariants():
         orig_edges = g.edge_set()
         for strategy in Strategy:
             for private in (False, True):
-                cfg = ProjectionConfig(theta=theta, strategy=strategy, private=private,
-                                       params=params if private else None)
+                cfg = ProjectionConfig(theta=theta, strategy=strategy, params=params if private else None)
                 pg = project(g, cfg, np.random.default_rng(graphs), orders=degs)
                 if not pg.edge_set() <= orig_edges:
                     ok = False
@@ -283,11 +261,11 @@ def test_criterion_7_projection_invariants():
         ## graph must come back whole; randomized negotiation can drop edges,
         ## so in private mode only the removal strategy guarantees identity
         for strategy in Strategy:
-            cfg = ProjectionConfig(theta=d_max, strategy=strategy, private=False)
+            cfg = ProjectionConfig(theta=d_max, strategy=strategy)
             pg = project(g, cfg, np.random.default_rng(graphs), orders=degs)
             if pg.edge_set() != orig_edges:
                 ok = False
-        cfg = ProjectionConfig(theta=d_max, strategy=Strategy.EDGE_REMOVE, private=True, params=params)
+        cfg = ProjectionConfig(theta=d_max, strategy=Strategy.EDGE_REMOVE, params=params)
         if project(g, cfg, np.random.default_rng(graphs)).edge_set() != orig_edges:
             ok = False
     _report(7, ok, f"{graphs} graphs x 4 strategies x 2 modes, plus identity at theta=d_max", t0)

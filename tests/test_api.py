@@ -1,0 +1,48 @@
+"""The package's top-level surface: what README code and scripts/ import."""
+
+import ast
+import re
+import types
+from pathlib import Path
+
+import degreeldp
+
+ROOT = Path(__file__).resolve().parent.parent
+
+PUBLIC = {
+    "Graph", "degree_sequence", "load_graph", "write_edge_list",
+    "ExperimentConfig", "emit_csv", "load_dataset", "run_grid", "run_pipeline",
+    "PrivacyParams",
+    "ProjectionConfig", "Strategy", "project",
+    "ReleaseReport",
+    "agree_keys", "ka_param", "masked_sum_round",
+    "ThetaSearchConfig", "theta_by_deviation",
+}
+
+
+def top_level_imports() -> list[tuple[str, str]]:
+    """(source, name) for every `from degreeldp import ...` in README code blocks and scripts/*.py."""
+    sources = {"README.md": "\n".join(re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S))}
+    for path in sorted((ROOT / "scripts").glob("*.py")):
+        sources[f"scripts/{path.name}"] = path.read_text()
+    found = []
+    for source, text in sources.items():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.ImportFrom) and node.module == "degreeldp" and node.level == 0:
+                found += [(source, alias.name) for alias in node.names]
+    return found
+
+
+def test_public_names_are_exactly_the_listed_set():
+    names = {
+        name for name in dir(degreeldp)
+        if not name.startswith("_") and not isinstance(getattr(degreeldp, name), types.ModuleType)
+    }
+    assert names == PUBLIC
+
+
+def test_readme_and_scripts_imports_resolve():
+    found = top_level_imports()
+    assert {source for source, _ in found} >= {"README.md", "scripts/run_experiments.py"}
+    for source, name in found:
+        assert hasattr(degreeldp, name), f"{source} imports {name}, which degreeldp does not export"

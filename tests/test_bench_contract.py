@@ -20,8 +20,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from degreeldp import Graph, ProjectionConfig, ThetaSearchConfig, degree_sequence, theta
-from degreeldp.projection import ProjectedGraph
+from degreeldp import theta
+from degreeldp.graph import Graph, degree_sequence
+from degreeldp.projection import ProjectedGraph, ProjectionConfig
+from degreeldp.theta import ThetaSearchConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCH_DIR = ROOT / "bench"

@@ -2,7 +2,9 @@ import csv
 
 import pytest
 
-from degreeldp import quantile_oracle, degree_sequence, load_dataset
+from degreeldp.graph import degree_sequence
+from degreeldp.harness import load_dataset
+from degreeldp.theta import quantile_oracle
 from degreeldp.cli import cli_main
 from conftest import FIG_EDGE_LIST
 
@@ -161,3 +163,27 @@ class TestUsageErrors:
 
     def test_no_args_shows_usage(self):
         assert cli_main([]) == 2
+
+
+class TestBadValues:
+    @pytest.mark.parametrize("command", ["release", "project", "select-theta"])
+    def test_non_finite_epsilon_fails_naming_it(self, command, capsys):
+        args = [command, "synthetic:200:4:1", "--epsilon", "inf"]
+        if command != "select-theta":
+            args += ["--theta", "5", "--trials", "1"]
+        assert cli_main(args) == 1
+        err = capsys.readouterr().err
+        assert "error: epsilon must be finite and positive" in err
+
+    @pytest.mark.parametrize("flags,named", [
+        (["--K", "-4"], "K must be at least 1"),
+        (["--lambda", "3"], "modulus bit length"),
+        (["--K", "-4", "--lambda", "3"], "K must be at least 1"),
+    ])
+    @pytest.mark.parametrize("theta", ["5", "auto-deviation"])
+    def test_bad_K_or_bits_fails_at_construction(self, flags, named, theta, capsys, tmp_path):
+        out = tmp_path / "rows.csv"
+        args = ["release", "synthetic:200:4:1", "--theta", theta, "--trials", "1", "--out", str(out)]
+        assert cli_main(args + flags) == 1
+        assert named in capsys.readouterr().err
+        assert not out.exists()

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from degreeldp import PrivacyParams, build_partitions, ndoe_sample, order_probs
+from degreeldp.encoding import build_partitions, ndoe_sample, order_probs
+from degreeldp.mechanisms import PrivacyParams
 
 
 def two_thirds_params() -> PrivacyParams:
@@ -17,7 +18,7 @@ class TestBuildPartitions:
         s = build_partitions(1, 1045, 50)
         assert s.p_num == 21
         assert s.delta_u == 1044
-        assert list(s.orders) == list(range(1, 22))
+        assert list(range(1, s.p_num + 1)) == list(range(1, 22))
         assert s.bounds[0] == (1, 51)
         assert s.bounds[-1] == (1001, 1045)
         assert s.medians[-1] == pytest.approx(1023.0)

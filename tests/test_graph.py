@@ -4,7 +4,7 @@ import io
 import pytest
 from hypothesis import given, strategies as st
 
-from degreeldp import (
+from degreeldp.graph import (
     EdgeListParseError,
     Graph,
     degree_sequence,

@@ -1,17 +1,20 @@
 import csv
 import io
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from degreeldp import (
+from degreeldp import harness
+from degreeldp import theta as theta_module
+from degreeldp.graph import degree_sequence
+from degreeldp.harness import (
     CSV_COLUMNS,
     DATA_DIR_ENV,
     ExperimentConfig,
-    Strategy,
-    degree_sequence,
     emit_csv,
+    find_dataset,
     load_dataset,
     mae,
     mae_dist,
@@ -19,8 +22,7 @@ from degreeldp import (
     run_grid,
     run_pipeline,
 )
-from degreeldp import harness
-from degreeldp.harness import find_dataset
+from degreeldp.projection import Strategy
 from conftest import FIG_EDGE_LIST
 
 
@@ -64,6 +66,18 @@ class TestConfigValidation:
             ExperimentConfig(dataset="x", theta=0)
         ExperimentConfig(dataset="x", theta="auto-sum")
         ExperimentConfig(dataset="x", theta=5)
+
+    @pytest.mark.parametrize("K", [0, -4])
+    def test_K_must_be_positive(self, K):
+        with pytest.raises(ValueError, match="K must be at least 1"):
+            ExperimentConfig(dataset="x", theta=5, K=K)
+        ExperimentConfig(dataset="x", theta=5, K=1)
+
+    @pytest.mark.parametrize("bits", [3, 15, 20])
+    def test_bits_must_name_a_group(self, bits):
+        with pytest.raises(ValueError, match="modulus bit length"):
+            ExperimentConfig(dataset="x", theta=5, bits=bits)
+        ExperimentConfig(dataset="x", theta=5, bits=16)
 
 
 class TestDatasetResolution:
@@ -139,7 +153,7 @@ class TestRunPipeline:
         assert len({r.seed for r in rows}) == 4
 
     def test_auto_theta_matches_direct_resolution(self):
-        from degreeldp import ThetaSearchConfig, quantile_oracle
+        from degreeldp.theta import ThetaSearchConfig, quantile_oracle
 
         g, _ = load_dataset("synthetic:80:3:4")
         degs = degree_sequence(g)
@@ -187,6 +201,29 @@ class TestRunGrid:
             for col in CSV_COLUMNS:
                 if col != "runtime_ms":
                     assert getattr(a, col) == getattr(b, col)
+
+    @pytest.mark.parametrize("private", [False, True])
+    def test_auto_theta_selected_once_per_grid_point(self, monkeypatch, private):
+        calls = []
+        original = theta_module.theta_by_deviation
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(theta_module, "theta_by_deviation", counted)
+        base = ExperimentConfig(dataset="synthetic:40:3:1", trials=2, seed=4, private=private, masked=False)
+        grid = [{"epsilon": 1.0}, {"epsilon": 2.0}]
+        _, rows = run_grid(base, list(Strategy), grid)
+        assert len(calls) == len(grid)
+        ## every strategy's rows equal its own run_pipeline call, runtime aside
+        per_run = len(rows) // (len(Strategy) * len(grid))
+        for k, (strategy, point) in enumerate((s, p) for s in Strategy for p in grid):
+            single, _ = run_pipeline(replace(base, strategy=strategy, **point))
+            for a, b in zip(rows[k * per_run:(k + 1) * per_run], single, strict=True):
+                for col in CSV_COLUMNS:
+                    if col != "runtime_ms":
+                        assert getattr(a, col) == getattr(b, col)
 
 
 class TestEmitCsv:

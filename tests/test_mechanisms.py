@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from degreeldp import (
+from degreeldp.mechanisms import (
     PrivacyParams,
     categorical_sample,
     exp_mech_probs,
@@ -23,7 +23,10 @@ class TestPrivacyParams:
         assert p.release_budget == pytest.approx(2.7)
         assert p.order_budget + p.negotiation_budget + p.release_budget == pytest.approx(p.epsilon)
 
-    @pytest.mark.parametrize("eps,alpha", [(0.0, 0.1), (-1.0, 0.1), (1.0, 0.0), (1.0, 1.0), (1.0, 1.5)])
+    @pytest.mark.parametrize("eps,alpha", [
+        (0.0, 0.1), (-1.0, 0.1), (math.inf, 0.1), (-math.inf, 0.1), (math.nan, 0.1),
+        (1.0, 0.0), (1.0, 1.0), (1.0, 1.5),
+    ])
     def test_validation(self, eps, alpha):
         with pytest.raises(ValueError):
             PrivacyParams(epsilon=eps, alpha=alpha)

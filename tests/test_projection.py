@@ -1,37 +1,29 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from degreeldp import (
-    Graph,
-    PrivacyParams,
-    ProjectionConfig,
-    Strategy,
-    degree_sequence,
-    edge_remove,
-    lpea_low,
-    project,
-    projection_error,
-)
+from degreeldp.encoding import build_partitions, ndoe_sample
+from degreeldp.graph import Graph, degree_sequence, stats
+from degreeldp.harness import load_dataset
+from degreeldp.mechanisms import PrivacyParams
+from degreeldp.projection import ProjectionConfig, Strategy, edge_remove, lpea_low, project, projection_error
 from conftest import random_graph
 
 
 def nonprivate(theta: int, strategy: Strategy = Strategy.LPEA_LOW) -> ProjectionConfig:
-    return ProjectionConfig(theta=theta, strategy=strategy, private=False)
+    return ProjectionConfig(theta=theta, strategy=strategy)
 
 
 def private_cfg(theta: int, strategy: Strategy = Strategy.LPEA_LOW, eps: float = 1.0) -> ProjectionConfig:
-    return ProjectionConfig(theta=theta, strategy=strategy, private=True, params=PrivacyParams(eps, 0.1))
+    return ProjectionConfig(theta=theta, strategy=strategy, params=PrivacyParams(eps, 0.1))
 
 
 class TestConfig:
     def test_theta_must_be_positive(self):
         with pytest.raises(ValueError):
             ProjectionConfig(theta=0)
-
-    def test_private_requires_params(self):
-        with pytest.raises(ValueError):
-            ProjectionConfig(theta=2, private=True)
 
     def test_dispatcher_requires_orders_for_ranked_strategies(self, fig_graph):
         with pytest.raises(ValueError, match="orders"):
@@ -143,6 +135,37 @@ class TestEdgeScan:
             assert pg.edge_set() == expected, strategy
 
 
+## sha256 of repr(sorted(edge_set())) for private projections of
+## synthetic:300:11:1 with ndoe_sample orders (eps 3, alpha 0.1, seed 2024)
+## and projection seed 7; a reordered or extra draw changes these
+PRIVATE_GOLDEN = {
+    ("lpea-low", 3): "480e95f4722f3b9d6ea8547fc688be4e0b9663d16a5841be23a10a1afcfc5160",
+    ("lpea-low", 17): "0edb90270f45e95c075c30198fbdf4a30d4479baee5f91d68c3dadb309b0f025",
+    ("lpea-high", 3): "2222dd62d97caf8fa159ab6bafa86a6ee953aa254df68b212ef105f436801b5c",
+    ("lpea-high", 17): "62f45622290809d89fdb419e7ba7d4c35085dee7c3f6c36f7d63b8bff56572d7",
+    ("random-add", 3): "549e2dadeb8c9c588376471d43d8988d681fc132ce721f67baddddc4466070fd",
+    ("random-add", 17): "ae9b49e145ec4cfa721e571869cc203611417eec413a813a4671e6828049becc",
+    ("edge-remove", 3): "59571d5eb6660194154932270c28f734348831aa981e531b77cf9655f0a59c28",
+    ("edge-remove", 17): "0b7129496490b43884d2e4ad505723ab3f9550ab878addd59e49d750ff513d4e",
+}
+
+
+class TestPrivateGolden:
+    def test_edge_sets_pinned(self):
+        g, _ = load_dataset("synthetic:300:11:1")
+        info = stats(g)
+        params = PrivacyParams(3.0, 0.1)
+        scheme = build_partitions(info.d_min, info.d_max)
+        order_rng = np.random.default_rng(2024)
+        orders = [ndoe_sample(d, params, scheme, order_rng) for d in degree_sequence(g)]
+        got = {}
+        for strategy, theta in PRIVATE_GOLDEN:
+            cfg = ProjectionConfig(theta=theta, strategy=Strategy(strategy), params=params)
+            pg = project(g, cfg, np.random.default_rng(7), orders=orders)
+            got[strategy, theta] = hashlib.sha256(repr(sorted(pg.edge_set())).encode()).hexdigest()
+        assert got == PRIVATE_GOLDEN
+
+
 class TestInvariants:
     @given(seed=st.integers(0, 10_000), theta=st.integers(1, 12))
     @settings(max_examples=60, deadline=None)
@@ -152,7 +175,7 @@ class TestInvariants:
         orders = degree_sequence(g)
         for cfg in (nonprivate(theta), private_cfg(theta)):
             for strategy in Strategy:
-                c = ProjectionConfig(theta=theta, strategy=strategy, private=cfg.private, params=cfg.params)
+                c = ProjectionConfig(theta=theta, strategy=strategy, params=cfg.params)
                 pg = project(g, c, np.random.default_rng(seed + 1), orders=orders)
                 orig = g.edge_set()
                 assert pg.edge_set() <= orig

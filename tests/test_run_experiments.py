@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from degreeldp import CSV_COLUMNS, Strategy
+from degreeldp.harness import CSV_COLUMNS
+from degreeldp.projection import Strategy
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "run_experiments.py"
 

@@ -4,23 +4,33 @@ import sympy
 from hypothesis import given, settings, strategies as st
 from scipy import stats as sstats
 
-from degreeldp import (
-    Graph,
-    ThetaSearchConfig,
-    agree_keys,
+from degreeldp import secure_agg
+from degreeldp.graph import Graph, degree_sequence
+from degreeldp.secure_agg import (
+    _GROUPS,
     aggregate,
+    agree_keys,
     compute_mask,
-    degree_sequence,
     ka_agree,
     ka_gen,
     ka_param,
     mask_scalar,
     masked_sum_round,
-    secure_agg,
-    theta_by_deviation,
-    theta_by_sum,
 )
-from degreeldp.secure_agg import _GROUPS
+from degreeldp.theta import ThetaSearchConfig, theta_by_deviation, theta_by_sum
+
+## prime factors of q - 1 for each group in secure_agg._GROUPS, so that
+## generator order is checked independently of the package
+SUBGROUP_FACTORS = {
+    16: (2, 3, 5, 7, 13),
+    17: (2, 3, 5, 17, 257),
+    19: (2, 3, 7, 19, 73),
+    31: (2, 3, 7, 11, 31, 151, 331),
+    61: (2, 3, 5, 7, 11, 13, 31, 41, 61, 151, 331, 1321),
+    89: (2, 3, 5, 17, 23, 89, 353, 397, 683, 2113, 2931542417),
+    107: (2, 3, 107, 6361, 69431, 20394401, 28059810762433),
+    127: (2, 3, 7, 19, 43, 73, 127, 337, 5419, 92737, 649657, 77158673929),
+}
 
 
 def run_keys(values, p, seed):
@@ -44,14 +54,15 @@ class TestGroupTable:
     def test_generator_has_full_order(self, bits):
         ## g is a primitive root iff g^((q-1)/f) != 1 for every prime f | q-1
         p = ka_param(bits)
-        for f in p.subgroup_factors:
+        assert SUBGROUP_FACTORS.keys() == _GROUPS.keys()
+        for f in SUBGROUP_FACTORS[bits]:
             assert (p.q - 1) % f == 0
             assert pow(p.g, (p.q - 1) // f, p.q) != 1
 
     @pytest.mark.parametrize("bits", [16, 61])
     def test_declared_factors_are_complete(self, bits):
         p = ka_param(bits)
-        assert tuple(sorted(sympy.factorint(p.q - 1))) == p.subgroup_factors
+        assert tuple(sorted(sympy.factorint(p.q - 1))) == SUBGROUP_FACTORS[bits]
 
     @pytest.mark.parametrize("bits", [8, 15, -1])
     def test_too_small_rejected(self, bits):
@@ -68,15 +79,15 @@ class TestKeyAgreement:
     def test_shared_key_symmetric(self, seed):
         p = ka_param(61)
         rng = np.random.default_rng(seed)
-        a, b = ka_gen(p, rng), ka_gen(p, rng)
-        assert ka_agree(a.sk, b.pk, p) == ka_agree(b.sk, a.pk, p)
+        (a_sk, a_pk), (b_sk, b_pk) = ka_gen(p, rng), ka_gen(p, rng)
+        assert ka_agree(a_sk, b_pk, p) == ka_agree(b_sk, a_pk, p)
 
     def test_public_key_in_group(self):
         p = ka_param(17)
         for seed in range(20):
-            kp = ka_gen(p, np.random.default_rng(seed))
-            assert 1 <= kp.pk < p.q
-            assert 0 <= kp.sk < p.q
+            sk, pk = ka_gen(p, np.random.default_rng(seed))
+            assert 1 <= pk < p.q
+            assert 0 <= sk < p.q
 
     def test_out_of_range_rejected(self):
         p = ka_param(61)
@@ -100,7 +111,7 @@ class TestMasking:
         keys = [ka_gen(p, rng) for _ in range(n)]
         masks = []
         for i in range(n):
-            row = np.array([0 if j == i else ka_agree(keys[i].sk, keys[j].pk, p) for j in range(n)], dtype=np.uint64)
+            row = np.array([0 if j == i else ka_agree(keys[i][0], keys[j][1], p) for j in range(n)], dtype=np.uint64)
             masks.append(compute_mask(i, row, p))
         return p, masks
 

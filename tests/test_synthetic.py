@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from degreeldp import degree_sequence, powerlaw_graph, stats
+from degreeldp.graph import degree_sequence, stats
+from degreeldp.synthetic import powerlaw_graph
 
 
 def test_seed_pins_graph():

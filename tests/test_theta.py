@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from degreeldp import (
-    Graph,
+from degreeldp.graph import Graph, degree_sequence
+from degreeldp.theta import (
     ThetaSearchConfig,
-    degree_sequence,
     quantile_oracle,
     resolve_theta,
     theta_by_deviation,
@@ -24,6 +23,8 @@ class TestConfig:
         dict(K=0, epsilon=1.0),
         dict(K=5, epsilon=0.0),
         dict(K=5, epsilon=1.0, method="bogus"),
+        dict(K=5, epsilon=math.inf),
+        dict(K=5, epsilon=math.nan),
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
@@ -131,7 +132,7 @@ class TestThetaBySum:
     def test_matches_unmasked_objective_argmin(self):
         ## independent oracle: recompute the objective per candidate with
         ## plain sums and take the smallest argmin
-        from degreeldp import ProjectionConfig, Strategy, lpea_low, projection_error
+        from degreeldp.projection import ProjectionConfig, Strategy, lpea_low, projection_error
 
         rng = np.random.default_rng(8)
         g = Graph(12, [(int(a), int(b)) for a, b in rng.integers(0, 12, (30, 2)) if a != b])
@@ -139,7 +140,7 @@ class TestThetaBySum:
         K, eps = 6, 1.3
         objectives = []
         for k in range(1, K + 1):
-            pg = lpea_low(g, orders, ProjectionConfig(theta=k, private=False), np.random.default_rng(0))
+            pg = lpea_low(g, orders, ProjectionConfig(theta=k), np.random.default_rng(0))
             _, total = projection_error(g, pg)
             objectives.append(g.n * k / eps + total)
         expected = int(np.argmin(objectives)) + 1
