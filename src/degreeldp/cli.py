@@ -165,8 +165,8 @@ def cli_main(argv: list[str] | None = None) -> int:
             graph, label = load_dataset(args.dataset)
             st = stats(graph)
             print(f"dataset={label}")
-            print(f"nodes={st.n}")
-            print(f"edges={st.m}")
+            print(f"nodes={graph.n}")
+            print(f"edges={graph.m}")
             print(f"d_min={st.d_min}")
             print(f"d_max={st.d_max}")
             print(f"d_avg={st.d_avg:.4f}")

@@ -22,17 +22,13 @@ DEFAULT_PARTITION_SIZE = 50
 
 @dataclass(frozen=True)
 class PartitionScheme:
-    """Fixed tiling of [d_min, d_max] into p_num intervals of width p_size.
+    """Medians of a fixed tiling of [d_min, d_max] into equal-width partitions.
 
-    Intervals are half-open [lo, lo + p_size) except the last, which is
-    closed at d_max.  Orders are the 1-based partition indices.
+    Orders are the 1-based indices into medians.
     """
 
     d_min: int
     d_max: int
-    p_size: int
-    p_num: int
-    bounds: tuple[tuple[int, int], ...]
     medians: tuple[float, ...]
 
     @property
@@ -40,40 +36,24 @@ class PartitionScheme:
         """Score sensitivity: the spread of the degree domain."""
         return self.d_max - self.d_min
 
-    def index_of(self, d: int) -> int:
-        """1-based partition index containing degree d."""
-        if not self.d_min <= d <= self.d_max:
-            raise ValueError(f"degree {d} outside [{self.d_min}, {self.d_max}]")
-        if self.p_num == 1:
-            return 1
-        return min((d - self.d_min) // self.p_size, self.p_num - 1) + 1
-
 
 def build_partitions(d_min: int, d_max: int, p_size: int = DEFAULT_PARTITION_SIZE) -> PartitionScheme:
-    """Tile [d_min, d_max] into ceil((d_max - d_min) / p_size) partitions."""
+    """Tile [d_min, d_max] into ceil((d_max - d_min) / p_size) partitions.
+
+    Partitions are half-open [lo, lo + p_size) except the last, which is
+    closed at d_max; each is represented by its median (lo + hi) / 2.
+    """
     if d_min < 0 or d_max < d_min:
         raise ValueError(f"need 0 <= d_min <= d_max, got d_min={d_min}, d_max={d_max}")
     if p_size < 1:
         raise ValueError(f"p_size must be at least 1, got {p_size}")
-    if d_max == d_min:
-        p_num = 1
-    else:
-        p_num = math.ceil((d_max - d_min) / p_size)
-    bounds = []
+    p_num = max(math.ceil((d_max - d_min) / p_size), 1)
     medians = []
     for j in range(p_num):
         lo = d_min + j * p_size
         hi = d_max if j == p_num - 1 else lo + p_size
-        bounds.append((lo, hi))
         medians.append((lo + hi) / 2.0)
-    return PartitionScheme(
-        d_min=d_min,
-        d_max=d_max,
-        p_size=p_size,
-        p_num=p_num,
-        bounds=tuple(bounds),
-        medians=tuple(medians),
-    )
+    return PartitionScheme(d_min=d_min, d_max=d_max, medians=tuple(medians))
 
 
 def order_probs(d: int, params: PrivacyParams, scheme: PartitionScheme) -> np.ndarray:

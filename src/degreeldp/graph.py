@@ -39,17 +39,14 @@ class Graph:
             labels = [str(i) for i in range(n)]
         if len(labels) != n:
             raise ValueError("labels must have one entry per node")
-        seen: set[tuple[int, int]] = set()
-        kept: list[tuple[int, int]] = []
+        ## a dict keeps input order; a set would hand each node's sort a
+        ## scrambled list, which sorts slower
+        kept: dict[tuple[int, int], None] = {}
         for i, j in edges:
             if not (0 <= i < n and 0 <= j < n):
                 raise ValueError(f"edge ({i}, {j}) out of range for n={n}")
-            if i == j:
-                continue
-            e = (i, j) if i < j else (j, i)
-            if e not in seen:
-                seen.add(e)
-                kept.append(e)
+            if i != j:
+                kept[(i, j) if i < j else (j, i)] = None
         adj: list[list[int]] = [[] for _ in range(n)]
         for i, j in kept:
             adj[i].append(j)
@@ -80,8 +77,6 @@ class Graph:
 
 @dataclass(frozen=True)
 class GraphStats:
-    n: int
-    m: int
     d_min: int
     d_max: int
     d_avg: float
@@ -148,14 +143,8 @@ def degree_sequence(g: Graph) -> list[int]:
 
 
 def stats(g: Graph) -> GraphStats:
-    """Node/edge counts and degree summary. Errors on an empty graph."""
+    """Degree summary; the node and edge counts are Graph.n and Graph.m. Errors on an empty graph."""
     if g.n == 0:
         raise ValueError("stats undefined for an empty graph")
     degs = degree_sequence(g)
-    return GraphStats(
-        n=g.n,
-        m=g.m,
-        d_min=min(degs),
-        d_max=max(degs),
-        d_avg=2.0 * g.m / g.n,
-    )
+    return GraphStats(d_min=min(degs), d_max=max(degs), d_avg=2.0 * g.m / g.n)

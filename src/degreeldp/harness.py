@@ -80,6 +80,9 @@ class ExperimentConfig:
             raise ValueError(f"theta must be at least 1, got {self.theta}")
         if self.K is not None and self.K < 1:
             raise ValueError(f"K must be at least 1, got {self.K}")
+        if self.p_size < 1:
+            raise ValueError(f"p_size must be at least 1, got {self.p_size}")
+        PrivacyParams(self.epsilon, self.alpha)  # raises for a bad epsilon or alpha
         ka_param(self.bits)  # raises for a modulus bit length with no group
 
 
@@ -221,16 +224,18 @@ def run_grid(
     (e.g. {"theta": 16}).  Rows come strategy by strategy, grid points in
     order within each, and carry the dataset's label.  An automatic theta
     is selected once per grid point, by the first strategy's run; the
-    others reuse it, which draws the same seeds.  Returns the label and
-    the rows.
+    others reuse it, which draws the same seeds.  Every point's config is
+    built, and so checked, before the dataset loads.  Returns the label
+    and the rows.
     """
+    points = [replace(base, **point) for point in grid]
     graph, label = load_dataset(base.dataset)
     rows: list[MetricsRow] = []
-    selected: list[int | None] = [None] * len(grid)
+    selected: list[int | None] = [None] * len(points)
     for strategy in strategies:
-        for k, point in enumerate(grid):
-            cfg = replace(base, dataset=label, strategy=strategy, **point)
-            point_rows = run_pipeline(replace(cfg, theta=selected[k] or cfg.theta), graph=graph)[0]
+        for k, point in enumerate(points):
+            cfg = replace(point, dataset=label, strategy=strategy, theta=selected[k] or point.theta)
+            point_rows = run_pipeline(cfg, graph=graph)[0]
             selected[k] = point_rows[0].theta
             rows.extend(point_rows)
     return label, rows

@@ -16,10 +16,13 @@ import numpy as np
 class PrivacyParams:
     """Total budget epsilon and the split ratio alpha.
 
-    A fraction alpha of the budget is spent on the interactive stages
-    (half on degree-order encoding, half on the randomized-response
-    negotiation) and the remaining (1 - alpha) on the final Laplace
-    perturbation, so the stages compose to epsilon overall.
+    A fraction alpha of the budget goes to the interactive stages: half
+    to degree-order encoding and half to each randomized-response answer
+    of the negotiation.  The remaining (1 - alpha) goes to the final
+    Laplace perturbation.  A node answers once for every neighbor that
+    asks it, and each answer spends the negotiation half again, so the
+    stages compose to epsilon (epsilon-node LDP) only for a node that
+    answers at most once; the negotiation does not cap its answers yet.
     """
 
     epsilon: float

@@ -45,17 +45,13 @@ DEFAULT_BITS = 61
 class GroupParams:
     q: int
     g: int
-    bits: int
 
 
 def ka_param(bits: int = DEFAULT_BITS) -> GroupParams:
     """Fixed published group for the requested modulus bit length."""
-    if bits < 16:
-        raise ValueError(f"modulus bit length must be at least 16, got {bits}")
     if bits not in _GROUPS:
         raise ValueError(f"unsupported modulus bit length {bits}; supported: {sorted(_GROUPS)}")
-    q, g = _GROUPS[bits]
-    return GroupParams(q=q, g=g, bits=bits)
+    return GroupParams(*_GROUPS[bits])
 
 
 def _rand_below(rng: np.random.Generator, bound: int) -> int:

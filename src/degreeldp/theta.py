@@ -44,6 +44,7 @@ class ThetaSearchConfig:
             raise ValueError(f"epsilon must be finite and positive, got {self.epsilon}")
         if self.method not in ("sum", "deviation"):
             raise ValueError(f"method must be 'sum' or 'deviation', got {self.method!r}")
+        ka_param(self.bits)  # raises for a modulus bit length with no group
 
 
 def quantile_oracle(degrees: Sequence[int], epsilon: float, K: int) -> int:

@@ -1,11 +1,15 @@
-"""The package's top-level surface: what README code and scripts/ import."""
+"""The package's top-level surface: what README code and scripts/ import, and the README's CLI lines."""
 
 import ast
 import re
+import shlex
 import types
 from pathlib import Path
 
+import pytest
+
 import degreeldp
+from degreeldp.cli import build_parser
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -46,3 +50,20 @@ def test_readme_and_scripts_imports_resolve():
     assert {source for source, _ in found} >= {"README.md", "scripts/run_experiments.py"}
     for source, name in found:
         assert hasattr(degreeldp, name), f"{source} imports {name}, which degreeldp does not export"
+
+
+def readme_cli_lines() -> list[str]:
+    """Every `degreeldp ...` command line in the README's sh code blocks."""
+    blocks = re.findall(r"```sh\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    return [line.strip() for block in blocks for line in block.splitlines() if line.strip().startswith("degreeldp ")]
+
+
+def test_readme_cli_lines_parse():
+    lines = readme_cli_lines()
+    assert len(lines) >= 6
+    parser = build_parser()
+    for line in lines:
+        try:
+            parser.parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            pytest.fail(f"README line does not parse: {line}")

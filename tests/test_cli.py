@@ -187,3 +187,14 @@ class TestBadValues:
         assert cli_main(args + flags) == 1
         assert named in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("args,named", [
+        (["release", "synthetic:300:11:1", "--theta", "auto-deviation", "--psize", "0"], "p_size must be at least 1"),
+        (["release", "synthetic:300:11:1", "--theta", "auto-deviation", "--alpha", "1.5"], "alpha must lie in (0, 1)"),
+        (["sweep", "synthetic:40:3:1", "--epsilons", "1,-1", "--theta", "3"], "epsilon must be finite and positive"),
+    ])
+    def test_bad_run_setting_fails_before_any_row(self, args, named, capsys, tmp_path):
+        out = tmp_path / "rows.csv"
+        assert cli_main(args + ["--trials", "1", "--out", str(out)]) == 1
+        assert named in capsys.readouterr().err
+        assert not out.exists()

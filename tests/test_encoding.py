@@ -16,18 +16,16 @@ def two_thirds_params() -> PrivacyParams:
 class TestBuildPartitions:
     def test_wide_domain(self):
         s = build_partitions(1, 1045, 50)
-        assert s.p_num == 21
+        assert len(s.medians) == 21
         assert s.delta_u == 1044
-        assert list(range(1, s.p_num + 1)) == list(range(1, 22))
-        assert s.bounds[0] == (1, 51)
-        assert s.bounds[-1] == (1001, 1045)
-        assert s.medians[-1] == pytest.approx(1023.0)
+        assert s.medians[0] == 26.0  # [1, 51)
+        assert s.medians[-1] == 1023.0  # [1001, 1045]
 
     def test_degenerate_domain(self):
         s = build_partitions(7, 7, 50)
-        assert s.p_num == 1
+        assert len(s.medians) == 1
         assert s.delta_u == 0
-        assert s.bounds == ((7, 7),)
+        assert s.medians == (7.0,)
 
     @pytest.mark.parametrize("dmin,dmax,psize", [(-1, 5, 2), (5, 4, 2), (0, 5, 0)])
     def test_validation(self, dmin, dmax, psize):
@@ -42,28 +40,12 @@ class TestBuildPartitions:
     def test_partitions_tile_domain(self, dmin, spread, psize):
         dmax = dmin + spread
         s = build_partitions(dmin, dmax, psize)
-        assert s.bounds[0][0] == dmin
-        assert s.bounds[-1][1] == dmax or (spread == 0 and s.bounds[-1][1] == dmin)
-        ## interior intervals are contiguous and p_size wide
-        for (lo1, hi1), (lo2, _) in zip(s.bounds, s.bounds[1:]):
-            assert hi1 == lo2
-            assert hi1 - lo1 == psize
-        for (lo, hi), med in zip(s.bounds, s.medians):
-            assert med == pytest.approx((lo + hi) / 2)
-
-    @given(
-        dmin=st.integers(0, 50),
-        spread=st.integers(0, 200),
-        psize=st.integers(1, 60),
-        offset=st.integers(0, 200),
-    )
-    def test_index_of_contains_degree(self, dmin, spread, psize, offset):
-        s = build_partitions(dmin, dmin + spread, psize)
-        d = dmin + min(offset, spread)
-        j = s.index_of(d)
-        lo, hi = s.bounds[j - 1]
-        assert lo <= d
-        assert d < hi or (j == s.p_num and d <= hi)
+        ## contiguous p_size-wide intervals from dmin, the last one closed at dmax
+        bounds = [(lo, lo + psize) for lo in range(dmin, dmax, psize)] or [(dmin, dmin)]
+        bounds[-1] = (bounds[-1][0], dmax)
+        assert len(s.medians) == len(bounds)
+        for (lo, hi), med in zip(bounds, s.medians):
+            assert med == (lo + hi) / 2
 
 
 class TestOrderProbs:
@@ -100,13 +82,14 @@ class TestOrderProbs:
         params = PrivacyParams(epsilon=50.0, alpha=0.5)
         for d in (3, 25, 47, 99):
             probs = order_probs(d, params, s)
-            assert int(np.argmax(probs)) + 1 == s.index_of(d)
+            ## partitions are [0, 10), [10, 20), ..., [90, 100]
+            assert int(np.argmax(probs)) + 1 == min(d // 10, 9) + 1
 
     def test_vanishing_budget_gives_uniform(self):
         s = build_partitions(0, 100, 10)
         params = PrivacyParams(epsilon=1e-5, alpha=1e-1)
         probs = order_probs(17, params, s)
-        assert np.max(np.abs(probs - 1 / s.p_num)) < 1e-6
+        assert np.max(np.abs(probs - 1 / len(s.medians))) < 1e-6
 
     def test_probability_ratio_bounded_between_degrees(self):
         ## privacy bound: switching the input degree moves any output
@@ -129,7 +112,7 @@ class TestNdoeSample:
         a = [ndoe_sample(42, params, s, np.random.default_rng(9)) for _ in range(5)]
         b = [ndoe_sample(42, params, s, np.random.default_rng(9)) for _ in range(5)]
         assert a == b
-        assert all(1 <= o <= s.p_num for o in a)
+        assert all(1 <= o <= len(s.medians) for o in a)
 
     def test_empirical_two_partition_frequencies(self):
         s = build_partitions(0, 10, 5)

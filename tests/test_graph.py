@@ -54,7 +54,7 @@ def test_empty_stream_gives_empty_graph_and_stats_errors():
 
 def test_stats_fig(fig_graph):
     s = stats(fig_graph)
-    assert (s.n, s.m, s.d_min, s.d_max) == (4, 4, 1, 3)
+    assert (fig_graph.n, fig_graph.m, s.d_min, s.d_max) == (4, 4, 1, 3)
     assert s.d_avg == pytest.approx(2.0)
 
 
@@ -134,3 +134,25 @@ def test_reload_is_idempotent(pairs):
     g = load_edge_list(io.StringIO(text))
     g2 = load_edge_list(io.StringIO(text))
     assert g.adj == g2.adj and g.labels == g2.labels
+
+
+@given(
+    st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)), max_size=80),
+    st.randoms(use_true_random=False),
+)
+def test_constructor_matches_set_reference(pairs, shuffler):
+    ## append every pair reversed and a few self-loops, so that every case
+    ## has duplicates, reversed pairs and self-loops
+    pairs = pairs + [(j, i) for i, j in pairs] + [(i, i) for i, _ in pairs[:3]]
+    g = Graph(12, pairs)
+    nbrs = [set() for _ in range(12)]
+    for i, j in pairs:
+        if i != j:
+            nbrs[i].add(j)
+            nbrs[j].add(i)
+    assert g.adj == [sorted(s) for s in nbrs]
+    assert g.m == len({frozenset(p) for p in pairs if p[0] != p[1]})
+    shuffled = list(pairs)
+    shuffler.shuffle(shuffled)
+    h = Graph(12, shuffled)
+    assert (h.adj, h.m, list(h.edges())) == (g.adj, g.m, list(g.edges()))

@@ -1,6 +1,8 @@
 import csv
 import io
+import math
 import os
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -78,6 +80,18 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="modulus bit length"):
             ExperimentConfig(dataset="x", theta=5, bits=bits)
         ExperimentConfig(dataset="x", theta=5, bits=16)
+
+    @pytest.mark.parametrize("field,value,named", [
+        ("p_size", 0, "p_size must be at least 1"),
+        ("alpha", 1.5, "alpha must lie in (0, 1)"),
+        ("alpha", 0.0, "alpha must lie in (0, 1)"),
+        ("epsilon", math.inf, "epsilon must be finite and positive"),
+        ("epsilon", -1.0, "epsilon must be finite and positive"),
+    ])
+    def test_bad_run_settings_rejected(self, field, value, named):
+        with pytest.raises(ValueError, match=re.escape(named)):
+            ExperimentConfig(dataset="x", theta=5, **{field: value})
+        ExperimentConfig(dataset="x", theta=5, private=False)
 
 
 class TestDatasetResolution:
@@ -224,6 +238,21 @@ class TestRunGrid:
                 for col in CSV_COLUMNS:
                     if col != "runtime_ms":
                         assert getattr(a, col) == getattr(b, col)
+
+
+    def test_bad_last_point_runs_nothing(self, monkeypatch):
+        calls = []
+        original = harness.run_pipeline
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "run_pipeline", counted)
+        base = ExperimentConfig(dataset="synthetic:40:3:1", theta=3, trials=1)
+        with pytest.raises(ValueError, match="epsilon must be finite and positive"):
+            run_grid(base, [Strategy.LPEA_LOW], [{"epsilon": 1.0}, {"epsilon": -1.0}])
+        assert calls == []
 
 
 class TestEmitCsv:

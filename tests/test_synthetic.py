@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from degreeldp.graph import degree_sequence, stats
+from degreeldp.graph import degree_sequence
 from degreeldp.synthetic import powerlaw_graph
 
 
@@ -28,7 +28,7 @@ def test_heavy_tail():
 def test_edge_count():
     ## clique core plus `attach` edges per later node
     g = powerlaw_graph(100, 3, seed=0)
-    assert stats(g).m == 6 + 96 * 3
+    assert g.m == 6 + 96 * 3
 
 
 def test_validation():
