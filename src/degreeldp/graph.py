@@ -5,8 +5,11 @@ whitespace-separated node labels, lines starting with '#' ignored.
 Node labels are remapped to contiguous internal ids 0..n-1 in order of
 first appearance.  The ``Graph`` constructor is the one place that drops
 self-loops (the endpoint still counts as a node) and merges duplicate
-edges; a graph holds only its sorted neighbor lists and derives its edges
-from them, in an order that writes out and reloads to the same ids.
+edges.  It builds a graph's sorted neighbor lists and, once, two
+read-only arrays: the edge pairs and the degrees, which projections and
+statistics read instead of walking the lists.  ``edges`` derives the
+edges from the lists, in an order that writes out and reloads to the
+same ids.
 """
 
 from __future__ import annotations
@@ -14,7 +17,10 @@ from __future__ import annotations
 import gzip
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import chain
 from typing import IO, Iterable, Iterator
+
+import numpy as np
 
 
 class EdgeListParseError(ValueError):
@@ -29,9 +35,12 @@ class Graph:
         m: number of distinct undirected edges.
         adj: per-node neighbor lists, each sorted by internal id.
         labels: internal id -> original external label.
+        pairs: read-only int32 array of shape (m, 2), each edge once with
+            the lower id first, in the order of first appearance.
+        degrees: read-only int32 array of length n.
     """
 
-    __slots__ = ("n", "m", "adj", "labels")
+    __slots__ = ("n", "m", "adj", "labels", "pairs", "degrees")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]], labels: list[str] | None = None):
         """Build from integer id pairs, dropping self-loops and merging duplicates."""
@@ -53,10 +62,16 @@ class Graph:
             adj[j].append(i)
         for nbrs in adj:
             nbrs.sort()
+        pairs = np.fromiter(chain.from_iterable(kept), dtype=np.int32, count=2 * len(kept)).reshape(-1, 2)
+        degrees = np.bincount(pairs.ravel(), minlength=n).astype(np.int32)
+        pairs.flags.writeable = False
+        degrees.flags.writeable = False
         self.n = n
         self.m = len(kept)
         self.adj = adj
         self.labels = labels
+        self.pairs = pairs
+        self.degrees = degrees
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Edges as (i, j) pairs with i < j, by j ascending and then i descending.
@@ -139,12 +154,11 @@ def load_graph(path: str) -> Graph:
 
 def degree_sequence(g: Graph) -> list[int]:
     """Per-node degrees indexed by internal id."""
-    return [len(g.adj[i]) for i in range(g.n)]
+    return g.degrees.tolist()
 
 
 def stats(g: Graph) -> GraphStats:
     """Degree summary; the node and edge counts are Graph.n and Graph.m. Errors on an empty graph."""
     if g.n == 0:
         raise ValueError("stats undefined for an empty graph")
-    degs = degree_sequence(g)
-    return GraphStats(d_min=min(degs), d_max=max(degs), d_avg=2.0 * g.m / g.n)
+    return GraphStats(d_min=int(g.degrees.min()), d_max=int(g.degrees.max()), d_avg=2.0 * g.m / g.n)

@@ -153,6 +153,7 @@ def run_pipeline(cfg: ExperimentConfig, graph: Graph | None = None) -> tuple[lis
         graph, label = load_dataset(cfg.dataset)
     else:
         label = cfg.dataset
+    ## both read Graph.degrees; stats stays a call because bench/tracing.py spans it
     st = stats(graph)
     degs = degree_sequence(graph)
     params = PrivacyParams(epsilon=cfg.epsilon, alpha=cfg.alpha)

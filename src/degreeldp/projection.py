@@ -22,12 +22,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from itertools import chain
 from typing import Sequence
 
 import numpy as np
 
-from .graph import Graph, degree_sequence
+from .graph import Graph
 from .mechanisms import PrivacyParams, wrr_debias_count, wrr_respond
 
 
@@ -63,6 +62,8 @@ class ProjectedGraph:
     __slots__ = ("n", "degrees", "_neighbors", "_kept")
 
     def __init__(self, n: int, neighbors: list[set[int]]):
+        if len(neighbors) != n:
+            raise ValueError(f"neighbors must have one set per node: {len(neighbors)} for n={n}")
         self.n = n
         self.degrees = [len(s) for s in neighbors]
         self._neighbors = neighbors
@@ -123,14 +124,12 @@ def _edge_scan(g: Graph, orders: Sequence[int], cfg: ProjectionConfig) -> Projec
     """
     n = g.n
     theta = cfg.theta
-    lens = np.fromiter(map(len, g.adj), dtype=np.int32, count=n)
-    src = np.repeat(np.arange(n, dtype=np.int32), lens)
-    dst = np.fromiter(chain.from_iterable(g.adj), dtype=np.int32, count=int(lens.sum()))
     rank = _schedule_rank(orders, cfg.strategy)
-    ## each undirected edge once, from the endpoint whose turn decides it
-    first = rank[src] < rank[dst]
-    u, v = src[first], dst[first]
-    contested = (lens[u] > theta) | (lens[v] > theta)
+    ## orient each edge from the endpoint whose turn decides it
+    a, b = g.pairs.T
+    first = rank[a] < rank[b]
+    u, v = np.where(first, a, b), np.where(first, b, a)
+    contested = (g.degrees[u] > theta) | (g.degrees[v] > theta)
     cu, cv = u[contested], v[contested]
     by_turn = np.argsort(rank[cu].astype(np.int64) * n + rank[cv])
     cu, cv = cu[by_turn], cv[by_turn]
@@ -285,8 +284,6 @@ def projection_error(g: Graph, pg: ProjectedGraph) -> tuple[np.ndarray, int]:
     """Per-node absolute degree loss and its total."""
     if pg.n != g.n:
         raise ValueError("projected graph has a different node set")
-    orig = np.array(degree_sequence(g))
-    proj = np.array(pg.degrees)
-    loss = np.abs(orig - proj)
+    loss = np.abs(g.degrees - np.array(pg.degrees))
     return loss, int(loss.sum())
 

@@ -1,6 +1,7 @@
 import gzip
 import io
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -156,3 +157,26 @@ def test_constructor_matches_set_reference(pairs, shuffler):
     shuffler.shuffle(shuffled)
     h = Graph(12, shuffled)
     assert (h.adj, h.m, list(h.edges())) == (g.adj, g.m, list(g.edges()))
+
+
+@given(st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)), max_size=80))
+def test_pairs_and_degrees_arrays(pairs):
+    ## duplicates, reversed pairs and self-loops, as in the reference test above
+    pairs = pairs + [(j, i) for i, j in pairs] + [(i, i) for i, _ in pairs[:3]]
+    g = Graph(12, pairs)
+    rows = [tuple(r) for r in g.pairs.tolist()]
+    assert len(rows) == len(set(rows)) == g.m
+    assert set(rows) == g.edge_set()
+    assert all(i < j for i, j in rows)
+    assert g.degrees.tolist() == [len(a) for a in g.adj]
+    assert g.pairs.dtype == g.degrees.dtype == np.int32
+    with pytest.raises(ValueError):
+        g.pairs[...] = 0
+    with pytest.raises(ValueError):
+        g.degrees[...] = 0
+
+
+def test_empty_graph_arrays():
+    g = Graph(0, [])
+    assert g.pairs.shape == (0, 2)
+    assert g.degrees.shape == (0,)

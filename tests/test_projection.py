@@ -8,7 +8,15 @@ from degreeldp.encoding import build_partitions, ndoe_sample
 from degreeldp.graph import Graph, degree_sequence, stats
 from degreeldp.harness import load_dataset
 from degreeldp.mechanisms import PrivacyParams
-from degreeldp.projection import ProjectionConfig, Strategy, edge_remove, lpea_low, project, projection_error
+from degreeldp.projection import (
+    ProjectedGraph,
+    ProjectionConfig,
+    Strategy,
+    edge_remove,
+    lpea_low,
+    project,
+    projection_error,
+)
 from conftest import random_graph
 
 
@@ -166,6 +174,34 @@ class TestPrivateGolden:
         assert got == PRIVATE_GOLDEN
 
 
+## sha256 of repr(degrees) and of repr(sorted(edge_set())) for truthful
+## lpea-high projections of synthetic:1000:3:5 with true degrees as orders
+TRUTHFUL_GOLDEN = {
+    3: (
+        "78009f42bd5860289f0c1fe854c1f512cfc1926f59bd4212cc6777037ba0e22c",
+        "53423fd863a00a6cc54da3f7a5a4a55bb4279730ee029c38b869beadf0a58e46",
+    ),
+    17: (
+        "03ec4d6c2cfadf0917e742642d086b259613cd037522184a5d93ce877058cb96",
+        "2473fdb2a71b8ce0e150a6f8a4b74558eb3a03bfcece4071147fe1ef08a3d017",
+    ),
+}
+
+
+class TestTruthfulGolden:
+    def test_lpea_high_pinned(self):
+        g, _ = load_dataset("synthetic:1000:3:5")
+        orders = degree_sequence(g)
+        got = {}
+        for theta in TRUTHFUL_GOLDEN:
+            pg = project(g, nonprivate(theta, Strategy.LPEA_HIGH), np.random.default_rng(0), orders=orders)
+            got[theta] = (
+                hashlib.sha256(repr(pg.degrees).encode()).hexdigest(),
+                hashlib.sha256(repr(sorted(pg.edge_set())).encode()).hexdigest(),
+            )
+        assert got == TRUTHFUL_GOLDEN
+
+
 class TestInvariants:
     @given(seed=st.integers(0, 10_000), theta=st.integers(1, 12))
     @settings(max_examples=60, deadline=None)
@@ -226,3 +262,10 @@ class TestOrdersValidation:
         ## lpea_low is the paper's named method; other strategies go through project
         with pytest.raises(ValueError, match="lpea-low"):
             lpea_low(fig_graph, degree_sequence(fig_graph), nonprivate(1, strategy), np.random.default_rng(0))
+
+
+class TestProjectedGraph:
+    @pytest.mark.parametrize("n, neighbors", [(3, [set()]), (1, [set(), set()]), (0, [set()])])
+    def test_one_set_per_node(self, n, neighbors):
+        with pytest.raises(ValueError, match="one set per node"):
+            ProjectedGraph(n, neighbors)

@@ -1,10 +1,12 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from degreeldp.graph import Graph, degree_sequence
+from degreeldp.graph import Graph, degree_sequence, stats
+from degreeldp.harness import load_dataset
 from degreeldp.theta import (
     ThetaSearchConfig,
     quantile_oracle,
@@ -168,6 +170,23 @@ class TestThetaBySum:
         m = theta_by_sum(g, degree_sequence(g), cfg, np.random.default_rng(2), masked=True)
         b = theta_by_sum(g, degree_sequence(g), cfg, np.random.default_rng(2), masked=False)
         assert m == b
+
+
+## theta and sha256 of repr(round_log) for an unmasked sum selection on
+## synthetic:1000:3:5 (K = min(d_max, 64) = 64, eps 20, seed 0); each
+## round logs one trial projection's per-node losses, so a changed trial
+## changes the hash
+SUM_GOLDEN = (19, "13b85668be53bef41e1c1a23f9500a819dc5cea02ae8d10b89be7f7cdd625ecd")
+
+
+class TestSumGolden:
+    def test_trials_pinned(self):
+        g, _ = load_dataset("synthetic:1000:3:5")
+        cfg = ThetaSearchConfig(K=min(stats(g).d_max, 64), epsilon=20.0, method="sum")
+        log: list = []
+        theta = theta_by_sum(g, degree_sequence(g), cfg, np.random.default_rng(0), masked=False, round_log=log)
+        assert len(log) == 64
+        assert (theta, hashlib.sha256(repr(log).encode()).hexdigest()) == SUM_GOLDEN
 
 
 class TestResolve:
