@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Regenerate the benchmark sweeps on the downloaded datasets.
 
-Three modes, each writing one CSV per dataset under --out (default ./results):
+Three modes; the first two write one CSV per dataset under --out:
 
   projection   non-private strategy comparison over a theta grid
   release      private end-to-end release over an epsilon grid, auto theta
@@ -18,16 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from degreeldp import (
-    ExperimentConfig,
-    Strategy,
-    ThetaSearchConfig,
-    degree_sequence,
-    emit_csv,
-    load_dataset,
-    run_grid,
-    theta_by_deviation,
-)
+from degreeldp import ExperimentConfig, Strategy, emit_csv, load_dataset, run_grid
+from degreeldp.harness import select_theta
 
 
 def _slug(label: str) -> str:
@@ -39,7 +31,7 @@ def sweep(mode, token, args):
         base = ExperimentConfig(dataset=token, trials=args.trials, seed=args.seed, private=False)
         grid = [{"theta": theta} for theta in args.thetas]
     else:
-        base = ExperimentConfig(dataset=token, theta="auto-deviation", trials=args.trials, seed=args.seed)
+        base = ExperimentConfig(dataset=token, trials=args.trials, seed=args.seed)
         grid = [{"epsilon": eps} for eps in args.epsilons]
     label, rows = run_grid(base, list(Strategy), grid)
     path = args.out / f"{mode}_{_slug(label)}.csv"
@@ -48,14 +40,9 @@ def sweep(mode, token, args):
 
 
 def theta_table(token, epsilons):
+    cfgs = [ExperimentConfig(dataset=token, epsilon=eps) for eps in epsilons]
     g, label = load_dataset(token)
-    degs = degree_sequence(g)
-    K = max(degs)
-    row = []
-    for eps in epsilons:
-        cfg = ThetaSearchConfig(K=K, epsilon=eps)
-        row.append(theta_by_deviation(degs, cfg, np.random.default_rng(0)))
-    cells = "  ".join(f"eps={e:g}:{t}" for e, t in zip(epsilons, row))
+    cells = "  ".join(f"eps={cfg.epsilon:g}:{select_theta(cfg, g, np.random.default_rng(0))}" for cfg in cfgs)
     print(f"{label}  {cells}")
 
 
@@ -66,9 +53,9 @@ def main(argv=None) -> int:
     ap.add_argument("datasets", nargs="+", help="paths, names, or synthetic:<n> tokens")
     ap.add_argument("--thetas", type=int, nargs="*", default=[16, 64, 128])
     ap.add_argument("--epsilons", type=float, nargs="*", default=[1.0, 1.5, 2.0, 2.5, 3.0])
-    ap.add_argument("--trials", type=int, default=20)
-    ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--out", type=Path, default=Path("results"))
+    ap.add_argument("--trials", type=int, default=ExperimentConfig.trials)
+    ap.add_argument("--seed", type=int, default=ExperimentConfig.seed)
+    ap.add_argument("--out", type=Path, default=Path("results"), help="CSV directory (default %(default)s)")
     args = ap.parse_args(argv)
 
     if args.mode != "theta-table":

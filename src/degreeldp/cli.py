@@ -17,27 +17,24 @@ import argparse
 import sys
 from collections import OrderedDict
 
-from .graph import degree_sequence, stats
-from .harness import ExperimentConfig, MetricsRow, emit_csv, load_dataset, run_grid
-from .projection import Strategy
-from .secure_agg import DEFAULT_BITS
-from .theta import ThetaSearchConfig, resolve_theta
-
 import numpy as np
+
+from .graph import stats
+from .harness import AUTO_PREFIX, ExperimentConfig, MetricsRow, emit_csv, load_dataset, run_grid, select_theta
+from .projection import Strategy
+from .theta import METHODS
 
 _STRATEGY_CHOICES = [s.value for s in Strategy] + ["all"]
 
 
-def _theta_arg(text: str):
-    if text in ("auto-sum", "auto-deviation"):
+def _theta_arg(text: str) -> int | str:
+    """An integer, or an auto-<method> name left for ExperimentConfig to check."""
+    if text.startswith(AUTO_PREFIX):
         return text
     try:
-        value = int(text)
+        return int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"theta must be an integer, 'auto-sum' or 'auto-deviation', got {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"theta must be at least 1, got {value}")
-    return value
+        raise argparse.ArgumentTypeError(f"theta must be an integer or {AUTO_PREFIX}<method>, got {text!r}")
 
 
 def _int_list(text: str) -> list[int]:
@@ -55,19 +52,15 @@ def _int_list(text: str) -> list[int]:
             out.extend(range(start, stop + 1, step))
         else:
             out.append(int(chunk))
-    if not out:
-        raise argparse.ArgumentTypeError("empty value list")
     return out
 
 
 def _float_list(text: str) -> list[float]:
+    """Parse '1,1.5,2' into floats; an empty chunk is an error, as in _int_list."""
     try:
-        out = [float(chunk) for chunk in text.split(",") if chunk]
+        return [float(chunk) for chunk in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad float list {text!r}")
-    if not out:
-        raise argparse.ArgumentTypeError("empty value list")
-    return out
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -77,26 +70,32 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    ## a flag that sets a config field defaults to ExperimentConfig's default for it
     def add_selection(p: argparse.ArgumentParser) -> None:
         p.add_argument("dataset", help="edge-list path or synthetic:<n>[:<attach>[:<seed>]]")
-        p.add_argument("--epsilon", type=float, default=3.0, help="total privacy budget (default 3.0)")
-        p.add_argument("--K", type=int, default=None, help="upper bound of the threshold search (default: max degree)")
-        p.add_argument("--lambda", dest="bits", type=int, default=DEFAULT_BITS,
-                       help="modulus bit length for masked aggregation (default 61)")
-        p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
+        p.add_argument("--epsilon", type=float, default=ExperimentConfig.epsilon,
+                       help="total privacy budget (default %(default)s)")
+        p.add_argument("--K", type=int, default=ExperimentConfig.K,
+                       help="upper bound of the threshold search (default: max degree)")
+        p.add_argument("--lambda", dest="bits", type=int, default=ExperimentConfig.bits,
+                       help="modulus bit length for masked aggregation (default %(default)s)")
+        p.add_argument("--seed", type=int, default=ExperimentConfig.seed, help="master seed (default %(default)s)")
         p.add_argument("--no-mask", action="store_true",
                        help="skip pairwise masking in threshold selection (same result, much faster on large graphs)")
 
     def add_run(p: argparse.ArgumentParser) -> None:
         add_selection(p)
-        p.add_argument("--alpha", type=float, default=0.1, help="budget share for the interactive stages (default 0.1)")
-        p.add_argument("--psize", type=int, default=50, help="partition width for degree-order encoding (default 50)")
-        p.add_argument("--trials", type=int, default=20, help="independent trials (default 20)")
+        p.add_argument("--alpha", type=float, default=ExperimentConfig.alpha,
+                       help="budget share for the interactive stages (default %(default)s)")
+        p.add_argument("--psize", type=int, default=ExperimentConfig.p_size,
+                       help="partition width for degree-order encoding (default %(default)s)")
+        p.add_argument("--trials", type=int, default=ExperimentConfig.trials,
+                       help="independent trials (default %(default)s)")
         p.add_argument("--out", default=None, help="write the metrics CSV here (default: CSV on stdout)")
-        p.add_argument("--strategy", choices=_STRATEGY_CHOICES, default=Strategy.LPEA_LOW.value,
-                       help="projection strategy (default lpea-low)")
-        p.add_argument("--theta", type=_theta_arg, default="auto-deviation",
-                       help="projection bound, or auto-sum / auto-deviation (default auto-deviation)")
+        p.add_argument("--strategy", choices=_STRATEGY_CHOICES, default=ExperimentConfig.strategy.value,
+                       help="projection strategy (default %(default)s)")
+        p.add_argument("--theta", type=_theta_arg, default=ExperimentConfig.theta,
+                       help="projection bound, or auto-sum / auto-deviation (default %(default)s)")
 
     p_stats = sub.add_parser("stats", help="print dataset summary")
     p_stats.add_argument("dataset")
@@ -107,8 +106,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_theta = sub.add_parser("select-theta", help="run a threshold-selection protocol and print theta")
     add_selection(p_theta)
-    p_theta.add_argument("--method", choices=["sum", "deviation"], default="deviation",
-                         help="selection protocol (default deviation)")
+    p_theta.add_argument("--method", choices=METHODS, default=ExperimentConfig.theta.removeprefix(AUTO_PREFIX),
+                         help="selection protocol (default %(default)s)")
 
     p_release = sub.add_parser("release", help="full private pipeline with Laplace release")
     add_run(p_release)
@@ -122,12 +121,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--private", action="store_true",
                          help="run the full private pipeline instead of non-private projection")
     return parser
-
-
-def _strategies(name: str) -> list[Strategy]:
-    if name == "all":
-        return list(Strategy)
-    return [Strategy(name)]
 
 
 def _write_rows(rows: list[MetricsRow], out: str | None) -> None:
@@ -173,34 +166,31 @@ def cli_main(argv: list[str] | None = None) -> int:
             return 0
 
         if args.command == "select-theta":
-            graph, _ = load_dataset(args.dataset)
-            degs = degree_sequence(graph)
-            K = args.K if args.K is not None else max(max(degs), 1)
-            tcfg = ThetaSearchConfig(K=K, epsilon=args.epsilon, bits=args.bits, method=args.method)
-            theta = resolve_theta(graph, tcfg, np.random.default_rng(args.seed), masked=not args.no_mask)
-            print(theta)
+            cfg = ExperimentConfig(dataset=args.dataset, epsilon=args.epsilon, theta=AUTO_PREFIX + args.method,
+                                   K=args.K, bits=args.bits, seed=args.seed, masked=not args.no_mask)
+            graph, _ = load_dataset(cfg.dataset)
+            print(select_theta(cfg, graph, np.random.default_rng(cfg.seed)))
             return 0
 
-        if args.command in ("project", "release", "sweep"):
-            grid = [{}]
-            if args.command == "sweep":
-                if (args.thetas is None) == (args.epsilons is None):
-                    print("usage: degreeldp sweep needs exactly one of --thetas or --epsilons", file=sys.stderr)
-                    return 2
-                grid = [{"theta": v} for v in args.thetas] if args.thetas else [{"epsilon": v} for v in args.epsilons]
-            base = ExperimentConfig(
-                dataset=args.dataset, epsilon=args.epsilon, alpha=args.alpha, theta=args.theta,
-                K=args.K, p_size=args.psize, bits=args.bits, trials=args.trials, seed=args.seed,
-                private=args.private, masked=not args.no_mask,
-            )
-            _, rows = run_grid(base, _strategies(args.strategy), grid)
-            _write_rows(rows, args.out)
-            return 0
+        ## project, release and sweep
+        grid = [{}]
+        if args.command == "sweep":
+            if (args.thetas is None) == (args.epsilons is None):
+                print("usage: degreeldp sweep needs exactly one of --thetas or --epsilons", file=sys.stderr)
+                return 2
+            grid = [{"theta": v} for v in args.thetas] if args.thetas else [{"epsilon": v} for v in args.epsilons]
+        base = ExperimentConfig(
+            dataset=args.dataset, epsilon=args.epsilon, alpha=args.alpha, theta=args.theta,
+            K=args.K, p_size=args.psize, bits=args.bits, trials=args.trials, seed=args.seed,
+            private=args.private, masked=not args.no_mask,
+        )
+        strategies = list(Strategy) if args.strategy == "all" else [Strategy(args.strategy)]
+        _, rows = run_grid(base, strategies, grid)
+        _write_rows(rows, args.out)
+        return 0
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-    return 2
 
 
 def main() -> None:

@@ -2,9 +2,10 @@
 
 A run loads one dataset, resolves the projection threshold, and repeats
 the (encode, project, perturb) pipeline over independent trials; a grid
-repeats runs over strategies and config overrides.  All
-error metrics compare against the original degree sequence.  Seeding is
-hierarchical: the master seed draws one integer seed per trial, and each
+resolves each point's threshold once, then repeats runs over strategies
+and config overrides.  All error metrics compare against the original
+degree sequence.  Seeding is hierarchical: the master seed draws the
+threshold-selection seed, then one integer seed per trial, and each
 trial seed is split into per-stage substreams (order encoding,
 projection, release), so any row can be reproduced in isolation.
 """
@@ -14,7 +15,7 @@ from __future__ import annotations
 import csv
 import os
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import astuple, dataclass, fields, replace
 from typing import IO, Mapping, Sequence
 
 import numpy as np
@@ -26,11 +27,13 @@ from .projection import ProjectionConfig, Strategy, project
 from .release import ReleaseReport, degree_distribution, dsr
 from .secure_agg import DEFAULT_BITS, ka_param
 from .synthetic import powerlaw_graph
-from .theta import ThetaSearchConfig, resolve_theta
+from .theta import METHODS, ThetaSearchConfig, resolve_theta
 
 DATA_DIR_ENV = "LDP_DEGREE_DATA_DIR"
 
 SYNTHETIC_PREFIX = "synthetic:"
+
+AUTO_PREFIX = "auto-"
 
 
 def mae(truth: Sequence[float], estimate: Sequence[float]) -> float:
@@ -74,8 +77,9 @@ class ExperimentConfig:
         if self.trials < 1:
             raise ValueError(f"trials must be at least 1, got {self.trials}")
         if isinstance(self.theta, str):
-            if self.theta not in ("auto-sum", "auto-deviation"):
-                raise ValueError(f"theta must be an integer, 'auto-sum' or 'auto-deviation', got {self.theta!r}")
+            autos = [AUTO_PREFIX + m for m in METHODS]
+            if self.theta not in autos:
+                raise ValueError(f"theta must be an integer, {' or '.join(map(repr, autos))}, got {self.theta!r}")
         elif self.theta < 1:
             raise ValueError(f"theta must be at least 1, got {self.theta}")
         if self.K is not None and self.K < 1:
@@ -142,6 +146,27 @@ def load_dataset(token: str) -> tuple[Graph, str]:
     return load_graph(resolved), label
 
 
+def select_theta(cfg: ExperimentConfig, graph: Graph, rng: np.random.Generator) -> int:
+    """The run's projection bound: an integer cfg.theta as it is, else the one its protocol selects.
+
+    An 'auto-<method>' theta runs that selection method over 1..K, where K
+    is cfg.K or, when unset, the largest degree (at least 1).
+    """
+    if not isinstance(cfg.theta, str):
+        return cfg.theta
+    K = cfg.K if cfg.K is not None else int(graph.degrees.max(initial=1))
+    method = cfg.theta.removeprefix(AUTO_PREFIX)
+    tcfg = ThetaSearchConfig(K=K, epsilon=cfg.epsilon, alpha=cfg.alpha, bits=cfg.bits, method=method)
+    return resolve_theta(graph, tcfg, rng, masked=cfg.masked)
+
+
+def _seeds(cfg: ExperimentConfig) -> tuple[np.random.Generator, list[int]]:
+    """Theta selection's generator and the trial seeds, drawn in that order from the master seed."""
+    master = np.random.default_rng(cfg.seed)
+    theta_rng = np.random.default_rng(int(master.integers(2**63)))
+    return theta_rng, [int(master.integers(2**63)) for _ in range(cfg.trials)]
+
+
 def run_pipeline(cfg: ExperimentConfig, graph: Graph | None = None) -> tuple[list[MetricsRow], list[ReleaseReport]]:
     """Run all trials for one configuration.
 
@@ -157,18 +182,8 @@ def run_pipeline(cfg: ExperimentConfig, graph: Graph | None = None) -> tuple[lis
     st = stats(graph)
     degs = degree_sequence(graph)
     params = PrivacyParams(epsilon=cfg.epsilon, alpha=cfg.alpha)
-    K = cfg.K if cfg.K is not None else max(st.d_max, 1)
-
-    master = np.random.default_rng(cfg.seed)
-    theta_seed = int(master.integers(2**63))
-    trial_seeds = [int(master.integers(2**63)) for _ in range(cfg.trials)]
-
-    if isinstance(cfg.theta, str):
-        method = "sum" if cfg.theta == "auto-sum" else "deviation"
-        tcfg = ThetaSearchConfig(K=K, epsilon=cfg.epsilon, alpha=cfg.alpha, bits=cfg.bits, method=method)
-        theta = resolve_theta(graph, tcfg, np.random.default_rng(theta_seed), masked=cfg.masked)
-    else:
-        theta = cfg.theta
+    theta_rng, trial_seeds = _seeds(cfg)
+    theta = select_theta(cfg, graph, theta_rng)
 
     scheme = build_partitions(st.d_min, st.d_max, cfg.p_size)
     dist_orig = degree_distribution(degs, graph.n)
@@ -223,29 +238,20 @@ def run_grid(
 
     Each grid point maps config fields to the values that replace base's
     (e.g. {"theta": 16}).  Rows come strategy by strategy, grid points in
-    order within each, and carry the dataset's label.  An automatic theta
-    is selected once per grid point, by the first strategy's run; the
-    others reuse it, which draws the same seeds.  Every point's config is
-    built, and so checked, before the dataset loads.  Returns the label
-    and the rows.
+    order within each, and carry the dataset's label.  Every point's config
+    is built, and so checked, before the dataset loads; each point's theta
+    is then resolved once, before any run, from the seed its own
+    run_pipeline call would draw, so every row equals a separate run's.
+    Returns the label and the rows.
     """
     points = [replace(base, **point) for point in grid]
     graph, label = load_dataset(base.dataset)
+    points = [replace(p, dataset=label, theta=select_theta(p, graph, _seeds(p)[0])) for p in points]
     rows: list[MetricsRow] = []
-    selected: list[int | None] = [None] * len(points)
     for strategy in strategies:
-        for k, point in enumerate(points):
-            cfg = replace(point, dataset=label, strategy=strategy, theta=selected[k] or point.theta)
-            point_rows = run_pipeline(cfg, graph=graph)[0]
-            selected[k] = point_rows[0].theta
-            rows.extend(point_rows)
+        for point in points:
+            rows.extend(run_pipeline(replace(point, strategy=strategy), graph=graph)[0])
     return label, rows
-
-
-def _format(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
 
 
 def emit_csv(rows: Sequence[MetricsRow], sink: str | IO[str]) -> None:
@@ -257,4 +263,4 @@ def emit_csv(rows: Sequence[MetricsRow], sink: str | IO[str]) -> None:
     writer = csv.writer(sink)
     writer.writerow(CSV_COLUMNS)
     for row in rows:
-        writer.writerow([_format(getattr(row, col)) for col in CSV_COLUMNS])
+        writer.writerow(astuple(row))

@@ -11,7 +11,7 @@ the exact plaintext sum while any single masked value is uniformly
 distributed.  Keys live for one run only; the next run agrees new ones.
 
 This is a protocol simulation for experiments, not hardened
-cryptography: group sizes are small (default 61-bit modulus), there is
+cryptography: group sizes are small (moduli of at most 127 bits), there is
 no authentication, and all parties run in one process.
 """
 

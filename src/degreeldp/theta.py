@@ -28,6 +28,8 @@ from .graph import Graph, degree_sequence
 from .projection import ProjectionConfig, lpea_low, projection_error
 from .secure_agg import DEFAULT_BITS, agree_keys, ka_param, masked_sum_round
 
+METHODS = ("sum", "deviation")
+
 
 @dataclass(frozen=True)
 class ThetaSearchConfig:
@@ -42,8 +44,8 @@ class ThetaSearchConfig:
             raise ValueError(f"K must be at least 1, got {self.K}")
         if not 0 < self.epsilon < math.inf:
             raise ValueError(f"epsilon must be finite and positive, got {self.epsilon}")
-        if self.method not in ("sum", "deviation"):
-            raise ValueError(f"method must be 'sum' or 'deviation', got {self.method!r}")
+        if self.method not in METHODS:
+            raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
         ka_param(self.bits)  # raises for a modulus bit length with no group
 
 

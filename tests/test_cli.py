@@ -82,6 +82,16 @@ class TestSelectTheta:
         assert cli_main(["select-theta", fig_file, "--method", "sum", "--epsilon", "1"]) == 0
         assert int(capsys.readouterr().out.strip()) >= 1
 
+    @pytest.mark.parametrize("method", ["deviation", "sum"])
+    def test_empty_graph_fails_naming_it(self, method, tmp_path, capsys):
+        ## K used to be max() of the empty degree list, which failed with max()'s own message
+        path = tmp_path / "empty.txt"
+        path.write_text("")
+        assert cli_main(["select-theta", str(path), "--method", method]) == 1
+        err = capsys.readouterr().err
+        assert "must be nonempty" in err
+        assert "max()" not in err
+
     @pytest.mark.parametrize("flag", ["--out", "--trials", "--psize", "--alpha"])
     def test_rejects_flags_it_does_not_read(self, flag, tmp_path):
         value = str(tmp_path / "f") if flag == "--out" else "1"
@@ -132,7 +142,7 @@ class TestSweep:
         assert len(rows) == 4
         assert sorted({r["epsilon"] for r in rows}) == ["1.0", "2.0"]
 
-    @pytest.mark.parametrize("grid", ["5:1", "5:1,2", "1,5:1", "5:1:-1", "1:5:0", "1:5:-2"])
+    @pytest.mark.parametrize("grid", ["5:1", "5:1,2", "1,5:1", "5:1:-1", "1:5:0", "1:5:-2", "1:2:3:4"])
     def test_bad_range_is_usage_error(self, grid, capsys):
         ## a reversed range or a step below 1 used to vanish from the list or drop its bound
         assert cli_main(["sweep", "synthetic:40:3:1", "--thetas", grid, "--trials", "1"]) == 2
@@ -150,8 +160,10 @@ class TestSweep:
 
     @pytest.mark.parametrize("grid", ["--thetas", "--epsilons"])
     def test_empty_grid_is_usage_error(self, grid, capsys):
-        assert cli_main(["sweep", "synthetic:40:3:1", grid, ","]) == 2
-        assert capsys.readouterr().out == ""
+        ## an empty chunk inside a list used to be skipped by --epsilons
+        for value in (",", "1,,2"):
+            assert cli_main(["sweep", "synthetic:40:3:1", grid, value, "--theta", "3", "--trials", "1"]) == 2
+            assert capsys.readouterr().out == ""
 
 
 class TestUsageErrors:
@@ -192,6 +204,8 @@ class TestBadValues:
         (["release", "synthetic:300:11:1", "--theta", "auto-deviation", "--psize", "0"], "p_size must be at least 1"),
         (["release", "synthetic:300:11:1", "--theta", "auto-deviation", "--alpha", "1.5"], "alpha must lie in (0, 1)"),
         (["sweep", "synthetic:40:3:1", "--epsilons", "1,-1", "--theta", "3"], "epsilon must be finite and positive"),
+        (["release", "synthetic:300:11:1", "--theta", "0"], "theta must be at least 1"),
+        (["release", "synthetic:300:11:1", "--theta", "auto-bogus"], "theta must be an integer"),
     ])
     def test_bad_run_setting_fails_before_any_row(self, args, named, capsys, tmp_path):
         out = tmp_path / "rows.csv"

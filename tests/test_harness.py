@@ -10,7 +10,7 @@ import pytest
 
 from degreeldp import harness
 from degreeldp import theta as theta_module
-from degreeldp.graph import degree_sequence
+from degreeldp.graph import Graph, degree_sequence
 from degreeldp.harness import (
     CSV_COLUMNS,
     DATA_DIR_ENV,
@@ -188,6 +188,27 @@ class TestRunPipeline:
                                private=False)
         rows, _ = run_pipeline(cfg)
         assert rows[0].strategy == "edge-remove"
+
+
+class TestSelectTheta:
+    @pytest.mark.parametrize("method", ["deviation", "sum"])
+    def test_K_defaults_to_largest_degree_at_least_one(self, method, monkeypatch):
+        seen = []
+        original = theta_module.resolve_theta
+
+        def spy(g, tcfg, rng, masked=True):
+            seen.append(tcfg)
+            return original(g, tcfg, rng, masked=masked)
+
+        monkeypatch.setattr(harness, "resolve_theta", spy)
+        g, _ = load_dataset("synthetic:40:3:1")
+        ## self-loops only: every degree is 0
+        loops = Graph(3, [(0, 0), (2, 2)])
+        auto = ExperimentConfig(dataset="x", theta=f"auto-{method}", masked=False)
+        assert harness.select_theta(auto, loops, np.random.default_rng(0)) == 1
+        harness.select_theta(auto, g, np.random.default_rng(0))
+        harness.select_theta(replace(auto, K=3), g, np.random.default_rng(0))
+        assert [(t.K, t.method) for t in seen] == [(1, method), (max(degree_sequence(g)), method), (3, method)]
 
 
 class TestRunGrid:

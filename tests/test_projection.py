@@ -76,6 +76,12 @@ class TestWorkedExample:
         assert losses.tolist() == [1, 2, 1, 0]
         assert total == 4
 
+    def test_projection_error_needs_same_node_set(self, fig_graph):
+        other = Graph(fig_graph.n + 1, fig_graph.edges())
+        pg = lpea_low(other, degree_sequence(other), nonprivate(1), np.random.default_rng(0))
+        with pytest.raises(ValueError, match="different node set"):
+            projection_error(fig_graph, pg)
+
     def test_theta_at_dmax_reconstructs(self, fig_graph):
         orders = degree_sequence(fig_graph)
         for strategy in Strategy:

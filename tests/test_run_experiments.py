@@ -20,6 +20,14 @@ def script():
     return module
 
 
+def test_theta_table_on_self_loops_only(script, tmp_path, capsys):
+    ## every degree is 0; K used to be 0 here, which the search refused
+    path = tmp_path / "loops.txt"
+    path.write_text("a a\nb b\n")
+    assert script.main(["theta-table", str(path), "--epsilons", "1", "3"]) == 0
+    assert capsys.readouterr().out == "loops  eps=1:1  eps=3:1\n"
+
+
 @pytest.mark.parametrize("mode,grid_flag,grid", [
     ("projection", "--thetas", ["2", "4", "8"]),
     ("release", "--epsilons", ["1.0", "3.0"]),

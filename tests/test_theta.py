@@ -157,6 +157,11 @@ class TestThetaBySum:
         cfg = ThetaSearchConfig(K=2, epsilon=1.5, method="sum")
         assert theta_by_sum(g, degree_sequence(g), cfg, np.random.default_rng(0), masked=False) == 1
 
+    def test_empty_graph_rejected(self):
+        cfg = ThetaSearchConfig(K=5, epsilon=1.0, method="sum")
+        with pytest.raises(ValueError, match="nonempty"):
+            theta_by_sum(Graph(0, []), [], cfg, np.random.default_rng(0), masked=False)
+
     def test_one_round_per_candidate(self):
         g = star(5)
         cfg = ThetaSearchConfig(K=5, epsilon=1.0, method="sum")
