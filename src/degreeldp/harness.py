@@ -128,7 +128,8 @@ def load_dataset(token: str) -> tuple[Graph, str]:
 
     Synthetic tokens look like 'synthetic:2000' or 'synthetic:2000:4:7'
     (node count, attachment degree, seed) and generate a seeded
-    preferential-attachment graph in memory.
+    preferential-attachment graph in memory.  A file with no nodes is
+    refused here, so every command reports an empty graph the same way.
     """
     if token.startswith(SYNTHETIC_PREFIX):
         parts = token[len(SYNTHETIC_PREFIX):].split(":")
@@ -143,7 +144,10 @@ def load_dataset(token: str) -> tuple[Graph, str]:
     for ext in (".gz", ".txt", ".csv", ".edges"):
         if label.endswith(ext):
             label = label[: -len(ext)]
-    return load_graph(resolved), label
+    graph = load_graph(resolved)
+    if graph.n == 0:
+        raise ValueError(f"dataset {token!r} has no nodes; the graph must be nonempty")
+    return graph, label
 
 
 def select_theta(cfg: ExperimentConfig, graph: Graph, rng: np.random.Generator) -> int:

@@ -2,13 +2,16 @@
 
 A protocol run (one theta selection) starts with key agreement
 (``agree_keys``): every party draws one key pair (sk, pk) and derives a
-Diffie-Hellman shared key with every other party.  Each round of the
-run (``masked_sum_round``) then hashes every shared key together with
-the round index into Z_q (Bonawitz et al., CCS 2017) and adds the
-scalars with a sign that depends on the party ordering.  Summed
-over all parties the masks telescope to zero, so the collector recovers
-the exact plaintext sum while any single masked value is uniformly
-distributed.  Keys live for one run only; the next run agrees new ones.
+Diffie-Hellman shared key with every other party.  Each party then
+expands every shared key once into one SHAKE-256 stream of 32 bytes per
+round of the run (``round_masks``); round r's scalar for a pair is chunk
+r of its stream, reduced into Z_q (Bonawitz et al., CCS 2017), and a
+party's mask for the round adds the scalars with a sign that depends on
+the party ordering.  Summed over all parties the masks telescope to
+zero, so the collector of a round (``masked_sum_round``) recovers the
+exact plaintext sum while any single masked value is uniformly
+distributed.  Keys and masks live for one run only; the next run agrees
+new ones.
 
 This is a protocol simulation for experiments, not hardened
 cryptography: group sizes are small (moduli of at most 127 bits), there is
@@ -98,31 +101,57 @@ def agree_keys(n: int, params: GroupParams, rng: np.random.Generator) -> np.ndar
     return keys
 
 
-def mask_scalar(shared_key: int, params: GroupParams, round_index: int = 0) -> int:
-    """Fixed public derivation of round round_index's Z_q mask scalar from a shared group key."""
-    data = (
-        b"mask-kdf\x00"
-        + params.q.to_bytes(16, "big")
-        + round_index.to_bytes(8, "big")
-        + shared_key.to_bytes(16, "big")
-    )
-    digest = hashlib.sha256(data).digest()
-    return int.from_bytes(digest, "big") % params.q
+## one round's chunk of a pair's mask stream, summed as 32-bit big-endian
+## lanes in int64: exact for fewer than 2^31 parties
+_CHUNK_BYTES = 32
+_LANES = _CHUNK_BYTES // 4
 
 
-def compute_mask(i: int, key_row: np.ndarray, params: GroupParams, round_index: int = 0) -> int:
-    """Party i's additive mask in round round_index from its row of the run's keys.
+def mask_scalar(shared_key: int, params: GroupParams, rounds: int) -> bytes:
+    """A pair's mask stream for a run of rounds rounds: one SHAKE-256 output of 32 bytes per round.
 
-    key_row is keys[i] from agree_keys.  Keys with higher-indexed parties
-    enter positively, lower-indexed negatively, so the masks cancel when
-    all parties are summed.
+    Round r's Z_q scalar is the big-endian chunk r (bytes 32r to 32r+32)
+    reduced mod q; 256 bits keep it within q / 2^256 of uniform.  The
+    stream is prefix-stable: deriving more rounds never changes an
+    earlier round's chunk.
     """
-    m = 0
-    for j, key in enumerate(key_row.tolist()):
-        if j != i:
-            s = mask_scalar(key, params, round_index)
-            m += s if j > i else -s
-    return m % params.q
+    data = b"mask-kdf\x00" + params.q.to_bytes(16, "big") + shared_key.to_bytes(16, "big")
+    return hashlib.shake_256(data).digest(_CHUNK_BYTES * rounds)
+
+
+def compute_mask(i: int, key_row: np.ndarray, params: GroupParams, rounds: int) -> list[int]:
+    """Party i's additive masks for rounds 0..rounds-1 from its row of the run's keys.
+
+    key_row is keys[i] from agree_keys.  Streams of keys with
+    higher-indexed parties enter positively, lower-indexed negatively, so
+    each round's masks cancel when all parties are summed.  The chunks
+    are summed unreduced, lane by lane, and each round reduces mod q
+    once, which is the same value mod q as summing the reduced scalars.
+    """
+    keys = key_row.tolist()
+
+    def lane_sums(parties: range) -> np.ndarray:
+        stream = b"".join(mask_scalar(keys[j], params, rounds) for j in parties)
+        return np.frombuffer(stream, dtype=">u4").reshape(-1, rounds * _LANES).sum(axis=0, dtype=np.int64)
+
+    lanes = lane_sums(range(i + 1, len(keys))) - lane_sums(range(i))
+    masks = []
+    for chunk in lanes.reshape(rounds, _LANES).tolist():
+        m = 0
+        for lane in chunk:
+            m = (m << 32) + lane
+        masks.append(m % params.q)
+    return masks
+
+
+def round_masks(keys: np.ndarray, params: GroupParams, rounds: int) -> list[tuple[int, ...]]:
+    """Every party's masks for rounds 0..rounds-1 of the run whose keys came from agree_keys.
+
+    Entry r holds round r's masks in party order, ready for
+    masked_sum_round; a run with more rounds than derived has no masks
+    for them.
+    """
+    return list(zip(*(compute_mask(i, keys[i], params, rounds) for i in range(keys.shape[0]))))
 
 
 def aggregate(values: Sequence[int], params: GroupParams) -> int:
@@ -135,21 +164,19 @@ def masked_sum_round(
     params: GroupParams,
     masked: bool = True,
     round_log: list | None = None,
-    keys: np.ndarray | None = None,
-    round_index: int = 0,
+    masks: Sequence[int] | None = None,
 ) -> int:
     """One aggregation round: every party masks its value, the collector sums.
 
-    keys are the run's pairwise keys from agree_keys and round_index the
-    round's place in that run; each party hashes its keys with the round
-    index into its mask.  With masked=False the plaintext values are
-    summed directly and keys are not needed; the result is bit-identical
-    because the masks cancel exactly.  round_log, when given, receives one
-    record per round (the per-party payloads in party order).
+    masks are the round's per-party masks, entry r of round_masks for
+    round r of a run.  With masked=False the plaintext values are summed
+    directly and masks are not needed; the result is bit-identical
+    because the masks cancel exactly.  round_log, when given, receives
+    one record per round (the per-party payloads in party order).
 
-    Masking needs at least 2 parties and the run's keys, and the round is
-    refused when n * max(values) reaches q, since the sum could then wrap
-    mod q.
+    Masking needs at least 2 parties and one mask per party, and the
+    round is refused when n * max(values) reaches q, since the sum could
+    then wrap mod q.
     """
     values = [int(v) for v in values]
     n = len(values)
@@ -165,11 +192,11 @@ def masked_sum_round(
 
     if n < 2:
         raise ValueError(f"masking needs at least 2 parties, got {n}")
-    if keys is None:
-        raise ValueError("a masked round needs the run's keys from agree_keys")
-    if keys.shape != (n, n):
-        raise ValueError(f"keys have shape {keys.shape}, expected ({n}, {n})")
-    payloads = tuple((values[i] + compute_mask(i, keys[i], params, round_index)) % params.q for i in range(n))
+    if masks is None:
+        raise ValueError("a masked round needs its masks from round_masks")
+    if len(masks) != n:
+        raise ValueError(f"{len(masks)} masks for {n} parties")
+    payloads = tuple((v + m) % params.q for v, m in zip(values, masks))
     if round_log is not None:
         round_log.append(("masked", payloads))
     return aggregate(payloads, params)

@@ -12,8 +12,9 @@ learns aggregate statistics and nothing per-node.
   sum per round.
 
 A masked selection is one protocol run: the parties agree their pairwise
-keys once, before the first round, and every round derives its masks
-from those keys and its round index.
+keys once, before the first round, and expand them at once into the
+masks of every round the run can take (round_masks); round r uses chunk
+r of each pair's mask stream.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 
 from .graph import Graph, degree_sequence
 from .projection import ProjectionConfig, lpea_low, projection_error
-from .secure_agg import DEFAULT_BITS, agree_keys, ka_param, masked_sum_round
+from .secure_agg import DEFAULT_BITS, agree_keys, ka_param, masked_sum_round, round_masks
 
 METHODS = ("sum", "deviation")
 
@@ -82,22 +83,23 @@ def theta_by_deviation(
     indicator of its degree exceeding the probe, and the collector
     compares the exact sum against n / epsilon.  The search runs until
     the candidate window is empty, which lands on the same threshold as
-    the linear-scan oracle, in at most ceil(log2 K) + 1 rounds.  Keys
-    are agreed once for all the rounds.
+    the linear-scan oracle, in at most K.bit_length() rounds
+    (floor(log2 K) + 1).  Keys are agreed, and the masks of that many
+    rounds derived, once for all the rounds.
     """
     degrees = np.asarray(degrees)
     n = int(degrees.size)
     if n == 0:
         raise ValueError("degrees must be nonempty")
     params = ka_param(cfg.bits)
-    keys = agree_keys(n, params, rng) if masked else None
+    masks = round_masks(agree_keys(n, params, rng), params, cfg.K.bit_length()) if masked else None
     lo, hi = 1, cfg.K
     r = 0
     while lo <= hi:
         probe = (lo + hi) // 2
         indicators = (degrees > probe).astype(int)
         count = masked_sum_round(
-            indicators.tolist(), params, masked=masked, round_log=round_log, keys=keys, round_index=r
+            indicators.tolist(), params, masked=masked, round_log=round_log, masks=masks[r] if masked else None
         )
         r += 1
         ## compare count < n / epsilon without dividing
@@ -120,8 +122,9 @@ def theta_by_sum(
 
     For each k in 1..K the parties run one truthful low-order-first
     addition projection at bound k and submit their degree losses to a
-    masked sum.  The keys are agreed once, before round 1, and round k
-    hashes them with its index into fresh masks.  The collector scores
+    masked sum.  The keys are agreed once, before round 1, and each
+    pair's key is expanded once into one SHAKE-256 stream with a 32-byte
+    chunk per round; round k masks with chunk k - 1.  The collector scores
     each k as n * k / epsilon plus the summed loss and returns the
     smallest minimizer.  Exactly K aggregation rounds.
     """
@@ -129,14 +132,14 @@ def theta_by_sum(
     if n == 0:
         raise ValueError("graph must be nonempty")
     params = ka_param(cfg.bits)
-    keys = agree_keys(n, params, rng) if masked else None
+    masks = round_masks(agree_keys(n, params, rng), params, cfg.K) if masked else None
     best_k = 1
     best_score = None
     for k in range(1, cfg.K + 1):
         pg = lpea_low(g, orders, ProjectionConfig(theta=k), rng)
         losses, _ = projection_error(g, pg)
         total_loss = masked_sum_round(
-            losses.tolist(), params, masked=masked, round_log=round_log, keys=keys, round_index=k - 1
+            losses.tolist(), params, masked=masked, round_log=round_log, masks=masks[k - 1] if masked else None
         )
         ## modeled release error: Laplace noise term plus projection loss
         score = n * k / cfg.epsilon + float(total_loss)

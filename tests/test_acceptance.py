@@ -17,7 +17,7 @@ from degreeldp.graph import Graph, degree_sequence, load_edge_list, load_graph
 from degreeldp.harness import ExperimentConfig, run_pipeline
 from degreeldp.mechanisms import PrivacyParams, laplace_sample, wrr_debias_count, wrr_respond, wrr_truth_rate
 from degreeldp.projection import ProjectionConfig, Strategy, edge_remove, lpea_low, project
-from degreeldp.secure_agg import agree_keys, ka_param, masked_sum_round
+from degreeldp.secure_agg import agree_keys, ka_param, masked_sum_round, round_masks
 from degreeldp.synthetic import powerlaw_graph
 from degreeldp.theta import ThetaSearchConfig, quantile_oracle, theta_by_deviation, theta_by_sum
 from conftest import FIG_EDGE_LIST, find_facebook, random_graph
@@ -50,7 +50,8 @@ def test_criterion_2_masked_aggregation_exact():
     for n in (2, 3, 50):
         for _ in range(100):
             values = [int(v) for v in rng.integers(0, 2**40, n)]
-            if masked_sum_round(values, params, keys=agree_keys(n, params, rng)) != sum(values):
+            masks = round_masks(agree_keys(n, params, rng), params, 1)[0]
+            if masked_sum_round(values, params, masks=masks) != sum(values):
                 ok = False
             checked += 1
     _report(2, ok, f"{checked} rounds over n in (2, 3, 50), 61-bit modulus", t0)

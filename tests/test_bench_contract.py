@@ -6,7 +6,8 @@ of its SPANS, TIMED and COUNTED tables and counts masked rounds from the
 moves one of these names, or passes ``masked`` positionally, breaks
 ``bench/run.py --trace 1`` without failing any other test.  A short run of
 each workload on a small graph checks that the package's outputs still
-pass the benchmark's own checks.  The benchmark's checks and its own
+pass the benchmark's own checks, and one traced masked run checks that
+the wrapped calls still run and count what they did.  The benchmark's checks and its own
 tests read and edit ``ProjectedGraph`` directly, so its layout is pinned
 here as well.
 """
@@ -72,17 +73,35 @@ def test_theta_protocols_pass_masked_by_keyword(round_calls, masked):
         assert kwargs["masked"] is masked
 
 
-@pytest.mark.parametrize("workload", WORKLOADS)
-def test_workload_passes_its_output_checks(workload):
+SMALL_N = 60
+
+
+def run_checked(workload: str, trace: int) -> dict:
+    """A short benchmark run on a small graph; its result once every output check passed."""
     proc = subprocess.run(
         [sys.executable, str(BENCH_DIR / "run.py"), "--workload", workload, "--seed", "1",
-         "--seconds", "0.5", "--trace", "0", "--graph", "synthetic:60:3"],
+         "--seconds", "0.5", "--trace", str(trace), "--graph", f"synthetic:{SMALL_N}:3"],
         cwd=ROOT, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] is True
     assert result["failed"] == 0
+    return result
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_workload_passes_its_output_checks(workload):
+    run_checked(workload, trace=0)
+
+
+def test_traced_masked_selection_passes_its_output_checks():
+    ## --trace 1 runs the tracer's wrappers around mask_scalar, compute_mask and aggregate
+    metrics = {k: v["value"] for k, v in run_checked("masked-select-300", trace=1)["metrics"].items()}
+    ## counts come from one selection: every ordered pair agrees a key and expands it once
+    pairs = SMALL_N * (SMALL_N - 1)
+    assert metrics["secure_agg.ka_agree_calls"] == metrics["secure_agg.mask_scalar_calls"] == pairs
+    assert metrics["secure_agg.rounds"] > 0
 
 
 def test_truthful_projection_layout():

@@ -212,3 +212,16 @@ class TestBadValues:
         assert cli_main(args + ["--trials", "1", "--out", str(out)]) == 1
         assert named in capsys.readouterr().err
         assert not out.exists()
+
+    def test_empty_graph_fails_with_one_message(self, tmp_path, capsys):
+        ## each command used to reach a different check with its own message
+        path = tmp_path / "empty.txt"
+        path.write_text("# comments only\n")
+        errs = []
+        for args in (["release", str(path), "--theta", "3"],
+                     ["select-theta", str(path)],
+                     ["project", str(path), "--theta", "auto-sum"],
+                     ["stats", str(path)]):
+            assert cli_main(args) == 1
+            errs.append(capsys.readouterr().err)
+        assert errs == [f"error: dataset {str(path)!r} has no nodes; the graph must be nonempty\n"] * 4

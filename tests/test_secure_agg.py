@@ -16,6 +16,7 @@ from degreeldp.secure_agg import (
     ka_param,
     mask_scalar,
     masked_sum_round,
+    round_masks,
 )
 from degreeldp.theta import ThetaSearchConfig, theta_by_deviation, theta_by_sum
 
@@ -33,9 +34,9 @@ SUBGROUP_FACTORS = {
 }
 
 
-def run_keys(values, p, seed):
-    """Keys of a one-round run over len(values) parties."""
-    return agree_keys(len(values), p, np.random.default_rng(seed))
+def run_masks(values, p, seed):
+    """Masks of a one-round run over len(values) parties."""
+    return round_masks(agree_keys(len(values), p, np.random.default_rng(seed)), p, 1)[0]
 
 
 class TestGroupTable:
@@ -100,8 +101,11 @@ class TestKeyAgreement:
 
     def test_mask_scalar_deterministic(self):
         p = ka_param(61)
-        assert mask_scalar(123456789, p) == mask_scalar(123456789, p)
-        assert 0 <= mask_scalar(123456789, p) < p.q
+        stream = mask_scalar(123456789, p, 3)
+        assert stream == mask_scalar(123456789, p, 3)
+        assert len(stream) == 3 * 32
+        assert stream != mask_scalar(123456788, p, 3)
+        assert stream != mask_scalar(123456789, ka_param(127), 3)
 
 
 class TestMasking:
@@ -112,7 +116,7 @@ class TestMasking:
         masks = []
         for i in range(n):
             row = np.array([0 if j == i else ka_agree(keys[i][0], keys[j][1], p) for j in range(n)], dtype=np.uint64)
-            masks.append(compute_mask(i, row, p))
+            masks.append(compute_mask(i, row, p, 1)[0])
         return p, masks
 
     @pytest.mark.parametrize("n,seed", [(2, 0), (3, 1), (5, 2), (8, 3)])
@@ -121,21 +125,21 @@ class TestMasking:
         assert sum(masks) % p.q == 0
 
     def test_missing_pairwise_key_rejected(self):
-        ## a key row without party 1's column: keys cover 2 parties, values 3
+        ## a round without party 2's mask: masks cover 2 parties, values 3
         p = ka_param(61)
-        keys = agree_keys(2, p, np.random.default_rng(0))
-        with pytest.raises(ValueError, match="shape"):
-            masked_sum_round([1, 2, 3], p, keys=keys)
-        with pytest.raises(ValueError, match="shape"):
-            masked_sum_round([1, 2], p, keys=keys[:, :1])
+        masks = round_masks(agree_keys(2, p, np.random.default_rng(0)), p, 1)[0]
+        with pytest.raises(ValueError, match="2 masks for 3 parties"):
+            masked_sum_round([1, 2, 3], p, masks=masks)
+        with pytest.raises(ValueError, match="1 masks for 2 parties"):
+            masked_sum_round([1, 2], p, masks=masks[:1])
 
     def test_mask_value_range_checks(self):
         p = ka_param(16)
-        keys = agree_keys(2, p, np.random.default_rng(0))
+        masks = run_masks([0, 0], p, 0)
         with pytest.raises(ValueError, match="outside"):
-            masked_sum_round([-1, 0], p, keys=keys)
+            masked_sum_round([-1, 0], p, masks=masks)
         with pytest.raises(ValueError, match="outside"):
-            masked_sum_round([p.q, 0], p, keys=keys)
+            masked_sum_round([p.q, 0], p, masks=masks)
 
     def test_aggregate_recovers_sum(self):
         p, masks = self._masks(3, 7)
@@ -145,7 +149,7 @@ class TestMasking:
     def test_single_masked_value_is_not_plaintext(self):
         p = ka_param(61)
         log: list = []
-        masked_sum_round([5, 1, 9], p, keys=agree_keys(3, p, np.random.default_rng(11)), round_log=log)
+        masked_sum_round([5, 1, 9], p, masks=run_masks([5, 1, 9], p, 11), round_log=log)
         assert log[0][1][0] != 5
 
 
@@ -157,13 +161,13 @@ class TestMaskedSumRound:
     @settings(max_examples=40, deadline=None)
     def test_matches_plaintext_sum(self, values, seed):
         p = ka_param(61)
-        assert masked_sum_round(values, p, keys=run_keys(values, p, seed)) == sum(values)
+        assert masked_sum_round(values, p, masks=run_masks(values, p, seed)) == sum(values)
 
     def test_one_party_masked_round_rejected(self):
         ## a lone party's "mask" would be zero and its value would go out in the clear
         p = ka_param(61)
         with pytest.raises(ValueError, match="at least 2 parties"):
-            masked_sum_round([42], p, keys=np.zeros((1, 1), dtype=np.uint64))
+            masked_sum_round([42], p, masks=(0,))
         with pytest.raises(ValueError, match="at least 2 parties"):
             masked_sum_round([], p)
         with pytest.raises(ValueError, match="at least 2 parties"):
@@ -172,25 +176,25 @@ class TestMaskedSumRound:
 
     def test_masked_round_needs_run_keys(self):
         p = ka_param(61)
-        with pytest.raises(ValueError, match="agree_keys"):
+        with pytest.raises(ValueError, match="round_masks"):
             masked_sum_round([1, 2], p)
 
     @pytest.mark.parametrize("masked", [True, False])
     def test_sum_that_could_wrap_rejected(self, masked):
         p = ka_param(16)
-        keys = agree_keys(2, p, np.random.default_rng(0)) if masked else None
+        masks = run_masks([0, 0], p, 0) if masked else None
         with pytest.raises(ValueError, match="sum past q"):
-            masked_sum_round([p.q - 1, 5], p, masked=masked, keys=keys)
+            masked_sum_round([p.q - 1, 5], p, masked=masked, masks=masks)
         with pytest.raises(ValueError, match="sum past q"):
-            masked_sum_round([(p.q + 1) // 2, 0], p, masked=masked, keys=keys)
+            masked_sum_round([(p.q + 1) // 2, 0], p, masked=masked, masks=masks)
         ## n * max just below q is still exact
         half = (p.q - 1) // 2
-        assert masked_sum_round([half, half], p, masked=masked, keys=keys) == p.q - 1
+        assert masked_sum_round([half, half], p, masked=masked, masks=masks) == p.q - 1
 
     def test_bypass_is_bit_identical(self):
         p = ka_param(61)
         vals = [3, 1, 4, 1, 5]
-        m = masked_sum_round(vals, p, masked=True, keys=run_keys(vals, p, 0))
+        m = masked_sum_round(vals, p, masked=True, masks=run_masks(vals, p, 0))
         b = masked_sum_round(vals, p, masked=False)
         assert m == b == 14
 
@@ -202,7 +206,7 @@ class TestMaskedSumRound:
     def test_round_log_records_payloads(self):
         p = ka_param(61)
         log: list = []
-        masked_sum_round([1, 2], p, round_log=log, keys=run_keys([1, 2], p, 0))
+        masked_sum_round([1, 2], p, round_log=log, masks=run_masks([1, 2], p, 0))
         masked_sum_round([1, 2], p, masked=False, round_log=log)
         assert len(log) == 2
         assert log[0][0] == "masked" and log[1][0] == "plain"
@@ -216,65 +220,109 @@ class TestMaskedSumRound:
         rounds = 4000
         for _ in range(rounds):
             log: list = []
-            masked_sum_round([7, 130, 55], p, round_log=log, keys=agree_keys(3, p, rng))
+            masked_sum_round([7, 130, 55], p, round_log=log, masks=round_masks(agree_keys(3, p, rng), p, 1)[0])
             first = log[0][1][0]
             buckets[first * 16 // p.q] += 1
         _, pvalue = sstats.chisquare(buckets)
         assert pvalue > 0.01
 
 
-class TestKeyReuse:
-    """One run agrees its keys once; each round hashes them with the round index."""
+def chunk_scalar(stream, r, p):
+    """Round r's Z_q scalar: chunk r of a pair's mask stream, mod q."""
+    return int.from_bytes(stream[32 * r:32 * (r + 1)], "big") % p.q
 
-    @staticmethod
-    def _round_masks(keys, p, r):
-        return [compute_mask(i, keys[i], p, r) for i in range(keys.shape[0])]
+
+def reference_masks(keys, p, rounds):
+    """Plain per-pair masks: round r's scalar is chunk r of the pair's stream mod q, signed by party order."""
+    n = keys.shape[0]
+    out = []
+    for r in range(rounds):
+        row = []
+        for i in range(n):
+            m = 0
+            for j in range(n):
+                if j != i:
+                    s = chunk_scalar(mask_scalar(int(keys[i, j]), p, rounds), r, p)
+                    m += s if j > i else -s
+            row.append(m % p.q)
+        out.append(tuple(row))
+    return out
+
+
+class TestKeyReuse:
+    """One run agrees its keys once and expands each pair's key once into every round's masks."""
 
     @pytest.mark.parametrize("bits", [16, 61, 127])
     def test_every_round_telescopes_to_zero(self, bits):
         p = ka_param(bits)
         keys = agree_keys(6, p, np.random.default_rng(bits))
         assert np.array_equal(keys, keys.T)
+        masks = round_masks(keys, p, 20)
+        assert len(masks) == 20
         for r in range(20):
-            assert sum(self._round_masks(keys, p, r)) % p.q == 0
+            assert len(masks[r]) == 6
+            assert sum(masks[r]) % p.q == 0
 
     def test_rounds_of_one_run_recover_sums(self):
         p = ka_param(61)
         rng = np.random.default_rng(9)
-        keys = agree_keys(5, p, rng)
+        masks = round_masks(agree_keys(5, p, rng), p, 10)
         for r in range(10):
             values = [int(v) for v in rng.integers(0, 10**6, 5)]
-            assert masked_sum_round(values, p, keys=keys, round_index=r) == sum(values)
+            assert masked_sum_round(values, p, masks=masks[r]) == sum(values)
 
     def test_keys_must_match_party_count(self):
         p = ka_param(61)
-        keys = agree_keys(3, p, np.random.default_rng(0))
-        with pytest.raises(ValueError, match="shape"):
-            masked_sum_round([1, 2], p, keys=keys)
+        masks = round_masks(agree_keys(3, p, np.random.default_rng(0)), p, 1)[0]
+        with pytest.raises(ValueError, match="3 masks for 2 parties"):
+            masked_sum_round([1, 2], p, masks=masks)
 
     def test_pair_mask_changes_between_rounds(self):
         p = ka_param(61)
         keys = agree_keys(2, p, np.random.default_rng(4))
-        scalars = [mask_scalar(int(keys[0, 1]), p, r) for r in range(50)]
+        stream = mask_scalar(int(keys[0, 1]), p, 50)
+        scalars = [chunk_scalar(stream, r, p) for r in range(50)]
         assert len(set(scalars)) == 50
-        assert self._round_masks(keys, p, 0) != self._round_masks(keys, p, 1)
+        masks = round_masks(keys, p, 2)
+        assert masks[0] != masks[1]
 
     def test_payloads_across_rounds_look_uniform(self):
         ## chi-square on the first party's masked value over the rounds of one run
         p = ka_param(61)
-        keys = agree_keys(3, p, np.random.default_rng(2024))
+        rounds = 4000
+        masks = round_masks(agree_keys(3, p, np.random.default_rng(2024)), p, rounds)
         buckets = np.zeros(16, dtype=int)
         log: list = []
-        for r in range(4000):
-            masked_sum_round([7, 130, 55], p, round_log=log, keys=keys, round_index=r)
+        for r in range(rounds):
+            masked_sum_round([7, 130, 55], p, round_log=log, masks=masks[r])
         for _, payloads in log:
             buckets[payloads[0] * 16 // p.q] += 1
         _, pvalue = sstats.chisquare(buckets)
         assert pvalue > 0.01
 
+    @given(n=st.integers(2, 8), bits=st.sampled_from([16, 61, 127]), rounds=st.integers(1, 20),
+           seed=st.integers(0, 2**31))
+    @settings(max_examples=40, deadline=None)
+    def test_compute_mask_matches_per_pair_reference(self, n, bits, rounds, seed):
+        p = ka_param(bits)
+        keys = agree_keys(n, p, np.random.default_rng(seed))
+        expected = reference_masks(keys, p, rounds)
+        for i in range(n):
+            assert compute_mask(i, keys[i], p, rounds) == [expected[r][i] for r in range(rounds)]
+        assert round_masks(keys, p, rounds) == expected
+
+    def test_derivation_is_prefix_stable(self):
+        ## deriving a longer run never changes an earlier round's masks
+        p = ka_param(61)
+        keys = agree_keys(5, p, np.random.default_rng(6))
+        assert mask_scalar(int(keys[0, 1]), p, 7)[:6 * 32] == mask_scalar(int(keys[0, 1]), p, 6)
+        assert round_masks(keys, p, 7)[:6] == round_masks(keys, p, 6)
+        for i in range(5):
+            assert compute_mask(i, keys[i], p, 7)[:6] == compute_mask(i, keys[i], p, 6)
+
     @pytest.fixture
     def key_calls(self, monkeypatch):
-        calls = {"ka_gen": 0, "ka_agree": 0}
+        calls = {"ka_gen": 0, "ka_agree": 0, "mask_scalar": 0}
         for name in calls:
             original = getattr(secure_agg, name)
 
@@ -293,7 +341,9 @@ class TestKeyReuse:
         theta_by_deviation(degrees, cfg, np.random.default_rng(0), masked=masked, round_log=log)
         n = len(degrees)
         assert len(log) > 1
-        assert key_calls == ({"ka_gen": n, "ka_agree": n * (n - 1)} if masked else {"ka_gen": 0, "ka_agree": 0})
+        pairs = n * (n - 1)
+        assert key_calls == ({"ka_gen": n, "ka_agree": pairs, "mask_scalar": pairs} if masked
+                             else {"ka_gen": 0, "ka_agree": 0, "mask_scalar": 0})
 
     @pytest.mark.parametrize("masked", [True, False])
     def test_sum_agrees_once_per_run(self, key_calls, masked):
@@ -302,4 +352,5 @@ class TestKeyReuse:
         log: list = []
         theta_by_sum(g, degree_sequence(g), cfg, np.random.default_rng(0), masked=masked, round_log=log)
         assert len(log) == 7
-        assert key_calls == ({"ka_gen": 8, "ka_agree": 8 * 7} if masked else {"ka_gen": 0, "ka_agree": 0})
+        assert key_calls == ({"ka_gen": 8, "ka_agree": 8 * 7, "mask_scalar": 8 * 7} if masked
+                             else {"ka_gen": 0, "ka_agree": 0, "mask_scalar": 0})

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from degreeldp import theta
 from degreeldp.graph import Graph, degree_sequence, stats
 from degreeldp.harness import load_dataset
 from degreeldp.theta import (
@@ -123,6 +124,31 @@ class TestThetaByDeviation:
         log: list = []
         theta_by_deviation(degrees, cfg, np.random.default_rng(0), masked=False, round_log=log)
         assert len(log) <= math.ceil(math.log2(K)) + 1
+
+    @given(
+        K=st.integers(1, 512),
+        degrees=st.lists(st.integers(0, 600), min_size=2, max_size=24),
+        eps=st.floats(0.3, 5.0),
+        seed=st.integers(0, 2**31),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_masked_rounds_fit_the_derived_masks(self, K, degrees, eps, seed):
+        ## the masks are derived for K.bit_length() rounds, the most the search takes
+        log: list = []
+        got = theta_by_deviation(degrees, ThetaSearchConfig(K=K, epsilon=eps), np.random.default_rng(seed),
+                                 masked=True, round_log=log)
+        assert 1 <= len(log) <= K.bit_length()
+        assert all(kind == "masked" for kind, _ in log)
+        assert got == quantile_oracle(degrees, eps, K)
+
+    def test_round_past_the_derived_masks_fails(self, monkeypatch):
+        ## every probe goes right, so K = 7 takes all 3 rounds; with masks for 2 the third has none
+        original = theta.round_masks
+        monkeypatch.setattr(theta, "round_masks", lambda keys, params, rounds: original(keys, params, rounds - 1))
+        cfg = ThetaSearchConfig(K=7, epsilon=1.0)
+        with pytest.raises(IndexError):
+            theta_by_deviation([9, 9, 9], cfg, np.random.default_rng(0), masked=True)
+        assert theta_by_deviation([9, 9, 9], cfg, np.random.default_rng(0), masked=False) == 7
 
 
 class TestThetaBySum:
