@@ -5,7 +5,9 @@ Subcommands:
     project       non-private degree-bounded projection, metrics per trial
     select-theta  run a threshold-selection protocol and print theta
     release       full private pipeline: encode, project, perturb, metrics
-    sweep         grid of runs over thresholds or budgets
+
+--theta and --epsilon take comma lists: project and release run every
+(theta, epsilon) pair, and select-theta prints one theta per epsilon.
 
 Datasets are edge-list files (optionally .gz), looked up directly or under
 $LDP_DEGREE_DATA_DIR, or synthetic tokens like synthetic:2000:4:7.
@@ -17,50 +19,38 @@ import argparse
 import sys
 from collections import OrderedDict
 
-import numpy as np
-
 from .graph import stats
-from .harness import AUTO_PREFIX, ExperimentConfig, MetricsRow, emit_csv, load_dataset, run_grid, select_theta
+from .harness import AUTO_PREFIX, ExperimentConfig, MetricsRow, emit_csv, load_dataset, resolve_grid, run_grid
 from .projection import Strategy
 from .theta import METHODS
 
 _STRATEGY_CHOICES = [s.value for s in Strategy] + ["all"]
 
 
-def _theta_arg(text: str) -> int | str:
-    """An integer, or an auto-<method> name left for ExperimentConfig to check."""
-    if text.startswith(AUTO_PREFIX):
-        return text
-    try:
-        return int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"theta must be an integer or {AUTO_PREFIX}<method>, got {text!r}")
+def _parse_list(text: str, floats: bool = False) -> list:
+    """Parse a comma list of floats, or of thetas: ints, inclusive a:b[:step] ranges and auto-<method> names.
 
-
-def _int_list(text: str) -> list[int]:
-    """Parse '1,5,10' or '1:10' or '1:10:3' (inclusive range) into ints."""
-    out: list[int] = []
+    An entry that does not parse, an empty one included, is a usage error; ExperimentConfig checks the values.
+    """
+    out: list = []
     for chunk in text.split(","):
-        if ":" in chunk:
-            parts = chunk.split(":")
-            if len(parts) not in (2, 3):
-                raise argparse.ArgumentTypeError(f"bad range {chunk!r}")
-            start, stop = int(parts[0]), int(parts[1])
-            step = int(parts[2]) if len(parts) == 3 else 1
-            if start > stop or step < 1:
-                raise argparse.ArgumentTypeError(f"range {chunk!r} needs start <= stop and step >= 1")
-            out.extend(range(start, stop + 1, step))
-        else:
-            out.append(int(chunk))
+        try:
+            if floats:
+                out.append(float(chunk))
+            elif chunk.startswith(AUTO_PREFIX):
+                out.append(chunk)
+            elif ":" not in chunk:
+                out.append(int(chunk))
+            else:
+                ## a fourth part fails to unpack
+                start, stop, step = map(int, chunk.split(":") + ["1"][chunk.count(":") - 1:])
+                if start > stop or step < 1:
+                    raise ValueError
+                out.extend(range(start, stop + 1, step))
+        except ValueError:
+            expected = "a float" if floats else f"an integer, a:b[:step] (a <= b, step >= 1) or {AUTO_PREFIX}<method>"
+            raise argparse.ArgumentTypeError(f"bad entry {chunk!r} in {text!r}; expected {expected}") from None
     return out
-
-
-def _float_list(text: str) -> list[float]:
-    """Parse '1,1.5,2' into floats; an empty chunk is an error, as in _int_list."""
-    try:
-        return [float(chunk) for chunk in text.split(",")]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad float list {text!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -73,8 +63,9 @@ def build_parser() -> argparse.ArgumentParser:
     ## a flag that sets a config field defaults to ExperimentConfig's default for it
     def add_selection(p: argparse.ArgumentParser) -> None:
         p.add_argument("dataset", help="edge-list path or synthetic:<n>[:<attach>[:<seed>]]")
-        p.add_argument("--epsilon", type=float, default=ExperimentConfig.epsilon,
-                       help="total privacy budget (default %(default)s)")
+        p.add_argument("--epsilon", type=lambda text: _parse_list(text, floats=True),
+                       default=str(ExperimentConfig.epsilon),
+                       help="total privacy budget, or a comma list of budgets (default %(default)s)")
         p.add_argument("--K", type=int, default=ExperimentConfig.K,
                        help="upper bound of the threshold search (default: max degree)")
         p.add_argument("--lambda", dest="bits", type=int, default=ExperimentConfig.bits,
@@ -94,8 +85,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="write the metrics CSV here (default: CSV on stdout)")
         p.add_argument("--strategy", choices=_STRATEGY_CHOICES, default=ExperimentConfig.strategy.value,
                        help="projection strategy (default %(default)s)")
-        p.add_argument("--theta", type=_theta_arg, default=ExperimentConfig.theta,
-                       help="projection bound, or auto-sum / auto-deviation (default %(default)s)")
+        p.add_argument("--theta", type=_parse_list, default=ExperimentConfig.theta,
+                       help="projection bound, auto-sum or auto-deviation; or a comma list of these "
+                            "and a:b[:step] ranges (default %(default)s)")
 
     p_stats = sub.add_parser("stats", help="print dataset summary")
     p_stats.add_argument("dataset")
@@ -112,14 +104,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_release = sub.add_parser("release", help="full private pipeline with Laplace release")
     add_run(p_release)
     p_release.set_defaults(private=True)
-
-    p_sweep = sub.add_parser("sweep", help="grid of runs over thresholds or budgets")
-    add_run(p_sweep)
-    p_sweep.add_argument("--thetas", type=_int_list, default=None, help="comma list or a:b[:step] range of bounds")
-    p_sweep.add_argument("--epsilons", type=_float_list, default=None,
-                         help="comma list of budgets, each run at --theta")
-    p_sweep.add_argument("--private", action="store_true",
-                         help="run the full private pipeline instead of non-private projection")
     return parser
 
 
@@ -166,24 +150,19 @@ def cli_main(argv: list[str] | None = None) -> int:
             return 0
 
         if args.command == "select-theta":
-            cfg = ExperimentConfig(dataset=args.dataset, epsilon=args.epsilon, theta=AUTO_PREFIX + args.method,
-                                   K=args.K, bits=args.bits, seed=args.seed, masked=not args.no_mask)
-            graph, _ = load_dataset(cfg.dataset)
-            print(select_theta(cfg, graph, np.random.default_rng(cfg.seed)))
+            base = ExperimentConfig(dataset=args.dataset, theta=AUTO_PREFIX + args.method,
+                                    K=args.K, bits=args.bits, seed=args.seed, masked=not args.no_mask)
+            _, _, points = resolve_grid(base, [{"epsilon": eps} for eps in args.epsilon])
+            for point in points:
+                print(point.theta)
             return 0
 
-        ## project, release and sweep
-        grid = [{}]
-        if args.command == "sweep":
-            if (args.thetas is None) == (args.epsilons is None):
-                print("usage: degreeldp sweep needs exactly one of --thetas or --epsilons", file=sys.stderr)
-                return 2
-            grid = [{"theta": v} for v in args.thetas] if args.thetas else [{"epsilon": v} for v in args.epsilons]
+        ## project and release: every (theta, epsilon) pair
         base = ExperimentConfig(
-            dataset=args.dataset, epsilon=args.epsilon, alpha=args.alpha, theta=args.theta,
-            K=args.K, p_size=args.psize, bits=args.bits, trials=args.trials, seed=args.seed,
-            private=args.private, masked=not args.no_mask,
+            dataset=args.dataset, alpha=args.alpha, K=args.K, p_size=args.psize, bits=args.bits,
+            trials=args.trials, seed=args.seed, private=args.private, masked=not args.no_mask,
         )
+        grid = [{"theta": theta, "epsilon": eps} for theta in args.theta for eps in args.epsilon]
         strategies = list(Strategy) if args.strategy == "all" else [Strategy(args.strategy)]
         _, rows = run_grid(base, strategies, grid)
         _write_rows(rows, args.out)

@@ -74,6 +74,8 @@ class ExperimentConfig:
     masked: bool = True
 
     def __post_init__(self):
+        if not isinstance(self.strategy, Strategy):
+            raise ValueError(f"strategy must be a Strategy, got {self.strategy!r}")
         if self.trials < 1:
             raise ValueError(f"trials must be at least 1, got {self.trials}")
         if isinstance(self.theta, str):
@@ -133,11 +135,10 @@ def load_dataset(token: str) -> tuple[Graph, str]:
     """
     if token.startswith(SYNTHETIC_PREFIX):
         parts = token[len(SYNTHETIC_PREFIX):].split(":")
-        if not parts[0] or len(parts) > 3:
-            raise ValueError(f"bad synthetic token {token!r}; expected synthetic:<n>[:<attach>[:<seed>]]")
-        n = int(parts[0])
-        attach = int(parts[1]) if len(parts) > 1 else 4
-        seed = int(parts[2]) if len(parts) > 2 else 0
+        try:  ## attach defaults to 4 and seed to 0; a fourth part fails to unpack
+            n, attach, seed = map(int, parts + ["4", "0"][len(parts) - 1:])
+        except ValueError:
+            raise ValueError(f"bad synthetic token {token!r}; expected synthetic:<n>[:<attach>[:<seed>]]") from None
         return powerlaw_graph(n, attach, seed), f"synthetic-{n}-{attach}-{seed}"
     resolved = find_dataset(token)
     label = os.path.basename(resolved)
@@ -233,24 +234,31 @@ def run_pipeline(cfg: ExperimentConfig, graph: Graph | None = None) -> tuple[lis
     return rows, reports
 
 
+def resolve_grid(
+    base: ExperimentConfig, grid: Sequence[Mapping[str, object]]
+) -> tuple[Graph, str, list[ExperimentConfig]]:
+    """Build and check every grid point, then load base's dataset once; returns the graph, its label and the points.
+
+    A grid point maps config fields to the values that replace base's (e.g.
+    {"theta": 16, "epsilon": 2.0}).  Each returned point carries the label and
+    an integer theta, resolved from the seed its own run_pipeline call draws.
+    """
+    points = [replace(base, **point) for point in grid]
+    graph, label = load_dataset(base.dataset)
+    return graph, label, [replace(p, dataset=label, theta=select_theta(p, graph, _seeds(p)[0])) for p in points]
+
+
 def run_grid(
     base: ExperimentConfig,
     strategies: Sequence[Strategy],
     grid: Sequence[Mapping[str, object]] = ({},),
 ) -> tuple[str, list[MetricsRow]]:
-    """Run base once per strategy and grid point, loading its dataset once.
+    """Run base once per strategy and resolve_grid point; returns the dataset's label and the rows.
 
-    Each grid point maps config fields to the values that replace base's
-    (e.g. {"theta": 16}).  Rows come strategy by strategy, grid points in
-    order within each, and carry the dataset's label.  Every point's config
-    is built, and so checked, before the dataset loads; each point's theta
-    is then resolved once, before any run, from the seed its own
-    run_pipeline call would draw, so every row equals a separate run's.
-    Returns the label and the rows.
+    Rows come strategy by strategy, grid points in order within each, and
+    every row equals a separate run_pipeline call's.
     """
-    points = [replace(base, **point) for point in grid]
-    graph, label = load_dataset(base.dataset)
-    points = [replace(p, dataset=label, theta=select_theta(p, graph, _seeds(p)[0])) for p in points]
+    graph, label, points = resolve_grid(base, grid)
     rows: list[MetricsRow] = []
     for strategy in strategies:
         for point in points:

@@ -46,6 +46,8 @@ class ProjectionConfig:
     params: PrivacyParams | None = None
 
     def __post_init__(self):
+        if not isinstance(self.strategy, Strategy):
+            raise ValueError(f"strategy must be a Strategy, got {self.strategy!r}")
         if self.theta < 1:
             raise ValueError(f"theta must be at least 1, got {self.theta}")
 

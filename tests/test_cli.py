@@ -3,7 +3,8 @@ import csv
 import pytest
 
 from degreeldp.graph import degree_sequence
-from degreeldp.harness import load_dataset
+from degreeldp.harness import CSV_COLUMNS, load_dataset
+from degreeldp.projection import Strategy
 from degreeldp.theta import quantile_oracle
 from degreeldp.cli import cli_main
 from conftest import FIG_EDGE_LIST
@@ -92,6 +93,26 @@ class TestSelectTheta:
         assert "must be nonempty" in err
         assert "max()" not in err
 
+    def test_epsilon_list_prints_one_theta_each(self, capsys):
+        assert cli_main(["select-theta", "synthetic:80:3:4", "--epsilon", "2,1,2", "--no-mask"]) == 0
+        printed = [int(line) for line in capsys.readouterr().out.splitlines()]
+        g, _ = load_dataset("synthetic:80:3:4")
+        degs = degree_sequence(g)
+        assert printed == [quantile_oracle(degs, eps, max(degs)) for eps in (2.0, 1.0, 2.0)]
+
+    def test_epsilon_list_on_self_loops_only(self, tmp_path, capsys):
+        ## every degree is 0; K used to be 0 here, which the search refused
+        path = tmp_path / "loops.txt"
+        path.write_text("a a\nb b\n")
+        assert cli_main(["select-theta", str(path), "--epsilon", "1,3"]) == 0
+        assert capsys.readouterr().out == "1\n1\n"
+
+    def test_bad_epsilon_in_list_prints_nothing(self, capsys):
+        assert cli_main(["select-theta", "synthetic:40:3:1", "--epsilon", "1,inf", "--no-mask"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "epsilon must be finite and positive" in err
+
     @pytest.mark.parametrize("flag", ["--out", "--trials", "--psize", "--alpha"])
     def test_rejects_flags_it_does_not_read(self, flag, tmp_path):
         value = str(tmp_path / "f") if flag == "--out" else "1"
@@ -122,7 +143,7 @@ class TestRelease:
 class TestSweep:
     def test_theta_grid(self, tmp_path):
         out = tmp_path / "sweep.csv"
-        assert cli_main(["sweep", "synthetic:40:3:1", "--thetas", "1,3,5",
+        assert cli_main(["project", "synthetic:40:3:1", "--theta", "1,3,5",
                          "--trials", "2", "--out", str(out)]) == 0
         rows = read_csv(str(out))
         assert len(rows) == 6
@@ -130,39 +151,77 @@ class TestSweep:
 
     def test_range_syntax(self, tmp_path):
         out = tmp_path / "sweep.csv"
-        assert cli_main(["sweep", "synthetic:40:3:1", "--thetas", "1:4",
+        assert cli_main(["project", "synthetic:40:3:1", "--theta", "1:4",
                          "--trials", "1", "--out", str(out)]) == 0
         assert sorted({r["theta"] for r in read_csv(str(out))}) == ["1", "2", "3", "4"]
 
     def test_epsilon_grid_private(self, tmp_path):
         out = tmp_path / "sweep.csv"
-        assert cli_main(["sweep", "synthetic:40:3:1", "--epsilons", "1,2", "--theta", "3",
-                         "--private", "--trials", "2", "--out", str(out)]) == 0
+        assert cli_main(["release", "synthetic:40:3:1", "--epsilon", "1,2", "--theta", "3",
+                         "--trials", "2", "--out", str(out)]) == 0
         rows = read_csv(str(out))
         assert len(rows) == 4
         assert sorted({r["epsilon"] for r in rows}) == ["1.0", "2.0"]
+        assert all(float(r["mae_seq"]) > 0 for r in rows)
 
     @pytest.mark.parametrize("grid", ["5:1", "5:1,2", "1,5:1", "5:1:-1", "1:5:0", "1:5:-2", "1:2:3:4"])
     def test_bad_range_is_usage_error(self, grid, capsys):
         ## a reversed range or a step below 1 used to vanish from the list or drop its bound
-        assert cli_main(["sweep", "synthetic:40:3:1", "--thetas", grid, "--trials", "1"]) == 2
+        assert cli_main(["project", "synthetic:40:3:1", "--theta", grid, "--trials", "1"]) == 2
         assert capsys.readouterr().out == ""
 
     def test_range_step_and_single_point(self, tmp_path):
         out = tmp_path / "sweep.csv"
-        assert cli_main(["sweep", "synthetic:40:3:1", "--thetas", "1:7:3,4:4",
+        assert cli_main(["project", "synthetic:40:3:1", "--theta", "1:7:3,4:4",
                          "--trials", "1", "--out", str(out)]) == 0
         assert [r["theta"] for r in read_csv(str(out))] == ["1", "4", "7", "4"]
 
-    def test_needs_exactly_one_grid(self, fig_file):
-        assert cli_main(["sweep", fig_file]) == 2
-        assert cli_main(["sweep", fig_file, "--thetas", "1", "--epsilons", "1"]) == 2
+    @pytest.mark.parametrize("command,grid", [
+        ("project", "--theta"), ("project", "--epsilon"),
+        ("release", "--theta"), ("release", "--epsilon"),
+        ("select-theta", "--epsilon"),
+    ])
+    def test_empty_list_entry_is_usage_error(self, command, grid, capsys):
+        ## an empty chunk inside a list used to be skipped by the epsilon list
+        for value in (",", "1,,2", "1,"):
+            assert cli_main([command, "synthetic:40:3:1", grid, value, "--K", "3"]) == 2
+            assert capsys.readouterr().out == ""
 
-    @pytest.mark.parametrize("grid", ["--thetas", "--epsilons"])
-    def test_empty_grid_is_usage_error(self, grid, capsys):
-        ## an empty chunk inside a list used to be skipped by --epsilons
-        for value in (",", "1,,2"):
-            assert cli_main(["sweep", "synthetic:40:3:1", grid, value, "--theta", "3", "--trials", "1"]) == 2
+    def test_theta_epsilon_product_in_strategy_theta_epsilon_order(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        assert cli_main(["release", "synthetic:40:3:1", "--theta", "2,auto-deviation", "--epsilon", "1,3",
+                         "--strategy", "all", "--trials", "2", "--out", str(out)]) == 0
+        degs = degree_sequence(load_dataset("synthetic:40:3:1")[0])
+        ## an automatic theta is selected once per epsilon
+        auto = [str(quantile_oracle(degs, eps, max(degs))) for eps in (1.0, 3.0)]
+        cells = [(r["strategy"], r["theta"], r["epsilon"]) for r in read_csv(str(out))]
+        assert cells == [(s.value, theta, eps) for s in Strategy for theta, eps in
+                         [("2", "1.0"), ("2", "3.0"), (auto[0], "1.0"), (auto[1], "3.0")] for _ in range(2)]
+
+    @pytest.mark.parametrize("command,flag,grid", [
+        ("project", "--theta", ["2", "4", "8"]),
+        ("release", "--epsilon", ["1.0", "3.0"]),
+    ])
+    def test_one_csv_per_command(self, command, flag, grid, tmp_path):
+        out = tmp_path / "rows.csv"
+        argv = [command, "synthetic:60:3", flag, ",".join(grid), "--strategy", "all", "--trials", "1"]
+        assert cli_main(argv + ["--out", str(out)]) == 0
+        assert [p.name for p in tmp_path.iterdir()] == ["rows.csv"]
+        with open(out) as fh:
+            rows = list(csv.reader(fh))
+        assert tuple(rows[0]) == CSV_COLUMNS
+        body = rows[1:]
+        assert len(body) == len(Strategy) * len(grid) * 1
+        assert {r[CSV_COLUMNS.index("dataset")] for r in body} == {"synthetic-60-3-0"}
+        ## strategy by strategy, the grid in order within each
+        column = CSV_COLUMNS.index(flag.removeprefix("--"))
+        strategy = CSV_COLUMNS.index("strategy")
+        assert [(r[strategy], r[column]) for r in body] == [(s.value, v) for s in Strategy for v in grid]
+
+    def test_sweep_subcommand_is_gone(self, fig_file, capsys):
+        ## it needed exactly one of --thetas and --epsilons; project and release now take both lists
+        for args in ([], ["--thetas", "1"], ["--epsilons", "1"], ["--thetas", "1", "--epsilons", "1"]):
+            assert cli_main(["sweep", fig_file, *args]) == 2
             assert capsys.readouterr().out == ""
 
 
@@ -203,15 +262,25 @@ class TestBadValues:
     @pytest.mark.parametrize("args,named", [
         (["release", "synthetic:300:11:1", "--theta", "auto-deviation", "--psize", "0"], "p_size must be at least 1"),
         (["release", "synthetic:300:11:1", "--theta", "auto-deviation", "--alpha", "1.5"], "alpha must lie in (0, 1)"),
-        (["sweep", "synthetic:40:3:1", "--epsilons", "1,-1", "--theta", "3"], "epsilon must be finite and positive"),
+        (["release", "synthetic:40:3:1", "--epsilon", "1,-1", "--theta", "3"], "epsilon must be finite and positive"),
         (["release", "synthetic:300:11:1", "--theta", "0"], "theta must be at least 1"),
         (["release", "synthetic:300:11:1", "--theta", "auto-bogus"], "theta must be an integer"),
+        (["project", "synthetic:40:3:1", "--epsilon", "2,-1,1", "--theta", "3,auto-sum"], "epsilon must be finite"),
     ])
     def test_bad_run_setting_fails_before_any_row(self, args, named, capsys, tmp_path):
         out = tmp_path / "rows.csv"
         assert cli_main(args + ["--trials", "1", "--out", str(out)]) == 1
         assert named in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["stats", "select-theta", "project"])
+    @pytest.mark.parametrize("token", ["synthetic:abc", "synthetic:50:x", "synthetic:50:3:1.5", "synthetic:50::1"])
+    def test_bad_synthetic_token_names_it(self, command, token, capsys):
+        ## int()'s own message used to surface, naming only the bad part
+        assert cli_main([command, token]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: bad synthetic token {token!r}; expected synthetic:<n>[:<attach>[:<seed>]]\n"
 
     def test_empty_graph_fails_with_one_message(self, tmp_path, capsys):
         ## each command used to reach a different check with its own message

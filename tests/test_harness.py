@@ -21,6 +21,7 @@ from degreeldp.harness import (
     mae,
     mae_dist,
     mse,
+    resolve_grid,
     run_grid,
     run_pipeline,
 )
@@ -68,6 +69,11 @@ class TestConfigValidation:
             ExperimentConfig(dataset="x", theta=0)
         ExperimentConfig(dataset="x", theta="auto-sum")
         ExperimentConfig(dataset="x", theta=5)
+
+    def test_strategy_name_string_rejected(self):
+        ## it used to build, then fail with AttributeError in run_pipeline after the dataset loaded
+        with pytest.raises(ValueError, match="strategy must be a Strategy, got 'lpea-low'"):
+            ExperimentConfig(dataset="x", theta=5, strategy="lpea-low")
 
     @pytest.mark.parametrize("K", [0, -4])
     def test_K_must_be_positive(self, K):
@@ -274,6 +280,19 @@ class TestRunGrid:
         with pytest.raises(ValueError, match="epsilon must be finite and positive"):
             run_grid(base, [Strategy.LPEA_LOW], [{"epsilon": 1.0}, {"epsilon": -1.0}])
         assert calls == []
+
+
+class TestResolveGrid:
+    def test_points_carry_label_and_their_own_runs_theta(self):
+        base = ExperimentConfig(dataset="synthetic:60:3:2", trials=1, seed=9)
+        grid = [{"epsilon": 1.0}, {"epsilon": 3.0, "theta": "auto-sum"}, {"epsilon": 1.0, "theta": 4}]
+        graph, label, points = resolve_grid(base, grid)
+        assert (graph.n, label) == (60, "synthetic-60-3-2")
+        assert [p.dataset for p in points] == [label] * 3
+        assert points[2].theta == 4
+        for point, overrides in zip(points, grid):
+            rows, _ = run_pipeline(replace(base, **overrides))
+            assert point.theta == rows[0].theta
 
 
 class TestEmitCsv:

@@ -33,6 +33,13 @@ class TestConfig:
         with pytest.raises(ValueError):
             ProjectionConfig(theta=0)
 
+    @pytest.mark.parametrize("name", ["lpea-low", "lpea-high", "random-add", "edge-remove"])
+    def test_strategy_name_string_rejected(self, name):
+        ## a string compared unequal to every member by identity and quietly ran lpea-low
+        with pytest.raises(ValueError, match=f"strategy must be a Strategy, got '{name}'"):
+            ProjectionConfig(theta=2, strategy=name)
+        assert ProjectionConfig(theta=2, strategy=Strategy(name)).strategy.value == name
+
     def test_dispatcher_requires_orders_for_ranked_strategies(self, fig_graph):
         with pytest.raises(ValueError, match="orders"):
             project(fig_graph, nonprivate(1), np.random.default_rng(0))
