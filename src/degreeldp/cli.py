@@ -6,8 +6,8 @@ Subcommands:
     select-theta  run a threshold-selection protocol and print theta
     release       full private pipeline: encode, project, perturb, metrics
 
---theta and --epsilon take comma lists: project and release run every
-(theta, epsilon) pair, and select-theta prints one theta per epsilon.
+--theta and --epsilon take comma lists, and every command covers each
+(theta, epsilon) pair: project and release run it, select-theta prints its theta.
 
 Datasets are edge-list files (optionally .gz), looked up directly or under
 $LDP_DEGREE_DATA_DIR, or synthetic tokens like synthetic:2000:4:7.
@@ -17,12 +17,10 @@ from __future__ import annotations
 
 import argparse
 import sys
-from collections import OrderedDict
 
 from .graph import stats
 from .harness import AUTO_PREFIX, ExperimentConfig, MetricsRow, emit_csv, load_dataset, resolve_grid, run_grid
 from .projection import Strategy
-from .theta import METHODS
 
 _STRATEGY_CHOICES = [s.value for s in Strategy] + ["all"]
 
@@ -73,6 +71,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=ExperimentConfig.seed, help="master seed (default %(default)s)")
         p.add_argument("--no-mask", action="store_true",
                        help="skip pairwise masking in threshold selection (same result, much faster on large graphs)")
+        p.add_argument("--theta", type=_parse_list, default=ExperimentConfig.theta,
+                       help="projection bound, auto-sum or auto-deviation; or a comma list of these "
+                            "and a:b[:step] ranges (default %(default)s)")
 
     def add_run(p: argparse.ArgumentParser) -> None:
         add_selection(p)
@@ -85,9 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="write the metrics CSV here (default: CSV on stdout)")
         p.add_argument("--strategy", choices=_STRATEGY_CHOICES, default=ExperimentConfig.strategy.value,
                        help="projection strategy (default %(default)s)")
-        p.add_argument("--theta", type=_parse_list, default=ExperimentConfig.theta,
-                       help="projection bound, auto-sum or auto-deviation; or a comma list of these "
-                            "and a:b[:step] ranges (default %(default)s)")
 
     p_stats = sub.add_parser("stats", help="print dataset summary")
     p_stats.add_argument("dataset")
@@ -98,8 +96,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_theta = sub.add_parser("select-theta", help="run a threshold-selection protocol and print theta")
     add_selection(p_theta)
-    p_theta.add_argument("--method", choices=METHODS, default=ExperimentConfig.theta.removeprefix(AUTO_PREFIX),
-                         help="selection protocol (default %(default)s)")
 
     p_release = sub.add_parser("release", help="full private pipeline with Laplace release")
     add_run(p_release)
@@ -118,13 +114,12 @@ def _write_rows(rows: list[MetricsRow], out: str | None) -> None:
 
 
 def _summarize(rows: list[MetricsRow], stream) -> None:
-    groups: "OrderedDict[tuple, list[MetricsRow]]" = OrderedDict()
-    for row in rows:
-        groups.setdefault((row.strategy, row.epsilon, row.theta), []).append(row)
-    for (strategy, epsilon, theta), grp in groups.items():
+    """One line per run: a run's rows are consecutive and the first has trial 0."""
+    starts = [i for i, row in enumerate(rows) if row.trial == 0] + [len(rows)]
+    for grp in (rows[a:b] for a, b in zip(starts, starts[1:])):
         mean = lambda attr: sum(getattr(r, attr) for r in grp) / len(grp)
         stream.write(
-            f"{strategy} epsilon={epsilon} theta={theta} trials={len(grp)} "
+            f"{grp[0].strategy} epsilon={grp[0].epsilon} theta={grp[0].theta} trials={len(grp)} "
             f"mae_seq={mean('mae_seq'):.4f} mse_seq={mean('mse_seq'):.4f} "
             f"mae_dist={mean('mae_dist'):.6f} edge_ratio={mean('edge_ratio'):.4f}\n"
         )
@@ -149,23 +144,19 @@ def cli_main(argv: list[str] | None = None) -> int:
             print(f"d_avg={st.d_avg:.4f}")
             return 0
 
+        run = {} if args.command == "select-theta" else dict(
+            alpha=args.alpha, p_size=args.psize, trials=args.trials, private=args.private
+        )
+        base = ExperimentConfig(
+            dataset=args.dataset, K=args.K, bits=args.bits, seed=args.seed, masked=not args.no_mask, **run
+        )
+        grid = [{"theta": t, "epsilon": e} for t in args.theta for e in args.epsilon]
         if args.command == "select-theta":
-            base = ExperimentConfig(dataset=args.dataset, theta=AUTO_PREFIX + args.method,
-                                    K=args.K, bits=args.bits, seed=args.seed, masked=not args.no_mask)
-            _, _, points = resolve_grid(base, [{"epsilon": eps} for eps in args.epsilon])
-            for point in points:
+            for point in resolve_grid(base, grid)[1]:
                 print(point.theta)
             return 0
-
-        ## project and release: every (theta, epsilon) pair
-        base = ExperimentConfig(
-            dataset=args.dataset, alpha=args.alpha, K=args.K, p_size=args.psize, bits=args.bits,
-            trials=args.trials, seed=args.seed, private=args.private, masked=not args.no_mask,
-        )
-        grid = [{"theta": theta, "epsilon": eps} for theta in args.theta for eps in args.epsilon]
         strategies = list(Strategy) if args.strategy == "all" else [Strategy(args.strategy)]
-        _, rows = run_grid(base, strategies, grid)
-        _write_rows(rows, args.out)
+        _write_rows(run_grid(base, strategies, grid), args.out)
         return 0
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .graph import check_count
 from .mechanisms import PrivacyParams, categorical_sample, exp_mech_probs
 
 DEFAULT_PARTITION_SIZE = 50
@@ -45,8 +46,7 @@ def build_partitions(d_min: int, d_max: int, p_size: int = DEFAULT_PARTITION_SIZ
     """
     if d_min < 0 or d_max < d_min:
         raise ValueError(f"need 0 <= d_min <= d_max, got d_min={d_min}, d_max={d_max}")
-    if p_size < 1:
-        raise ValueError(f"p_size must be at least 1, got {p_size}")
+    check_count("p_size", p_size)
     p_num = max(math.ceil((d_max - d_min) / p_size), 1)
     medians = []
     for j in range(p_num):

@@ -27,6 +27,12 @@ class EdgeListParseError(ValueError):
     """Raised for a malformed edge-list line; message carries the line number."""
 
 
+def check_count(name: str, value, least: int = 1) -> None:
+    """The one check of a count parameter: an int or NumPy integer, not a bool, of at least `least`."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{name} must be at least {least} and an integer, got {value!r} ({type(value).__name__})")
+
+
 class Graph:
     """Immutable undirected graph over internal ids 0..n-1.
 

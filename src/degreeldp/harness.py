@@ -21,7 +21,7 @@ from typing import IO, Mapping, Sequence
 import numpy as np
 
 from .encoding import DEFAULT_PARTITION_SIZE, build_partitions, ndoe_sample
-from .graph import Graph, degree_sequence, load_graph, stats
+from .graph import Graph, check_count, degree_sequence, load_graph, stats
 from .mechanisms import PrivacyParams
 from .projection import ProjectionConfig, Strategy, project
 from .release import ReleaseReport, degree_distribution, dsr
@@ -76,18 +76,17 @@ class ExperimentConfig:
     def __post_init__(self):
         if not isinstance(self.strategy, Strategy):
             raise ValueError(f"strategy must be a Strategy, got {self.strategy!r}")
-        if self.trials < 1:
-            raise ValueError(f"trials must be at least 1, got {self.trials}")
+        check_count("trials", self.trials)
         if isinstance(self.theta, str):
             autos = [AUTO_PREFIX + m for m in METHODS]
             if self.theta not in autos:
                 raise ValueError(f"theta must be an integer, {' or '.join(map(repr, autos))}, got {self.theta!r}")
-        elif self.theta < 1:
-            raise ValueError(f"theta must be at least 1, got {self.theta}")
-        if self.K is not None and self.K < 1:
-            raise ValueError(f"K must be at least 1, got {self.K}")
-        if self.p_size < 1:
-            raise ValueError(f"p_size must be at least 1, got {self.p_size}")
+        else:
+            check_count("theta", self.theta)
+        if self.K is not None:
+            check_count("K", self.K)
+        check_count("p_size", self.p_size)
+        check_count("seed", self.seed, least=0)
         PrivacyParams(self.epsilon, self.alpha)  # raises for a bad epsilon or alpha
         ka_param(self.bits)  # raises for a modulus bit length with no group
 
@@ -234,36 +233,34 @@ def run_pipeline(cfg: ExperimentConfig, graph: Graph | None = None) -> tuple[lis
     return rows, reports
 
 
-def resolve_grid(
-    base: ExperimentConfig, grid: Sequence[Mapping[str, object]]
-) -> tuple[Graph, str, list[ExperimentConfig]]:
-    """Build and check every grid point, then load base's dataset once; returns the graph, its label and the points.
+def resolve_grid(base: ExperimentConfig, grid: Sequence[Mapping[str, object]]) -> tuple[Graph, list[ExperimentConfig]]:
+    """Build and check every grid point, then load base's dataset once; returns the graph and the points.
 
     A grid point maps config fields to the values that replace base's (e.g.
-    {"theta": 16, "epsilon": 2.0}).  Each returned point carries the label and
-    an integer theta, resolved from the seed its own run_pipeline call draws.
+    {"theta": 16, "epsilon": 2.0}).  Each returned point carries the dataset's
+    label and an integer theta, from the seed its own run_pipeline call draws.
     """
     points = [replace(base, **point) for point in grid]
     graph, label = load_dataset(base.dataset)
-    return graph, label, [replace(p, dataset=label, theta=select_theta(p, graph, _seeds(p)[0])) for p in points]
+    return graph, [replace(p, dataset=label, theta=select_theta(p, graph, _seeds(p)[0])) for p in points]
 
 
 def run_grid(
     base: ExperimentConfig,
     strategies: Sequence[Strategy],
     grid: Sequence[Mapping[str, object]] = ({},),
-) -> tuple[str, list[MetricsRow]]:
-    """Run base once per strategy and resolve_grid point; returns the dataset's label and the rows.
+) -> list[MetricsRow]:
+    """Run base once per strategy and resolve_grid point; returns the rows.
 
     Rows come strategy by strategy, grid points in order within each, and
     every row equals a separate run_pipeline call's.
     """
-    graph, label, points = resolve_grid(base, grid)
+    graph, points = resolve_grid(base, grid)
     rows: list[MetricsRow] = []
     for strategy in strategies:
         for point in points:
             rows.extend(run_pipeline(replace(point, strategy=strategy), graph=graph)[0])
-    return label, rows
+    return rows
 
 
 def emit_csv(rows: Sequence[MetricsRow], sink: str | IO[str]) -> None:

@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graph import Graph
+from .graph import Graph, check_count
 from .mechanisms import PrivacyParams, wrr_debias_count, wrr_respond
 
 
@@ -48,8 +48,7 @@ class ProjectionConfig:
     def __post_init__(self):
         if not isinstance(self.strategy, Strategy):
             raise ValueError(f"strategy must be a Strategy, got {self.strategy!r}")
-        if self.theta < 1:
-            raise ValueError(f"theta must be at least 1, got {self.theta}")
+        check_count("theta", self.theta)
 
 
 class ProjectedGraph:

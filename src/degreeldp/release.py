@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .graph import check_count
 from .mechanisms import PrivacyParams, laplace_sample
 from .projection import ProjectedGraph
 
@@ -43,8 +44,7 @@ class ReleaseReport:
 
 def noise_scale(theta: int, params: PrivacyParams) -> float:
     """Laplace scale for one node's bounded degree: theta over the release budget."""
-    if theta < 1:
-        raise ValueError(f"theta must be at least 1, got {theta}")
+    check_count("theta", theta)
     return theta / params.release_budget
 
 

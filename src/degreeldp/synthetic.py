@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graph import Graph
+from .graph import Graph, check_count
 
 
 def powerlaw_graph(n: int, attach: int = 4, seed: int = 0) -> Graph:
@@ -19,8 +19,7 @@ def powerlaw_graph(n: int, attach: int = 4, seed: int = 0) -> Graph:
     `attach` distinct endpoints weighted by current degree.  Degrees
     follow the usual power-law-like tail.
     """
-    if attach < 1:
-        raise ValueError(f"attach must be at least 1, got {attach}")
+    check_count("attach", attach)
     if n < attach + 1:
         raise ValueError(f"need n > attach, got n={n}, attach={attach}")
     rng = np.random.default_rng(seed)

@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graph import Graph, degree_sequence
+from .graph import Graph, check_count, degree_sequence
 from .projection import ProjectionConfig, lpea_low, projection_error
 from .secure_agg import DEFAULT_BITS, agree_keys, ka_param, masked_sum_round, round_masks
 
@@ -41,8 +41,7 @@ class ThetaSearchConfig:
     method: str = "deviation"
 
     def __post_init__(self):
-        if self.K < 1:
-            raise ValueError(f"K must be at least 1, got {self.K}")
+        check_count("K", self.K)
         if not 0 < self.epsilon < math.inf:
             raise ValueError(f"epsilon must be finite and positive, got {self.epsilon}")
         if self.method not in METHODS:
@@ -56,8 +55,7 @@ def quantile_oracle(degrees: Sequence[int], epsilon: float, K: int) -> int:
     Reference linear scan used to validate the interactive protocol;
     returns K when no threshold qualifies.
     """
-    if K < 1:
-        raise ValueError(f"K must be at least 1, got {K}")
+    check_count("K", K)
     if not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     d = np.sort(np.asarray(degrees))

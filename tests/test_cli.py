@@ -1,11 +1,13 @@
 import csv
 
+import numpy as np
 import pytest
 
+from degreeldp import harness
 from degreeldp.graph import degree_sequence
 from degreeldp.harness import CSV_COLUMNS, load_dataset
 from degreeldp.projection import Strategy
-from degreeldp.theta import quantile_oracle
+from degreeldp.theta import ThetaSearchConfig, quantile_oracle, theta_by_sum
 from degreeldp.cli import cli_main
 from conftest import FIG_EDGE_LIST
 
@@ -80,7 +82,7 @@ class TestSelectTheta:
         assert masked == int(capsys.readouterr().out.strip())
 
     def test_sum_method_runs(self, fig_file, capsys):
-        assert cli_main(["select-theta", fig_file, "--method", "sum", "--epsilon", "1"]) == 0
+        assert cli_main(["select-theta", fig_file, "--theta", "auto-sum", "--epsilon", "1"]) == 0
         assert int(capsys.readouterr().out.strip()) >= 1
 
     @pytest.mark.parametrize("method", ["deviation", "sum"])
@@ -88,7 +90,7 @@ class TestSelectTheta:
         ## K used to be max() of the empty degree list, which failed with max()'s own message
         path = tmp_path / "empty.txt"
         path.write_text("")
-        assert cli_main(["select-theta", str(path), "--method", method]) == 1
+        assert cli_main(["select-theta", str(path), "--theta", f"auto-{method}"]) == 1
         err = capsys.readouterr().err
         assert "must be nonempty" in err
         assert "max()" not in err
@@ -99,6 +101,25 @@ class TestSelectTheta:
         g, _ = load_dataset("synthetic:80:3:4")
         degs = degree_sequence(g)
         assert printed == [quantile_oracle(degs, eps, max(degs)) for eps in (2.0, 1.0, 2.0)]
+
+    def test_theta_list_prints_one_line_per_grid_point(self, capsys):
+        args = ["select-theta", "synthetic:80:3:4", "--epsilon", "1,3", "--no-mask"]
+        assert cli_main(args + ["--theta", "auto-sum,auto-deviation"]) == 0
+        printed = [int(line) for line in capsys.readouterr().out.splitlines()]
+        g, _ = load_dataset("synthetic:80:3:4")
+        degs = degree_sequence(g)
+        by_sum = [theta_by_sum(g, degs, ThetaSearchConfig(K=max(degs), epsilon=eps, method="sum"),
+                               np.random.default_rng(0), masked=False) for eps in (1.0, 3.0)]
+        ## theta first, then epsilon
+        assert printed == by_sum + [quantile_oracle(degs, eps, max(degs)) for eps in (1.0, 3.0)]
+        ## an integer entry prints itself
+        assert cli_main(args + ["--theta", "7"]) == 0
+        assert capsys.readouterr().out == "7\n7\n"
+
+    def test_method_flag_is_gone(self, capsys):
+        ## --theta auto-<method> names the protocol, as it does for project and release
+        assert cli_main(["select-theta", "synthetic:40:3:1", "--method", "sum"]) == 2
+        assert capsys.readouterr().out == ""
 
     def test_epsilon_list_on_self_loops_only(self, tmp_path, capsys):
         ## every degree is 0; K used to be 0 here, which the search refused
@@ -179,13 +200,15 @@ class TestSweep:
     @pytest.mark.parametrize("command,grid", [
         ("project", "--theta"), ("project", "--epsilon"),
         ("release", "--theta"), ("release", "--epsilon"),
-        ("select-theta", "--epsilon"),
+        ("select-theta", "--theta"), ("select-theta", "--epsilon"),
     ])
     def test_empty_list_entry_is_usage_error(self, command, grid, capsys):
         ## an empty chunk inside a list used to be skipped by the epsilon list
         for value in (",", "1,,2", "1,"):
             assert cli_main([command, "synthetic:40:3:1", grid, value, "--K", "3"]) == 2
-            assert capsys.readouterr().out == ""
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert f"argument {grid}: bad entry" in err
 
     def test_theta_epsilon_product_in_strategy_theta_epsilon_order(self, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -217,6 +240,18 @@ class TestSweep:
         column = CSV_COLUMNS.index(flag.removeprefix("--"))
         strategy = CSV_COLUMNS.index("strategy")
         assert [(r[strategy], r[column]) for r in body] == [(s.value, v) for s in Strategy for v in grid]
+
+    @pytest.mark.parametrize("theta", ["4,4", "auto-deviation,{auto}"])
+    def test_summary_line_per_grid_point(self, theta, capsys):
+        ## grid points that share (strategy, epsilon, theta) used to merge into one line with their trials added
+        degs = degree_sequence(load_dataset("synthetic:40:3:1")[0])
+        auto = quantile_oracle(degs, 3.0, max(degs))
+        argv = ["project", "synthetic:40:3:1", "--theta", theta.format(auto=auto), "--trials", "2"]
+        assert cli_main(argv) == 0
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 2
+        assert lines[0] == lines[1]
+        assert f" theta={4 if theta == '4,4' else auto} trials=2 " in lines[0]
 
     def test_sweep_subcommand_is_gone(self, fig_file, capsys):
         ## it needed exactly one of --thetas and --epsilons; project and release now take both lists
@@ -272,6 +307,26 @@ class TestBadValues:
         assert cli_main(args + ["--trials", "1", "--out", str(out)]) == 1
         assert named in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command,flag,value", [
+        ("release", "--theta", "2.5"), ("release", "--theta", "True"), ("release", "--trials", "2.5"),
+        ("release", "--K", "2.5"), ("release", "--psize", "2.5"), ("release", "--seed", "1.5"),
+        ("select-theta", "--theta", "2.5"), ("select-theta", "--K", "True"),
+    ])
+    def test_non_integer_count_is_usage_error(self, command, flag, value, capsys):
+        assert cli_main([command, "synthetic:40:3:1", flag, value]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"argument {flag}:" in err
+
+    @pytest.mark.parametrize("command", ["release", "project", "select-theta"])
+    def test_negative_seed_fails_naming_it(self, command, capsys, monkeypatch):
+        ## NumPy's "expected non-negative integer" used to surface after the dataset loaded
+        loads = []
+        monkeypatch.setattr(harness, "load_dataset", loads.append)
+        assert cli_main([command, "synthetic:40:3:1", "--seed", "-1"]) == 1
+        assert capsys.readouterr().err == "error: seed must be at least 0 and an integer, got -1 (int)\n"
+        assert loads == []
 
     @pytest.mark.parametrize("command", ["stats", "select-theta", "project"])
     @pytest.mark.parametrize("token", ["synthetic:abc", "synthetic:50:x", "synthetic:50:3:1.5", "synthetic:50::1"])

@@ -25,7 +25,12 @@ from degreeldp.harness import (
     run_grid,
     run_pipeline,
 )
-from degreeldp.projection import Strategy
+from degreeldp.encoding import build_partitions
+from degreeldp.mechanisms import PrivacyParams
+from degreeldp.projection import ProjectionConfig, Strategy
+from degreeldp.release import noise_scale
+from degreeldp.synthetic import powerlaw_graph
+from degreeldp.theta import ThetaSearchConfig, quantile_oracle
 from conftest import FIG_EDGE_LIST
 
 
@@ -98,6 +103,36 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=re.escape(named)):
             ExperimentConfig(dataset="x", theta=5, **{field: value})
         ExperimentConfig(dataset="x", theta=5, private=False)
+
+
+    @pytest.mark.parametrize("name,build", [
+        pytest.param("theta", lambda v: ProjectionConfig(theta=v), id="ProjectionConfig.theta"),
+        pytest.param("K", lambda v: ThetaSearchConfig(K=v, epsilon=1.0), id="ThetaSearchConfig.K"),
+        pytest.param("trials", lambda v: ExperimentConfig(dataset="x", trials=v), id="ExperimentConfig.trials"),
+        pytest.param("theta", lambda v: ExperimentConfig(dataset="x", theta=v), id="ExperimentConfig.theta"),
+        pytest.param("K", lambda v: ExperimentConfig(dataset="x", K=v), id="ExperimentConfig.K"),
+        pytest.param("p_size", lambda v: ExperimentConfig(dataset="x", p_size=v), id="ExperimentConfig.p_size"),
+        pytest.param("p_size", lambda v: build_partitions(1, 9, v), id="build_partitions"),
+        pytest.param("theta", lambda v: noise_scale(v, PrivacyParams(1.0, 0.1)), id="noise_scale"),
+        pytest.param("K", lambda v: quantile_oracle([1, 2, 3], 1.0, v), id="quantile_oracle"),
+        pytest.param("attach", lambda v: powerlaw_graph(10, v), id="powerlaw_graph"),
+    ])
+    def test_counts_are_integers(self, name, build):
+        ## theta=2.5 used to project to degree 3, and True to run as 1
+        for bad in (True, 2.5, np.float64(3.0), 0, np.int64(0)):
+            with pytest.raises(ValueError, match=re.escape(
+                f"{name} must be at least 1 and an integer, got {bad!r} ({type(bad).__name__})"
+            )):
+                build(bad)
+        build(np.int64(3))
+        build(3)
+
+    def test_seed_is_a_nonnegative_integer(self):
+        ## a negative seed used to fail in NumPy, after the dataset loaded, without naming the seed
+        for bad in (-1, 1.5, True):
+            with pytest.raises(ValueError, match=re.escape(f"seed must be at least 0 and an integer, got {bad!r}")):
+                ExperimentConfig(dataset="x", seed=bad)
+        ExperimentConfig(dataset="x", seed=np.int64(0))
 
 
 class TestDatasetResolution:
@@ -229,9 +264,9 @@ class TestRunGrid:
         monkeypatch.setattr(harness, "load_dataset", counted)
         base = ExperimentConfig(dataset="synthetic:40:3:1", trials=2, seed=4, private=False)
         strategies = [Strategy.LPEA_HIGH, Strategy.EDGE_REMOVE]
-        label, rows = run_grid(base, strategies, [{"theta": 2}, {"theta": 5}])
+        rows = run_grid(base, strategies, [{"theta": 2}, {"theta": 5}])
         assert loads == ["synthetic:40:3:1"]
-        assert label == "synthetic-40-3-1"
+        assert rows[0].dataset == "synthetic-40-3-1"
         assert [(r.strategy, r.theta) for r in rows] == [
             (s.value, t) for s in strategies for t in (2, 5) for _ in range(2)
         ]
@@ -255,7 +290,7 @@ class TestRunGrid:
         monkeypatch.setattr(theta_module, "theta_by_deviation", counted)
         base = ExperimentConfig(dataset="synthetic:40:3:1", trials=2, seed=4, private=private, masked=False)
         grid = [{"epsilon": 1.0}, {"epsilon": 2.0}]
-        _, rows = run_grid(base, list(Strategy), grid)
+        rows = run_grid(base, list(Strategy), grid)
         assert len(calls) == len(grid)
         ## every strategy's rows equal its own run_pipeline call, runtime aside
         per_run = len(rows) // (len(Strategy) * len(grid))
@@ -286,9 +321,9 @@ class TestResolveGrid:
     def test_points_carry_label_and_their_own_runs_theta(self):
         base = ExperimentConfig(dataset="synthetic:60:3:2", trials=1, seed=9)
         grid = [{"epsilon": 1.0}, {"epsilon": 3.0, "theta": "auto-sum"}, {"epsilon": 1.0, "theta": 4}]
-        graph, label, points = resolve_grid(base, grid)
-        assert (graph.n, label) == (60, "synthetic-60-3-2")
-        assert [p.dataset for p in points] == [label] * 3
+        graph, points = resolve_grid(base, grid)
+        assert (graph.n, points[0].dataset) == (60, "synthetic-60-3-2")
+        assert [p.dataset for p in points] == ["synthetic-60-3-2"] * 3
         assert points[2].theta == 4
         for point, overrides in zip(points, grid):
             rows, _ = run_pipeline(replace(base, **overrides))
