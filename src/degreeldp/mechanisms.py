@@ -12,6 +12,12 @@ from dataclasses import dataclass
 import numpy as np
 
 
+def check_epsilon(epsilon) -> None:
+    """The one check of a privacy budget: a finite positive number, not a bool."""
+    if isinstance(epsilon, (bool, np.bool_)) or not 0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be finite and positive, got {epsilon!r}")
+
+
 @dataclass(frozen=True)
 class PrivacyParams:
     """Total budget epsilon and the split ratio alpha.
@@ -29,8 +35,8 @@ class PrivacyParams:
     alpha: float
 
     def __post_init__(self):
-        if not 0 < self.epsilon < math.inf:
-            raise ValueError(f"epsilon must be finite and positive, got {self.epsilon}")
+        check_epsilon(self.epsilon)
+        ## a bool alpha is 0 or 1, which the open range already refuses
         if not 0 < self.alpha < 1:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
 

@@ -2,7 +2,10 @@
 
 A protocol run (one theta selection) starts with key agreement
 (``agree_keys``): every party draws one key pair (sk, pk) and derives a
-Diffie-Hellman shared key with every other party.  Each party then
+Diffie-Hellman shared key with every other party.  For the groups whose
+keys fit in uint64 (up to the default 61-bit group) the whole key matrix
+is one array exponentiation, one row per party from its own secret key;
+the 89- to 127-bit groups use Python's ``pow`` per pair.  Each party then
 expands every shared key once into one SHAKE-256 stream of 32 bytes per
 round of the run (``round_masks``); round r's scalar for a pair is chunk
 r of its stream, reduced into Z_q (Bonawitz et al., CCS 2017), and a
@@ -74,30 +77,114 @@ def ka_gen(params: GroupParams, rng: np.random.Generator) -> tuple[int, int]:
     return sk, pow(params.g, sk, params.q)
 
 
-def ka_agree(sk: int, pk: int, params: GroupParams) -> int:
-    """Shared key pk^sk mod q; symmetric in the two parties."""
-    if not 0 <= sk < params.q:
-        raise ValueError(f"secret key out of range for q={params.q}")
-    if not 1 <= pk < params.q:
-        raise ValueError(f"public key out of range for q={params.q}")
-    return pow(pk, sk, params.q)
+_M61 = 2**61 - 1
+## rows of the key matrix exponentiated at once: temporaries stay O(_ROWS * n)
+_ROWS = 64
+
+
+def ka_agree(sk, pk, params: GroupParams):
+    """Shared key pk^sk mod q; symmetric in the two parties.
+
+    Given a sequence of secret keys and a sequence of public keys instead
+    of one of each, returns the matrix of every pair: entry [i, j] is
+    pk[j]^sk[i] mod q, so row i is derived from sk[i] alone.  The matrix
+    is uint64 for the groups of at most 61 bits, computed by
+    _pow_matrix, and holds Python ints from pow for the wider groups.
+    """
+    q = params.q
+    single = isinstance(sk, (int, np.integer))
+    sks, pks = ([sk], [pk]) if single else (list(sk), list(pk))
+    if not all(0 <= s < q for s in sks):
+        raise ValueError(f"secret key out of range for q={q}")
+    if not all(1 <= p < q for p in pks):
+        raise ValueError(f"public key out of range for q={q}")
+    if single:
+        return pow(pk, sk, q)
+    if q < 2**32 or q == _M61:
+        return _pow_matrix(sks, pks, q)
+    return np.array([[pow(p, s, q) for p in pks] for s in sks], dtype=object)
+
+
+def _mulmod(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
+    """a * b mod q elementwise on uint64 arrays of residues, for q < 2^32 or q = 2^61 - 1.
+
+    Below 2^32 the product fits in uint64.  For 2^61 - 1 each factor is
+    split into 32-bit halves, a = ah*2^32 + al, and the 122-bit product
+    ah*bh*2^64 + mid*2^32 + al*bl is folded with 2^61 = 1 (mod q), so
+    2^64 = 8: every term stays below 2^61 and their sum below 2^63.  The
+    sums are taken in place, which keeps the temporaries to a handful.
+    """
+    if q < 2**32:
+        return a * b % q
+    ah, al, bh, bl = a >> 32, a & 0xFFFFFFFF, b >> 32, b & 0xFFFFFFFF
+    mid = ah * bl
+    mid += al * bh  # < 2^62
+    s = ah * bh
+    s <<= 3
+    ## mid*2^32 = (mid >> 29)*2^61 + (mid mod 2^29)*2^32
+    s += mid >> 29
+    mid &= 2**29 - 1
+    mid <<= 32
+    s += mid
+    low = al * bl  # < 2^64
+    s += low >> 61
+    low &= _M61
+    s += low
+    low = s >> 61
+    s &= _M61
+    s += low  # <= 2^61 + 2
+    ## s - q wraps past 2^64 when s < q, so the minimum is s mod q
+    return np.minimum(s, s - _M61, out=s)
+
+
+def _pow_matrix(sk: list[int], pk: list[int], q: int) -> np.ndarray:
+    """keys[i, j] = pk[j]^sk[i] mod q as uint64, with a fixed 4-bit window over the secret keys.
+
+    Window w of the exponent contributes pk^(d * 16^w) for its digit d, so
+    one 16-entry table per window, built from the public keys, turns each
+    row into a product of one table row per window: a gather and a
+    _mulmod over the n columns, _ROWS rows at a time.
+    """
+    windows = -(-q.bit_length() // 4)
+    ## squares[k] = pk^(2^k), one squaring of the n public keys at a time
+    squares = np.empty((4 * windows, len(pk)), dtype=np.uint64)
+    squares[0] = pk
+    for k in range(1, 4 * windows):
+        squares[k] = _mulmod(squares[k - 1], squares[k - 1], q)
+    ## tables[w, d] = pk^(d * 16^w): entries 2^b..2^(b+1)-1 of every window
+    ## are entries 0..2^b-1 times pk^(2^(4w+b))
+    tables = np.empty((windows, 16, len(pk)), dtype=np.uint64)
+    tables[:, 0] = 1
+    for b in range(4):
+        tables[:, 1 << b:2 << b] = _mulmod(tables[:, :1 << b], squares[b::4, None], q)
+    shifts = np.arange(0, 4 * windows, 4, dtype=np.uint64)
+    digits = (np.array(sk, dtype=np.uint64)[:, None] >> shifts) & 15
+    keys = np.empty((len(sk), len(pk)), dtype=np.uint64)
+    for start in range(0, len(sk), _ROWS):
+        d = digits[start:start + _ROWS]
+        acc = tables[0, d[:, 0]]
+        for w in range(1, windows):
+            acc = _mulmod(acc, tables[w, d[:, w]], q)
+        keys[start:start + _ROWS] = acc
+    return keys
 
 
 def agree_keys(n: int, params: GroupParams, rng: np.random.Generator) -> np.ndarray:
     """Key agreement for one protocol run of n parties, before its first round.
 
     Every party draws one key pair, then derives its shared key with every
-    other party from its own secret key and the other's public key:
-    keys[i, j] is party i's copy, keys[j, i] party j's, and the two are
-    equal.  The diagonal is unused.  Keys are uint64 for moduli below
-    2^64 and Python ints for the wider groups.
+    other party from its own secret key and the other's public key, all
+    in one ka_agree call: keys[i, j] is party i's copy, computed from
+    party i's secret key alone, keys[j, i] party j's, and the two are
+    equal.  The diagonal is unused and set to 0.  Keys are uint64 for the
+    groups of at most 61 bits, by array exponentiation, and Python ints
+    from pow for the wider groups.
     """
     if n < 2:
         raise ValueError(f"masking needs at least 2 parties, got {n}")
-    pairs = [ka_gen(params, rng) for _ in range(n)]
-    keys = np.zeros((n, n), dtype=np.uint64 if params.q < 2**64 else object)
-    for i, (sk, _) in enumerate(pairs):
-        keys[i] = [0 if j == i else ka_agree(sk, pk, params) for j, (_, pk) in enumerate(pairs)]
+    sks, pks = zip(*(ka_gen(params, rng) for _ in range(n)))
+    keys = ka_agree(sks, pks, params)
+    np.fill_diagonal(keys, 0)
     return keys
 
 

@@ -19,13 +19,13 @@ r of each pair's mask stream.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .graph import Graph, check_count, degree_sequence
+from .mechanisms import check_epsilon
 from .projection import ProjectionConfig, lpea_low, projection_error
 from .secure_agg import DEFAULT_BITS, agree_keys, ka_param, masked_sum_round, round_masks
 
@@ -42,8 +42,7 @@ class ThetaSearchConfig:
 
     def __post_init__(self):
         check_count("K", self.K)
-        if not 0 < self.epsilon < math.inf:
-            raise ValueError(f"epsilon must be finite and positive, got {self.epsilon}")
+        check_epsilon(self.epsilon)
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
         ka_param(self.bits)  # raises for a modulus bit length with no group

@@ -98,9 +98,11 @@ def test_workload_passes_its_output_checks(workload):
 def test_traced_masked_selection_passes_its_output_checks():
     ## --trace 1 runs the tracer's wrappers around mask_scalar, compute_mask and aggregate
     metrics = {k: v["value"] for k, v in run_checked("masked-select-300", trace=1)["metrics"].items()}
-    ## counts come from one selection: every ordered pair agrees a key and expands it once
-    pairs = SMALL_N * (SMALL_N - 1)
-    assert metrics["secure_agg.ka_agree_calls"] == metrics["secure_agg.mask_scalar_calls"] == pairs
+    ## counts come from one selection: every party draws one key pair, one ka_agree call
+    ## agrees the whole key matrix, and every ordered pair expands its key once
+    assert metrics["secure_agg.ka_gen_calls"] == SMALL_N
+    assert metrics["secure_agg.ka_agree_calls"] == 1
+    assert metrics["secure_agg.mask_scalar_calls"] == SMALL_N * (SMALL_N - 1)
     assert metrics["secure_agg.rounds"] > 0
 
 

@@ -98,6 +98,11 @@ class TestConfigValidation:
         ("alpha", 0.0, "alpha must lie in (0, 1)"),
         ("epsilon", math.inf, "epsilon must be finite and positive"),
         ("epsilon", -1.0, "epsilon must be finite and positive"),
+        ## a bool used to run as epsilon = 1 and write True into the CSV
+        ("epsilon", True, "epsilon must be finite and positive, got True"),
+        ("epsilon", np.True_, "epsilon must be finite and positive"),
+        ("alpha", True, "alpha must lie in (0, 1), got True"),
+        ("alpha", False, "alpha must lie in (0, 1)"),
     ])
     def test_bad_run_settings_rejected(self, field, value, named):
         with pytest.raises(ValueError, match=re.escape(named)):

@@ -26,6 +26,7 @@ class TestPrivacyParams:
     @pytest.mark.parametrize("eps,alpha", [
         (0.0, 0.1), (-1.0, 0.1), (math.inf, 0.1), (-math.inf, 0.1), (math.nan, 0.1),
         (1.0, 0.0), (1.0, 1.0), (1.0, 1.5),
+        (True, 0.1), (np.True_, 0.1), (1.0, True), (1.0, False),
     ])
     def test_validation(self, eps, alpha):
         with pytest.raises(ValueError):

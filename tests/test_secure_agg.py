@@ -8,6 +8,7 @@ from degreeldp import secure_agg
 from degreeldp.graph import Graph, degree_sequence
 from degreeldp.secure_agg import (
     _GROUPS,
+    _mulmod,
     aggregate,
     agree_keys,
     compute_mask,
@@ -106,6 +107,53 @@ class TestKeyAgreement:
         assert len(stream) == 3 * 32
         assert stream != mask_scalar(123456788, p, 3)
         assert stream != mask_scalar(123456789, ka_param(127), 3)
+
+
+class TestArrayKeyAgreement:
+    """The key matrix from one array ka_agree call equals pow on every pair."""
+
+    @given(n=st.integers(2, 40), bits=st.sampled_from(sorted(_GROUPS)), seed=st.integers(0, 2**63))
+    @settings(max_examples=60, deadline=None)
+    def test_agree_keys_matches_pow(self, n, bits, seed):
+        p = ka_param(bits)
+        keys = agree_keys(n, p, np.random.default_rng(seed))
+        ## the same draws as agree_keys: one key pair per party, in party order
+        rng = np.random.default_rng(seed)
+        pairs = [ka_gen(p, rng) for _ in range(n)]
+        assert keys.shape == (n, n)
+        for i in range(n):
+            assert keys[i, i] == 0
+            for j in range(n):
+                if j != i:
+                    assert int(keys[i, j]) == pow(pairs[j][1], pairs[i][0], p.q)
+        assert np.array_equal(keys, keys.T)
+
+    def test_mulmod_boundaries(self):
+        q = 2**61 - 1
+        edges = [0, 1, 2**32 - 1, 2**32, q - 1]
+        a, b = (np.array(x, dtype=np.uint64) for x in zip(*[(x, y) for x in edges for y in edges]))
+        assert _mulmod(a, b, q).tolist() == [x * y % q for x, y in zip(a.tolist(), b.tolist())]
+
+    @given(bits=st.sampled_from([16, 17, 19, 31, 61]), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_mulmod_matches_python_ints(self, bits, data):
+        q = ka_param(bits).q
+        xs = data.draw(st.lists(st.tuples(st.integers(0, q - 1), st.integers(0, q - 1)), min_size=1, max_size=20))
+        a, b = (np.array(x, dtype=np.uint64) for x in zip(*xs))
+        assert _mulmod(a, b, q).tolist() == [x * y % q for x, y in xs]
+
+    @pytest.mark.parametrize("bits", [16, 61, 127])
+    def test_one_out_of_range_entry_rejected(self, bits):
+        p = ka_param(bits)
+        rng = np.random.default_rng(0)
+        sks, pks = (list(x) for x in zip(*(ka_gen(p, rng) for _ in range(5))))
+        assert ka_agree(sks, pks, p).shape == (5, 5)
+        with pytest.raises(ValueError, match="public key"):
+            ka_agree(sks, pks[:3] + [0] + pks[4:], p)
+        with pytest.raises(ValueError, match="secret key"):
+            ka_agree(sks[:3] + [p.q] + sks[4:], pks, p)
+        with pytest.raises(ValueError, match="secret key"):
+            ka_agree([-1] + sks[1:], pks, p)
 
 
 class TestMasking:
@@ -341,8 +389,8 @@ class TestKeyReuse:
         theta_by_deviation(degrees, cfg, np.random.default_rng(0), masked=masked, round_log=log)
         n = len(degrees)
         assert len(log) > 1
-        pairs = n * (n - 1)
-        assert key_calls == ({"ka_gen": n, "ka_agree": pairs, "mask_scalar": pairs} if masked
+        ## one key pair per party, one ka_agree call for the whole key matrix, one stream per ordered pair
+        assert key_calls == ({"ka_gen": n, "ka_agree": 1, "mask_scalar": n * (n - 1)} if masked
                              else {"ka_gen": 0, "ka_agree": 0, "mask_scalar": 0})
 
     @pytest.mark.parametrize("masked", [True, False])
@@ -352,5 +400,5 @@ class TestKeyReuse:
         log: list = []
         theta_by_sum(g, degree_sequence(g), cfg, np.random.default_rng(0), masked=masked, round_log=log)
         assert len(log) == 7
-        assert key_calls == ({"ka_gen": 8, "ka_agree": 8 * 7, "mask_scalar": 8 * 7} if masked
+        assert key_calls == ({"ka_gen": 8, "ka_agree": 1, "mask_scalar": 8 * 7} if masked
                              else {"ka_gen": 0, "ka_agree": 0, "mask_scalar": 0})

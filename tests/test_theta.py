@@ -28,6 +28,7 @@ class TestConfig:
         dict(K=5, epsilon=1.0, method="bogus"),
         dict(K=5, epsilon=math.inf),
         dict(K=5, epsilon=math.nan),
+        dict(K=5, epsilon=True),
         dict(K=5, epsilon=1.0, bits=3),
     ])
     def test_validation(self, kwargs):
