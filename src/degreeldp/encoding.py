@@ -6,6 +6,9 @@ samples the answer with the exponential mechanism (scored by distance to
 each partition's median) so the report is differentially private.  The
 resulting small integer is the node's order, used to schedule the edge
 negotiation without revealing true degrees.
+
+A run builds one inverse-CDF row per distinct degree (order_cdfs); each
+trial samples all orders from one rng.random(n), node i on the i-th double.
 """
 
 from __future__ import annotations
@@ -71,7 +74,28 @@ def order_probs(d: int, params: PrivacyParams, scheme: PartitionScheme) -> np.nd
     return exp_mech_probs(scores, params.order_budget, scheme.delta_u)
 
 
-def ndoe_sample(d: int, params: PrivacyParams, scheme: PartitionScheme, rng: np.random.Generator) -> int:
-    """Sample a node's private order (1-based partition index)."""
-    probs = order_probs(d, params, scheme)
-    return categorical_sample(rng, probs) + 1
+def order_cdfs(degrees, params: PrivacyParams, scheme: PartitionScheme) -> list[tuple[np.ndarray, np.ndarray]]:
+    """One (inverse-CDF row, node ids) pair per distinct degree, in ascending degree.
+
+    Each row is the cumulative sum of order_probs for its degree; the ids
+    are the nodes of that degree, ascending.
+    """
+    degs = np.asarray(degrees, dtype=np.int64)
+    counts = np.bincount(degs)
+    present = np.flatnonzero(counts)
+    nodes = np.split(np.argsort(degs, kind="stable"), np.cumsum(counts[present])[:-1])
+    return [(np.cumsum(order_probs(int(d), params, scheme)), ids) for d, ids in zip(present, nodes)]
+
+
+def ndoe_sample(cdfs: list[tuple[np.ndarray, np.ndarray]], rng: np.random.Generator) -> np.ndarray:
+    """Sample every node's private order (1-based partition index) from order_cdfs rows.
+
+    Node i's order is the inverse CDF of its degree's row at u[i], where
+    u = rng.random(n) is one draw for all n nodes.
+    """
+    n = sum(ids.size for _, ids in cdfs)
+    u = rng.random(n)
+    orders = np.empty(n, dtype=np.int64)
+    for cdf, ids in cdfs:
+        orders[ids] = categorical_sample(cdf, u[ids]) + 1
+    return orders

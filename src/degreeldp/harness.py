@@ -7,7 +7,9 @@ and config overrides.  All error metrics compare against the original
 degree sequence.  Seeding is hierarchical: the master seed draws the
 threshold-selection seed, then one integer seed per trial, and each
 trial seed is split into per-stage substreams (order encoding,
-projection, release), so any row can be reproduced in isolation.
+projection, release), so any row can be reproduced in isolation.  Each
+stage draws its uniforms as arrays, in the order one draw per node or
+per request would take them, so the batches give the same outputs.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import IO, Mapping, Sequence
 
 import numpy as np
 
-from .encoding import DEFAULT_PARTITION_SIZE, build_partitions, ndoe_sample
+from .encoding import DEFAULT_PARTITION_SIZE, build_partitions, ndoe_sample, order_cdfs
 from .graph import Graph, check_count, degree_sequence, load_graph, stats
 from .mechanisms import PrivacyParams
 from .projection import ProjectionConfig, Strategy, project
@@ -192,6 +194,7 @@ def run_pipeline(cfg: ExperimentConfig, graph: Graph | None = None) -> tuple[lis
     scheme = build_partitions(st.d_min, st.d_max, cfg.p_size)
     dist_orig = degree_distribution(degs, graph.n)
     pcfg = ProjectionConfig(theta=theta, strategy=cfg.strategy, params=params if cfg.private else None)
+    cdfs = order_cdfs(degs, params, scheme) if cfg.private else None
 
     rows: list[MetricsRow] = []
     reports: list[ReleaseReport] = []
@@ -200,10 +203,7 @@ def run_pipeline(cfg: ExperimentConfig, graph: Graph | None = None) -> tuple[lis
         order_rng, proj_rng, release_rng = (
             np.random.default_rng(s) for s in np.random.SeedSequence(trial_seed).spawn(3)
         )
-        if cfg.private:
-            orders = [ndoe_sample(d, params, scheme, order_rng) for d in degs]
-        else:
-            orders = degs
+        orders = ndoe_sample(cdfs, order_rng) if cfg.private else degs
         pg = project(graph, pcfg, proj_rng, orders=orders)
         if cfg.private:
             report = dsr(pg, theta, params, release_rng, seed=trial_seed)

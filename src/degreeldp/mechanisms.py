@@ -56,14 +56,20 @@ class PrivacyParams:
         return (1 - self.alpha) * self.epsilon
 
 
-def laplace_sample(rng: np.random.Generator, scale: float) -> float:
-    """Draw Laplace(0, scale) noise by inverting the CDF on one uniform."""
+def laplace_sample(rng: np.random.Generator, scale: float, size: int) -> np.ndarray:
+    """Draw size Laplace(0, scale) variates by inverting the CDF on rng.random(size).
+
+    rng.random(size) holds the doubles that size calls of rng.random()
+    return, and math.log1p runs per element because np.log1p can differ
+    from it in the last bits, so draw k equals the k-th of size scalar
+    draws from the same generator.
+    """
     if not scale > 0:
         raise ValueError(f"scale must be positive, got {scale}")
-    u = rng.random() - 0.5
-    if u == -0.5:  # rng.random() returned 0.0, where log1p(-1) would raise
-        u = math.nextafter(-0.5, 0.0)
-    return -scale * math.copysign(1.0, u) * math.log1p(-2.0 * abs(u))
+    u = rng.random(size) - 0.5
+    u[u == -0.5] = math.nextafter(-0.5, 0.0)  # a uniform of 0.0, where log1p(-1) would raise
+    logs = np.fromiter(map(math.log1p, (-2.0 * np.abs(u)).tolist()), dtype=float, count=size)
+    return -scale * np.copysign(1.0, u) * logs
 
 
 def wrr_truth_rate(budget: float) -> float:
@@ -112,12 +118,13 @@ def exp_mech_probs(scores: np.ndarray, budget: float, sensitivity: float) -> np.
     return w / w.sum()
 
 
-def categorical_sample(rng: np.random.Generator, probs: np.ndarray) -> int:
-    """Sample an index from a probability vector by inverse CDF in the given order."""
-    probs = np.asarray(probs, dtype=float)
-    if np.any(probs < 0) or abs(probs.sum() - 1.0) > 1e-9:
-        raise ValueError("probs must be nonnegative and sum to 1")
-    cum = np.cumsum(probs)
-    u = rng.random()
-    idx = int(np.searchsorted(cum, u, side="right"))
-    return min(idx, probs.size - 1)
+def categorical_sample(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Inverse-CDF indices: for each uniform in u, the first index whose cumulative probability exceeds it.
+
+    cdf is one row of cumulative probabilities in the given order.  A
+    uniform at or above a total that rounds below 1 takes the last index.
+    """
+    cdf = np.asarray(cdf, dtype=float)
+    if cdf.size == 0 or not (cdf[0] >= 0 and (cdf[:-1] <= cdf[1:]).all() and abs(cdf[-1] - 1.0) <= 1e-9):
+        raise ValueError("cdf must be nondecreasing from a nonnegative start and end at 1")
+    return np.minimum(np.searchsorted(cdf, u, side="right"), cdf.size - 1)

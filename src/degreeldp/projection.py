@@ -27,7 +27,11 @@ from typing import Sequence
 import numpy as np
 
 from .graph import Graph, check_count
-from .mechanisms import PrivacyParams, wrr_debias_count, wrr_respond
+from .mechanisms import PrivacyParams, wrr_debias_count, wrr_truth_rate
+
+## bench/tracing.py wraps projection.wrr_respond to count answers, so the name
+## stays here though the negotiation draws its answers in bulk (_addition_run)
+from .mechanisms import wrr_respond  # noqa: F401
 
 
 class Strategy(enum.Enum):
@@ -160,8 +164,11 @@ def _addition_run(
     order_of gives each node's scheduling rank (private order or true
     degree); None selects the uniform-random strategy.  Randomness is
     consumed in a fixed documented order: schedule first (random
-    strategy only), then per initiator one response per request in
-    neighbor-rank order, then the responder draw (random strategy only).
+    strategy only), then per initiator one rng.random(len(pending)) draw,
+    a uniform per request in neighbor-rank order, then the responder draw
+    (random strategy only).  Responder j answers yes iff its true
+    "deg < theta" bit is kept, i.e. iff (deg[j] < theta) == (u_j < rate),
+    rate = wrr_truth_rate(budget): the answer wrr_respond gives on u_j.
     Truthful rank-scheduled runs do not come here: they are one edge
     scan (``_edge_scan``) and draw nothing.
     """
@@ -170,6 +177,7 @@ def _addition_run(
     strategy = cfg.strategy
     private = cfg.params is not None
     budget = cfg.params.negotiation_budget if private else 0.0
+    rate = wrr_truth_rate(budget)
 
     if strategy is Strategy.RANDOM_ADD:
         schedule = [int(i) for i in rng.permutation(n)]
@@ -188,7 +196,8 @@ def _addition_run(
         if not pending:
             continue
         if private:
-            willing = [j for j in pending if wrr_respond(rng, deg[j] < theta, budget)]
+            kept = (rng.random(len(pending)) < rate).tolist()
+            willing = [j for j, keep in zip(pending, kept) if (deg[j] < theta) == keep]
             debiased = wrr_debias_count(len(pending), len(willing), budget)
             count = min(max(int(round(debiased)), 0), len(willing))
         else:

@@ -66,14 +66,14 @@ def dsr(
 ) -> ReleaseReport:
     """Perturb each projected degree with Laplace noise and assemble the release.
 
-    Nodes are processed in id order, one noise draw each, so a seed
-    pins the whole report.  Raises ValueError if a projected degree
-    exceeds theta: the scale theta / budget would then under-noise it.
+    The noise is one laplace_sample batch of n draws, node i taking draw
+    i, so a seed pins the whole report.  Raises ValueError if a projected
+    degree exceeds theta: the scale theta / budget would then under-noise it.
     """
     scale = noise_scale(theta, params)
     if pg.degrees and max(pg.degrees) > theta:
         raise ValueError(f"projected degree {max(pg.degrees)} exceeds theta={theta}; the noise would not cover it")
-    noisy = [pg.degrees[i] + laplace_sample(rng, scale) for i in range(pg.n)]
+    noisy = (np.asarray(pg.degrees, dtype=float) + laplace_sample(rng, scale, pg.n)).tolist()
     dist = degree_distribution(noisy, pg.n)
     return ReleaseReport(
         noisy_degrees=tuple(noisy),

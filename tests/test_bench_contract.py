@@ -6,7 +6,7 @@ of its SPANS, TIMED and COUNTED tables and counts masked rounds from the
 moves one of these names, or passes ``masked`` positionally, breaks
 ``bench/run.py --trace 1`` without failing any other test.  A short run of
 each workload on a small graph checks that the package's outputs still
-pass the benchmark's own checks, and one traced masked run checks that
+pass the benchmark's own checks, and one traced run of each checks that
 the wrapped calls still run and count what they did.  The benchmark's checks and its own
 tests read and edit ``ProjectedGraph`` directly, so its layout is pinned
 here as well.
@@ -31,13 +31,17 @@ BENCH_DIR = ROOT / "bench"
 WORKLOADS = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
 
 
-@pytest.fixture(scope="module")
-def tracing():
+def import_bench(name: str):
     sys.path.insert(0, str(BENCH_DIR))
     try:
-        return importlib.import_module("tracing")
+        return importlib.import_module(name)
     finally:
         sys.path.remove(str(BENCH_DIR))
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    return import_bench("tracing")
 
 
 def test_every_traced_call_site_exists(tracing):
@@ -104,6 +108,15 @@ def test_traced_masked_selection_passes_its_output_checks():
     assert metrics["secure_agg.ka_agree_calls"] == 1
     assert metrics["secure_agg.mask_scalar_calls"] == SMALL_N * (SMALL_N - 1)
     assert metrics["secure_agg.rounds"] > 0
+
+
+def test_traced_sum_selection_samples_once_per_release_trial():
+    metrics = {k: v["value"] for k, v in run_checked("sum-select-4k", trace=1)["metrics"].items()}
+    ## each release trial draws its orders and its noise as one batch each
+    workloads = import_bench("workloads")
+    trials = len(workloads.STRATEGIES) * workloads.WORKLOADS["sum-select-4k"].trials
+    assert metrics["encoding.ndoe_sample_calls"] == metrics["mechanisms.laplace_sample_calls"] == trials
+    assert metrics["projection.lpea_low_calls"] > 0
 
 
 def test_truthful_projection_layout():

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from degreeldp.encoding import build_partitions, ndoe_sample, order_probs
+from degreeldp.encoding import build_partitions, ndoe_sample, order_cdfs, order_probs
+from degreeldp.harness import load_dataset
 from degreeldp.mechanisms import PrivacyParams
 
 
@@ -109,14 +110,30 @@ class TestNdoeSample:
     def test_range_and_determinism(self):
         s = build_partitions(0, 100, 10)
         params = PrivacyParams(epsilon=3.0, alpha=0.1)
-        a = [ndoe_sample(42, params, s, np.random.default_rng(9)) for _ in range(5)]
-        b = [ndoe_sample(42, params, s, np.random.default_rng(9)) for _ in range(5)]
-        assert a == b
+        cdfs = order_cdfs([42, 3, 42, 97, 0], params, s)
+        a = ndoe_sample(cdfs, np.random.default_rng(9))
+        b = ndoe_sample(cdfs, np.random.default_rng(9))
+        assert a.tolist() == b.tolist()
         assert all(1 <= o <= len(s.medians) for o in a)
 
     def test_empirical_two_partition_frequencies(self):
         s = build_partitions(0, 10, 5)
         params = two_thirds_params()
         rng = np.random.default_rng(77)
-        draws = np.array([ndoe_sample(2, params, s, rng) for _ in range(20_000)])
+        draws = ndoe_sample(order_cdfs([2] * 20_000, params, s), rng)
         assert np.mean(draws == 1) == pytest.approx(2 / 3, abs=0.02)
+
+    def test_batch_equals_per_node_draws(self):
+        g, _ = load_dataset("synthetic:4000:11:1")
+        degs = g.degrees.tolist()
+        params = PrivacyParams(epsilon=3.0, alpha=0.1)
+        s = build_partitions(min(degs), max(degs))
+        ## the per-node form: one rng.random() per node in id order, inverse CDF of its order_probs
+        rng = np.random.default_rng(2024)
+        expected = []
+        for d in degs:
+            cum = np.cumsum(order_probs(d, params, s))
+            expected.append(min(int(np.searchsorted(cum, rng.random(), side="right")), cum.size - 1) + 1)
+        batch_rng = np.random.default_rng(2024)
+        assert ndoe_sample(order_cdfs(degs, params, s), batch_rng).tolist() == expected
+        assert batch_rng.random() == rng.random()

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import math
 import os
@@ -234,6 +235,63 @@ class TestRunPipeline:
                                private=False)
         rows, _ = run_pipeline(cfg)
         assert rows[0].strategy == "edge-remove"
+
+
+## Private run_pipeline outputs at seed 3: per trial, the sha256 of the
+## report's to_json() and the row's (mae_seq, mae_dist, edge_ratio) reprs.
+## Every order, negotiation answer and Laplace draw reaches these, so a
+## reordered, extra or differently rounded draw changes them.
+RELEASE_GOLDEN = {
+    ('synthetic:300:11:1', 'lpea-low'): [
+        ('d5c8fd006b79ba3cc1b6d15cf48ff6c2ac14442147ca65045d97d52c80050367', ('14.866195248876895', '0.004600000000000001', '0.32220160791589364')),
+        ('2377365196de43c1373e4ab370395e3f5de4b481120562d4a535a7110c6a97dc', ('15.249743261484495', '0.004977777777777777', '0.3209647495361781')),
+        ('e2d648fdc3bc0e56369e956035c7aeab5be0c3e1a971acdfe638fa7efee40253', ('14.854213961353265', '0.004622222222222222', '0.32869511440940014')),
+    ],
+    ('synthetic:300:11:1', 'lpea-high'): [
+        ('b4d455c94f17f75ee9dd42e6334635065a7eb99bfe7abb3f62103eb1cff5d44c', ('14.700852497914408', '0.004666666666666666', '0.3324056895485467')),
+        ('d6c586f5e6f4b9a0f2768d0718d47ac77065835ea46ef0de023d48e22efa0ac4', ('14.789452037936336', '0.0047777777777777775', '0.34446505875077305')),
+        ('b93bdd63c5553aa26b39241d7b53aba02fabe0c1e802bf853312ce69bc7e5104', ('14.402139184012656', '0.0044666666666666665', '0.35435992578849723')),
+    ],
+    ('synthetic:300:11:1', 'random-add'): [
+        ('10d2cc7ce789993c16db81f0b2f2ff8c92450dd02dddfe0124b1072562a90d09', ('14.529043978015931', '0.004577777777777778', '0.3358070500927644')),
+        ('cf259b5e00a80ab94e0f9633e29ef752df20abca05d8ffe99259f81197cc59de', ('14.765417575516418', '0.004866666666666667', '0.3416821273964131')),
+        ('aace7aaa026d491c0660d7138164bbae75dec153721ef53150d6d01d2a6f3f91', ('14.44930271144933', '0.004488888888888889', '0.3469387755102041')),
+    ],
+    ('synthetic:300:11:1', 'edge-remove'): [
+        ('9903a1a3e933576c665fbf67c93af2acb365e06199dec0bf07e683b757d47f65', ('14.192695498861298', '0.004533333333333334', '0.36332714904143476')),
+        ('8a7dff26014e34518f90c9861ad2d9bccb98e25d00e3ae8278039a6d07cbc29a', ('14.202654131086838', '0.004577777777777777', '0.3772418058132344')),
+        ('dffa86ae42bb04fe4979ad01d8c722bc3b90009e9041bfa9df9218252f7b3049', ('14.183577909626237', '0.004555555555555556', '0.36703772418058134')),
+    ],
+    ('synthetic:4000:11:1', 'lpea-low'): [
+        ('459e4c706ccdfefb36378716a04d824519f80d4ddde8ae0e2a13ae4052a71c8e', ('14.935270023844424', '0.00029562500000000004', '0.4032412254745755')),
+    ],
+    ('synthetic:4000:11:1', 'lpea-high'): [
+        ('ba1558416700ac234ace94589a2e5b4f8f5d81e72f96cc099d1f4fb82103e63a', ('14.802048415616861', '0.00029487500000000005', '0.41193608594710246')),
+    ],
+    ('synthetic:4000:11:1', 'random-add'): [
+        ('cecdd412ea59a02c6efeb67fd10c302d3ead01c639a062699e0ccfe368d89a74', ('14.861160406223327', '0.0002955', '0.40403787499430965')),
+    ],
+    ('synthetic:4000:11:1', 'edge-remove'): [
+        ('04a09b1ea08d1d51b407c0baed446d1a7d81d232edc96e4b9e3e6d9640a749ca', ('13.411285387096813', '0.0002375', '0.5022306186552556')),
+    ],
+}
+
+RELEASE_GOLDEN_THETA = {"synthetic:300:11:1": (11, 3), "synthetic:4000:11:1": (17, 1)}
+
+
+@pytest.mark.parametrize("token", sorted(RELEASE_GOLDEN_THETA))
+def test_private_release_golden(token):
+    graph, _ = load_dataset(token)
+    theta, trials = RELEASE_GOLDEN_THETA[token]
+    for strategy in Strategy:
+        cfg = ExperimentConfig(dataset=token, strategy=strategy, theta=theta, trials=trials, seed=3)
+        rows, reports = run_pipeline(cfg, graph=graph)
+        got = [
+            (hashlib.sha256(rep.to_json().encode()).hexdigest(),
+             (repr(row.mae_seq), repr(row.mae_dist), repr(row.edge_ratio)))
+            for row, rep in zip(rows, reports)
+        ]
+        assert got == RELEASE_GOLDEN[token, strategy.value], strategy
 
 
 class TestSelectTheta:

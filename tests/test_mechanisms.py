@@ -36,35 +36,48 @@ class TestPrivacyParams:
 class TestLaplace:
     def test_scale_must_be_positive(self):
         with pytest.raises(ValueError):
-            laplace_sample(np.random.default_rng(0), 0.0)
+            laplace_sample(np.random.default_rng(0), 0.0, 1)
 
     def test_seed_determinism(self):
-        a = [laplace_sample(np.random.default_rng(7), 2.0) for _ in range(10)]
-        b = [laplace_sample(np.random.default_rng(7), 2.0) for _ in range(10)]
-        assert a == b
+        a = laplace_sample(np.random.default_rng(7), 2.0, 10)
+        b = laplace_sample(np.random.default_rng(7), 2.0, 10)
+        assert a.tolist() == b.tolist()
 
     def test_mean_abs_matches_scale(self):
         rng = np.random.default_rng(123)
-        draws = np.array([laplace_sample(rng, 3.5) for _ in range(200_000)])
+        draws = laplace_sample(rng, 3.5, 200_000)
         assert abs(draws).mean() == pytest.approx(3.5, rel=0.02)
         assert draws.mean() == pytest.approx(0.0, abs=0.05)
 
     def test_scale_linearity(self):
         ## same uniform stream, doubled scale doubles every draw
-        a = [laplace_sample(np.random.default_rng(5), 1.0) for _ in range(50)]
-        b = [laplace_sample(np.random.default_rng(5), 2.0) for _ in range(50)]
-        assert b == pytest.approx([2 * x for x in a])
+        a = laplace_sample(np.random.default_rng(5), 1.0, 50)
+        b = laplace_sample(np.random.default_rng(5), 2.0, 50)
+        assert b == pytest.approx(2 * a)
 
     def test_zero_uniform_gives_finite_draw(self):
         ## random() may return 0.0, i.e. u = -0.5; it maps to the nearest u
         ## inside (-0.5, 0.5) instead of raising from log1p(-1)
         class ZeroRng:
-            def random(self):
-                return 0.0
+            def random(self, size):
+                return np.zeros(size)
 
-        draw = laplace_sample(ZeroRng(), 2.0)
-        assert math.isfinite(draw)
-        assert draw == pytest.approx(-2.0 * 53 * math.log(2))
+        draws = laplace_sample(ZeroRng(), 2.0, 3)
+        assert np.all(np.isfinite(draws))
+        assert draws == pytest.approx([-2.0 * 53 * math.log(2)] * 3)
+
+    def test_batch_equals_scalar_draws(self):
+        ## the per-call form: one rng.random() and one math.log1p per draw
+        def scalar(rng, scale):
+            u = rng.random() - 0.5
+            if u == -0.5:
+                u = math.nextafter(-0.5, 0.0)
+            return -scale * math.copysign(1.0, u) * math.log1p(-2.0 * abs(u))
+
+        batch_rng, scalar_rng = np.random.default_rng(11), np.random.default_rng(11)
+        batch = laplace_sample(batch_rng, 2.5, 5000)
+        assert batch.tolist() == [scalar(scalar_rng, 2.5) for _ in range(5000)]
+        assert batch_rng.random() == scalar_rng.random()
 
 
 class TestWrr:
@@ -143,19 +156,18 @@ class TestExpMech:
 
 class TestCategorical:
     def test_validation(self):
+        u = np.random.default_rng(0).random(1)
         with pytest.raises(ValueError):
-            categorical_sample(np.random.default_rng(0), np.array([0.5, 0.6]))
+            categorical_sample(np.cumsum([0.5, 0.6]), u)
         with pytest.raises(ValueError):
-            categorical_sample(np.random.default_rng(0), np.array([-0.1, 1.1]))
+            categorical_sample(np.cumsum([-0.1, 1.1]), u)
 
     def test_point_mass(self):
         rng = np.random.default_rng(0)
-        assert all(categorical_sample(rng, np.array([0.0, 1.0, 0.0])) == 1 for _ in range(20))
+        assert all(categorical_sample(np.cumsum([0.0, 1.0, 0.0]), rng.random(20)) == 1)
 
     def test_frequencies(self):
         rng = np.random.default_rng(31)
         probs = np.array([0.25, 0.25, 0.5])
-        counts = np.zeros(3)
-        for _ in range(40_000):
-            counts[categorical_sample(rng, probs)] += 1
+        counts = np.bincount(categorical_sample(np.cumsum(probs), rng.random(40_000)), minlength=3)
         assert counts / 40_000 == pytest.approx(probs, abs=0.01)

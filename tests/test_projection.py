@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from degreeldp.encoding import build_partitions, ndoe_sample
+from degreeldp.encoding import build_partitions, ndoe_sample, order_cdfs
 from degreeldp.graph import Graph, degree_sequence, stats
 from degreeldp.harness import load_dataset
 from degreeldp.mechanisms import PrivacyParams
@@ -178,7 +178,7 @@ class TestPrivateGolden:
         params = PrivacyParams(3.0, 0.1)
         scheme = build_partitions(info.d_min, info.d_max)
         order_rng = np.random.default_rng(2024)
-        orders = [ndoe_sample(d, params, scheme, order_rng) for d in degree_sequence(g)]
+        orders = ndoe_sample(order_cdfs(degree_sequence(g), params, scheme), order_rng)
         got = {}
         for strategy, theta in PRIVATE_GOLDEN:
             cfg = ProjectionConfig(theta=theta, strategy=Strategy(strategy), params=params)
