@@ -7,8 +7,9 @@ each partition's median) so the report is differentially private.  The
 resulting small integer is the node's order, used to schedule the edge
 negotiation without revealing true degrees.
 
-A run builds one inverse-CDF row per distinct degree (order_cdfs); each
-trial samples all orders from one rng.random(n), node i on the i-th double.
+A run builds its order table once (order_cdfs): one inverse-CDF row per
+distinct degree, from one exponential-mechanism call.  Each trial samples
+all orders from one rng.random(n), node i on the i-th double.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import check_count
-from .mechanisms import PrivacyParams, categorical_sample, exp_mech_probs
+from .mechanisms import PrivacyParams, exp_mech_probs
 
 DEFAULT_PARTITION_SIZE = 50
 
@@ -51,51 +52,38 @@ def build_partitions(d_min: int, d_max: int, p_size: int = DEFAULT_PARTITION_SIZ
         raise ValueError(f"need 0 <= d_min <= d_max, got d_min={d_min}, d_max={d_max}")
     check_count("p_size", p_size)
     p_num = max(math.ceil((d_max - d_min) / p_size), 1)
-    medians = []
-    for j in range(p_num):
-        lo = d_min + j * p_size
-        hi = d_max if j == p_num - 1 else lo + p_size
-        medians.append((lo + hi) / 2.0)
-    return PartitionScheme(d_min=d_min, d_max=d_max, medians=tuple(medians))
+    los = range(d_min, d_min + p_num * p_size, p_size)
+    medians = tuple((lo + min(lo + p_size, d_max)) / 2.0 for lo in los)
+    return PartitionScheme(d_min=d_min, d_max=d_max, medians=medians)
 
 
-def order_probs(d: int, params: PrivacyParams, scheme: PartitionScheme) -> np.ndarray:
-    """Selection probabilities over orders for a node of degree d.
+def order_cdfs(degrees, params: PrivacyParams, scheme: PartitionScheme) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The run's order table: one inverse-CDF row per distinct degree, ascending, and each row's node ids.
 
-    Scores are the negated distances to partition medians; the mechanism
-    budget is the order share of the node's budget.  A degenerate domain
-    (delta_u = 0) makes order 1 certain.
+    Scores are negated distances to partition medians, the budget is the order
+    share; a degenerate domain (delta_u = 0) makes order 1 certain: one column of ones.
     """
-    if not scheme.d_min <= d <= scheme.d_max:
-        raise ValueError(f"degree {d} outside [{scheme.d_min}, {scheme.d_max}]")
+    present, inverse = np.unique(np.asarray(degrees, dtype=np.int64), return_inverse=True)
+    if not scheme.d_min <= present[0] <= present[-1] <= scheme.d_max:
+        raise ValueError(f"degrees [{present[0]}, {present[-1]}] outside [{scheme.d_min}, {scheme.d_max}]")
     if scheme.delta_u == 0:
-        return np.ones(1)
-    scores = -np.abs(d - np.asarray(scheme.medians))
-    return exp_mech_probs(scores, params.order_budget, scheme.delta_u)
+        probs = np.ones((present.size, 1))
+    else:
+        scores = -np.abs(present[:, None] - np.asarray(scheme.medians))
+        probs = exp_mech_probs(scores, params.order_budget, scheme.delta_u)
+    nodes = np.split(np.argsort(inverse, kind="stable"), np.cumsum(np.bincount(inverse))[:-1])
+    return np.cumsum(probs, axis=1), nodes
 
 
-def order_cdfs(degrees, params: PrivacyParams, scheme: PartitionScheme) -> list[tuple[np.ndarray, np.ndarray]]:
-    """One (inverse-CDF row, node ids) pair per distinct degree, in ascending degree.
-
-    Each row is the cumulative sum of order_probs for its degree; the ids
-    are the nodes of that degree, ascending.
-    """
-    degs = np.asarray(degrees, dtype=np.int64)
-    counts = np.bincount(degs)
-    present = np.flatnonzero(counts)
-    nodes = np.split(np.argsort(degs, kind="stable"), np.cumsum(counts[present])[:-1])
-    return [(np.cumsum(order_probs(int(d), params, scheme)), ids) for d, ids in zip(present, nodes)]
-
-
-def ndoe_sample(cdfs: list[tuple[np.ndarray, np.ndarray]], rng: np.random.Generator) -> np.ndarray:
-    """Sample every node's private order (1-based partition index) from order_cdfs rows.
+def ndoe_sample(table: tuple[np.ndarray, list[np.ndarray]], rng: np.random.Generator) -> np.ndarray:
+    """Sample every node's private order (1-based partition index) from the order_cdfs table.
 
     Node i's order is the inverse CDF of its degree's row at u[i], where
-    u = rng.random(n) is one draw for all n nodes.
+    u = rng.random(n); a u[i] at or above a row total below 1 takes the last order.
     """
-    n = sum(ids.size for _, ids in cdfs)
-    u = rng.random(n)
-    orders = np.empty(n, dtype=np.int64)
-    for cdf, ids in cdfs:
-        orders[ids] = categorical_sample(cdf, u[ids]) + 1
-    return orders
+    cdf, nodes = table
+    u = rng.random(sum(ids.size for ids in nodes))
+    orders = np.empty(u.size, dtype=np.int64)
+    for row, ids in zip(cdf, nodes):
+        orders[ids] = np.searchsorted(row, u[ids], side="right")
+    return np.minimum(orders, cdf.shape[1] - 1, out=orders) + 1

@@ -72,9 +72,15 @@ def laplace_sample(rng: np.random.Generator, scale: float, size: int) -> np.ndar
     return -scale * np.copysign(1.0, u) * logs
 
 
+## past e^b = 2^53 the truth rate is exactly 1.0 and the debiased count rounds
+## to u2, so capping b there keeps math.exp finite and changes no finite result
+_MAX_EXPONENT = 40.0
+
+
 def wrr_truth_rate(budget: float) -> float:
     """Probability e^b / (e^b + 1) that binary randomized response keeps the true bit."""
-    return math.exp(budget) / (math.exp(budget) + 1.0)
+    e = math.exp(min(budget, _MAX_EXPONENT))
+    return e / (e + 1.0)
 
 
 def wrr_respond(rng: np.random.Generator, truth: bool, budget: float) -> bool:
@@ -95,15 +101,16 @@ def wrr_debias_count(u1: float, u2: float, budget: float) -> float:
         raise ValueError(f"budget must be positive, got {budget}")
     if u1 < 0 or u2 < 0 or u2 > u1:
         raise ValueError(f"need 0 <= u2 <= u1, got u1={u1}, u2={u2}")
-    e = math.exp(budget)
+    e = math.exp(min(budget, _MAX_EXPONENT))
     return (u2 * (e + 1.0) - u1) / (e - 1.0)
 
 
 def exp_mech_probs(scores: np.ndarray, budget: float, sensitivity: float) -> np.ndarray:
     """Exponential-mechanism selection probabilities over candidate scores.
 
-    Computes softmax(scores * budget / (2 * sensitivity)) with the max
-    score subtracted first for numerical stability.
+    Computes softmax(scores * budget / (2 * sensitivity)) along the last
+    axis (one distribution per row), each row's max subtracted first for
+    numerical stability.
     """
     scores = np.asarray(scores, dtype=float)
     if scores.size == 0:
@@ -113,18 +120,7 @@ def exp_mech_probs(scores: np.ndarray, budget: float, sensitivity: float) -> np.
     if not sensitivity > 0:
         raise ValueError(f"sensitivity must be positive, got {sensitivity}")
     z = scores * (budget / (2.0 * sensitivity))
-    z = z - z.max()
+    z = z - z.max(axis=-1, keepdims=True)
     w = np.exp(z)
-    return w / w.sum()
+    return w / w.sum(axis=-1, keepdims=True)
 
-
-def categorical_sample(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Inverse-CDF indices: for each uniform in u, the first index whose cumulative probability exceeds it.
-
-    cdf is one row of cumulative probabilities in the given order.  A
-    uniform at or above a total that rounds below 1 takes the last index.
-    """
-    cdf = np.asarray(cdf, dtype=float)
-    if cdf.size == 0 or not (cdf[0] >= 0 and (cdf[:-1] <= cdf[1:]).all() and abs(cdf[-1] - 1.0) <= 1e-9):
-        raise ValueError("cdf must be nondecreasing from a nonnegative start and end at 1")
-    return np.minimum(np.searchsorted(cdf, u, side="right"), cdf.size - 1)

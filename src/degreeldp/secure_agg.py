@@ -82,24 +82,17 @@ _M61 = 2**61 - 1
 _ROWS = 64
 
 
-def ka_agree(sk, pk, params: GroupParams):
-    """Shared key pk^sk mod q; symmetric in the two parties.
+def ka_agree(sks: Sequence[int], pks: Sequence[int], params: GroupParams) -> np.ndarray:
+    """Every pair's shared key: entry [i, j] is pks[j]^sks[i] mod q, so row i comes from sks[i] alone.
 
-    Given a sequence of secret keys and a sequence of public keys instead
-    of one of each, returns the matrix of every pair: entry [i, j] is
-    pk[j]^sk[i] mod q, so row i is derived from sk[i] alone.  The matrix
-    is uint64 for the groups of at most 61 bits, computed by
-    _pow_matrix, and holds Python ints from pow for the wider groups.
+    Symmetric for key pairs (sks[i], pks[i]); uint64 for the groups of at most
+    61 bits (by _pow_matrix), Python ints from pow for the wider groups.
     """
     q = params.q
-    single = isinstance(sk, (int, np.integer))
-    sks, pks = ([sk], [pk]) if single else (list(sk), list(pk))
     if not all(0 <= s < q for s in sks):
         raise ValueError(f"secret key out of range for q={q}")
     if not all(1 <= p < q for p in pks):
         raise ValueError(f"public key out of range for q={q}")
-    if single:
-        return pow(pk, sk, q)
     if q < 2**32 or q == _M61:
         return _pow_matrix(sks, pks, q)
     return np.array([[pow(p, s, q) for p in pks] for s in sks], dtype=object)
@@ -176,9 +169,7 @@ def agree_keys(n: int, params: GroupParams, rng: np.random.Generator) -> np.ndar
     other party from its own secret key and the other's public key, all
     in one ka_agree call: keys[i, j] is party i's copy, computed from
     party i's secret key alone, keys[j, i] party j's, and the two are
-    equal.  The diagonal is unused and set to 0.  Keys are uint64 for the
-    groups of at most 61 bits, by array exponentiation, and Python ints
-    from pow for the wider groups.
+    equal.  The diagonal is unused and set to 0.
     """
     if n < 2:
         raise ValueError(f"masking needs at least 2 parties, got {n}")

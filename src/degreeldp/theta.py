@@ -55,8 +55,7 @@ def quantile_oracle(degrees: Sequence[int], epsilon: float, K: int) -> int:
     returns K when no threshold qualifies.
     """
     check_count("K", K)
-    if not epsilon > 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    check_epsilon(epsilon)
     d = np.sort(np.asarray(degrees))
     n = d.size
     ## count of degrees strictly above each candidate, all candidates at once

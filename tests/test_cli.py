@@ -161,6 +161,16 @@ class TestRelease:
             assert a == b
 
 
+    def test_large_finite_epsilon_runs(self, tmp_path):
+        ## e^(alpha * epsilon / 2) overflows a double here; the response rate saturates at 1 instead
+        out = tmp_path / "rel.csv"
+        assert cli_main(["release", "synthetic:100:4:1", "--epsilon", "1e4", "--alpha", "0.5", "--theta", "5",
+                         "--strategy", "all", "--trials", "1", "--out", str(out)]) == 0
+        rows = read_csv(str(out))
+        assert len(rows) == 4
+        assert all(float(r["epsilon"]) == 1e4 and np.isfinite(float(r["mae_seq"])) for r in rows)
+
+
 class TestSweep:
     def test_theta_grid(self, tmp_path):
         out = tmp_path / "sweep.csv"

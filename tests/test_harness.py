@@ -294,6 +294,26 @@ def test_private_release_golden(token):
         assert got == RELEASE_GOLDEN[token, strategy.value], strategy
 
 
+## the same digests at p_size 3, where synthetic:300:11:1 has 34 orders
+## rather than the default's 3: lpea-low, theta 11, seed 3, two trials
+PSIZE3_RELEASE_GOLDEN = [
+    ('fae56fb2c5b886c465184aafb9ee9b889f60051bebc6e367582945e51eaab1f5', ('14.530159240346839', '0.004488888888888889', '0.3404452690166976')),
+    ('73e391a6090d7e0ebde85f37a51c46f9383e6bd0793da0972fab5ee2c728809e', ('14.786184685903324', '0.004622222222222222', '0.34755720470006185')),
+]
+
+
+def test_private_release_golden_psize3():
+    graph, _ = load_dataset("synthetic:300:11:1")
+    cfg = ExperimentConfig(dataset="synthetic:300:11:1", theta=11, p_size=3, trials=2, seed=3)
+    rows, reports = run_pipeline(cfg, graph=graph)
+    got = [
+        (hashlib.sha256(rep.to_json().encode()).hexdigest(),
+         (repr(row.mae_seq), repr(row.mae_dist), repr(row.edge_ratio)))
+        for row, rep in zip(rows, reports)
+    ]
+    assert got == PSIZE3_RELEASE_GOLDEN
+
+
 class TestSelectTheta:
     @pytest.mark.parametrize("method", ["deviation", "sum"])
     def test_K_defaults_to_largest_degree_at_least_one(self, method, monkeypatch):

@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 
 from degreeldp.mechanisms import (
     PrivacyParams,
-    categorical_sample,
     exp_mech_probs,
     laplace_sample,
     wrr_debias_count,
@@ -91,6 +90,24 @@ class TestWrr:
         assert wrr_truth_rate(math.log(3)) == pytest.approx(0.75)
         assert wrr_truth_rate(1.0) == pytest.approx(math.e / (math.e + 1))
 
+    @pytest.mark.parametrize("budget", [36.0, 40.0, 50.0, 700.0, 710.0, 5000.0, 1e300])
+    def test_truth_rate_finite_at_any_budget(self, budget):
+        ## where math.exp(budget) is finite the rate is the uncapped formula's; past it, 1.0
+        if budget < 709:
+            assert wrr_truth_rate(budget) == math.exp(budget) / (math.exp(budget) + 1.0)
+        else:
+            assert wrr_truth_rate(budget) == 1.0
+
+    @pytest.mark.parametrize("budget", [50.0, 700.0, 5000.0, 1e300])
+    @pytest.mark.parametrize("u1,u2", [(10, 0), (10, 7), (10, 10), (1, 1)])
+    def test_debias_finite_at_any_budget(self, u1, u2, budget):
+        ## past e^b = 2^53 the estimate rounds to u2, as the uncapped formula's does where finite
+        got = wrr_debias_count(u1, u2, budget)
+        assert math.isfinite(got) and round(got) == u2
+        if budget < 709:
+            e = math.exp(budget)
+            assert round((u2 * (e + 1.0) - u1) / (e - 1.0)) == u2
+
     def test_empirical_truth_rate(self):
         rng = np.random.default_rng(99)
         budget = math.log(3)
@@ -153,21 +170,17 @@ class TestExpMech:
         b = exp_mech_probs(np.array(scores) + shift, 1.3, 2.0)
         assert a == pytest.approx(b, abs=1e-12)
 
+    @given(
+        rows=st.integers(1, 12),
+        cols=st.integers(1, 300),
+        budget=st.floats(1e-3, 50.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_rows_equal_one_dimensional_calls(self, rows, cols, budget, seed):
+        ## a 2-D call is the 1-D call on each row, bit for bit
+        scores = -np.abs(np.random.default_rng(seed).normal(0, 100, (rows, cols)))
+        table = exp_mech_probs(scores, budget, 7.0)
+        assert table.shape == (rows, cols)
+        for r in range(rows):
+            assert np.array_equal(table[r], exp_mech_probs(scores[r], budget, 7.0))
 
-class TestCategorical:
-    def test_validation(self):
-        u = np.random.default_rng(0).random(1)
-        with pytest.raises(ValueError):
-            categorical_sample(np.cumsum([0.5, 0.6]), u)
-        with pytest.raises(ValueError):
-            categorical_sample(np.cumsum([-0.1, 1.1]), u)
-
-    def test_point_mass(self):
-        rng = np.random.default_rng(0)
-        assert all(categorical_sample(np.cumsum([0.0, 1.0, 0.0]), rng.random(20)) == 1)
-
-    def test_frequencies(self):
-        rng = np.random.default_rng(31)
-        probs = np.array([0.25, 0.25, 0.5])
-        counts = np.bincount(categorical_sample(np.cumsum(probs), rng.random(40_000)), minlength=3)
-        assert counts / 40_000 == pytest.approx(probs, abs=0.01)

@@ -66,6 +66,12 @@ class TestQuantileOracle:
         with pytest.raises(ValueError):
             quantile_oracle([1, 2], 0.0, 3)
 
+    @pytest.mark.parametrize("epsilon", [math.inf, True, np.True_])
+    def test_infinite_or_bool_epsilon_rejected(self, epsilon):
+        ## the same refusal as every other budget check
+        with pytest.raises(ValueError, match="finite and positive"):
+            quantile_oracle([1, 2], epsilon, 3)
+
     @given(
         degrees=st.lists(st.integers(1, 80), min_size=1, max_size=200),
         e1=st.floats(0.2, 5.0),
