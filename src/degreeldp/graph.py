@@ -7,15 +7,14 @@ first appearance.  The ``Graph`` constructor is the one place that drops
 self-loops (the endpoint still counts as a node) and merges duplicate
 edges.  It builds a graph's sorted neighbor lists and, once, two
 read-only arrays: the edge pairs and the degrees, which projections and
-statistics read instead of walking the lists.  ``edges`` derives the
-edges from the lists, in an order that writes out and reloads to the
-same ids.
+statistics read instead of walking the lists.  ``edges`` orders the
+pairs so that a graph whose ids are in first-appearance order reloads
+to the same ids.
 """
 
 from __future__ import annotations
 
 import gzip
-from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain
 from typing import IO, Iterable, Iterator
@@ -50,8 +49,7 @@ class Graph:
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]], labels: list[str] | None = None):
         """Build from integer id pairs, dropping self-loops and merging duplicates."""
-        if labels is None:
-            labels = [str(i) for i in range(n)]
+        labels = [str(i) for i in range(n)] if labels is None else labels
         if len(labels) != n:
             raise ValueError("labels must have one entry per node")
         ## a dict keeps input order; a set would hand each node's sort a
@@ -82,15 +80,15 @@ class Graph:
     def edges(self) -> Iterator[tuple[int, int]]:
         """Edges as (i, j) pairs with i < j, by j ascending and then i descending.
 
-        Written out in this order, the edges reload to the same ids: each
-        node's label first appears in the order of its id.
+        Written out in this order, the edges reload to the same ids iff
+        the ids are in first-appearance order: node k is the k-th distinct
+        node that this listing names.  Every graph that load_edge_list
+        builds meets this unless some node first appears in a self-loop;
+        Graph(3, [(0, 2), (1, 2)]) does not, as it lists (1, 2) first.
         """
-        for j, nbrs in enumerate(self.adj):
-            for i in reversed(nbrs[: bisect_left(nbrs, j)]):
-                yield i, j
-
-    def edge_set(self) -> set[tuple[int, int]]:
-        return set(self.edges())
+        i, j = self.pairs.T
+        order = np.lexsort((-i, j))
+        return zip(i[order].tolist(), j[order].tolist())
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
@@ -114,17 +112,7 @@ def load_edge_list(source: Iterable[str]) -> Graph:
             exactly two tokens, with the 1-based line number.
     """
     id_map: dict[str, int] = {}
-    labels: list[str] = []
     pairs: list[tuple[int, int]] = []
-
-    def intern(label: str) -> int:
-        node = id_map.get(label)
-        if node is None:
-            node = len(labels)
-            id_map[label] = node
-            labels.append(label)
-        return node
-
     for lineno, raw in enumerate(source, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -132,29 +120,29 @@ def load_edge_list(source: Iterable[str]) -> Graph:
         parts = line.split()
         if len(parts) != 2:
             raise EdgeListParseError(f"line {lineno}: expected two node labels, got {len(parts)} tokens")
-        pairs.append((intern(parts[0]), intern(parts[1])))
-
-    return Graph(len(labels), pairs, labels)
+        ## setdefault hands a new label the next id, in first-appearance order
+        pairs.append(tuple(id_map.setdefault(label, len(id_map)) for label in parts))
+    return Graph(len(id_map), pairs, list(id_map))
 
 
 def write_edge_list(g: Graph, sink: IO[str]) -> None:
-    """Serialize a graph so that reloading reproduces the identical internal structure.
+    """Write the edges in the order of ``Graph.edges``, one line of two labels each.
 
-    Edges are written in the order of ``Graph.edges`` with original labels,
-    which preserves the id assignment on reload.  Degree-zero nodes
-    (possible only via self-loop-only input) cannot be expressed in an edge
-    list and are lost.
+    The graph reloads to the same ids iff its ids are in first-appearance
+    order (see ``Graph.edges``); degree-zero nodes cannot be written and
+    are lost.  A label that would not read back as one token (empty, with
+    whitespace, or starting with '#') raises ValueError before any write.
     """
+    for label in g.labels:
+        if label.split() != [label] or label.startswith("#"):
+            raise ValueError(f"label {label!r} does not read back: it is empty, holds whitespace or starts with '#'")
     for i, j in g.edges():
         sink.write(f"{g.labels[i]} {g.labels[j]}\n")
 
 
 def load_graph(path: str) -> Graph:
     """Load an edge list from a file path, transparently decompressing .gz."""
-    if path.endswith(".gz"):
-        with gzip.open(path, "rt") as fh:
-            return load_edge_list(fh)
-    with open(path, "r") as fh:
+    with (gzip.open if path.endswith(".gz") else open)(path, "rt") as fh:
         return load_edge_list(fh)
 
 

@@ -22,6 +22,7 @@ from typing import IO, Mapping, Sequence
 
 import numpy as np
 
+from . import theta
 from .encoding import DEFAULT_PARTITION_SIZE, build_partitions, ndoe_sample, order_cdfs
 from .graph import Graph, check_count, degree_sequence, load_graph, stats
 from .mechanisms import PrivacyParams
@@ -29,7 +30,6 @@ from .projection import ProjectionConfig, Strategy, project
 from .release import ReleaseReport, degree_distribution, dsr
 from .secure_agg import DEFAULT_BITS, ka_param
 from .synthetic import powerlaw_graph
-from .theta import METHODS, ThetaSearchConfig, resolve_theta
 
 DATA_DIR_ENV = "LDP_DEGREE_DATA_DIR"
 
@@ -80,7 +80,7 @@ class ExperimentConfig:
             raise ValueError(f"strategy must be a Strategy, got {self.strategy!r}")
         check_count("trials", self.trials)
         if isinstance(self.theta, str):
-            autos = [AUTO_PREFIX + m for m in METHODS]
+            autos = [AUTO_PREFIX + m for m in theta.METHODS]
             if self.theta not in autos:
                 raise ValueError(f"theta must be an integer, {' or '.join(map(repr, autos))}, got {self.theta!r}")
         else:
@@ -162,8 +162,12 @@ def select_theta(cfg: ExperimentConfig, graph: Graph, rng: np.random.Generator) 
         return cfg.theta
     K = cfg.K if cfg.K is not None else int(graph.degrees.max(initial=1))
     method = cfg.theta.removeprefix(AUTO_PREFIX)
-    tcfg = ThetaSearchConfig(K=K, epsilon=cfg.epsilon, alpha=cfg.alpha, bits=cfg.bits, method=method)
-    return resolve_theta(graph, tcfg, rng, masked=cfg.masked)
+    tcfg = theta.ThetaSearchConfig(K=K, epsilon=cfg.epsilon, bits=cfg.bits, method=method)
+    degs = degree_sequence(graph)
+    ## through the module, so that a patched protocol is the one called
+    if method == "deviation":
+        return theta.theta_by_deviation(degs, tcfg, rng, masked=cfg.masked)
+    return theta.theta_by_sum(graph, degs, tcfg, rng, masked=cfg.masked)
 
 
 def _seeds(cfg: ExperimentConfig) -> tuple[np.random.Generator, list[int]]:
@@ -189,11 +193,11 @@ def run_pipeline(cfg: ExperimentConfig, graph: Graph | None = None) -> tuple[lis
     degs = degree_sequence(graph)
     params = PrivacyParams(epsilon=cfg.epsilon, alpha=cfg.alpha)
     theta_rng, trial_seeds = _seeds(cfg)
-    theta = select_theta(cfg, graph, theta_rng)
+    bound = select_theta(cfg, graph, theta_rng)
 
     scheme = build_partitions(st.d_min, st.d_max, cfg.p_size)
     dist_orig = degree_distribution(degs, graph.n)
-    pcfg = ProjectionConfig(theta=theta, strategy=cfg.strategy, params=params if cfg.private else None)
+    pcfg = ProjectionConfig(theta=bound, strategy=cfg.strategy, params=params if cfg.private else None)
     order_table = order_cdfs(degs, params, scheme) if cfg.private else None
 
     rows: list[MetricsRow] = []
@@ -206,7 +210,7 @@ def run_pipeline(cfg: ExperimentConfig, graph: Graph | None = None) -> tuple[lis
         orders = ndoe_sample(order_table, order_rng) if cfg.private else degs
         pg = project(graph, pcfg, proj_rng, orders=orders)
         if cfg.private:
-            report = dsr(pg, theta, params, release_rng, seed=trial_seed)
+            report = dsr(pg, bound, params, release_rng, seed=trial_seed)
             reports.append(report)
             released = list(report.noisy_degrees)
             dist_rel = np.asarray(report.distribution)
@@ -220,7 +224,7 @@ def run_pipeline(cfg: ExperimentConfig, graph: Graph | None = None) -> tuple[lis
                 strategy=cfg.strategy.value,
                 epsilon=cfg.epsilon,
                 alpha=cfg.alpha,
-                theta=theta,
+                theta=bound,
                 trial=trial,
                 seed=trial_seed,
                 mae_seq=mae(degs, released),

@@ -100,9 +100,6 @@ class ProjectedGraph:
     def edge_count(self) -> int:
         return sum(self.degrees) // 2
 
-    def edge_set(self) -> set[tuple[int, int]]:
-        return {(i, j) for i in range(self.n) for j in self.neighbors[i] if i < j}
-
 
 def _schedule_rank(orders: Sequence[int], strategy: Strategy) -> np.ndarray:
     """Each node's turn: ascending (order, id), reversed for lpea-high."""
@@ -245,20 +242,15 @@ def edge_remove(g: Graph, cfg: ProjectionConfig, rng: np.random.Generator) -> Pr
     n = g.n
     theta = cfg.theta
     established: list[set[int]] = [set(g.adj[i]) for i in range(n)]
-    deg = [len(s) for s in established]
-    for i in rng.permutation(n):
-        i = int(i)
-        excess = deg[i] - theta
+    for i in rng.permutation(n).tolist():
+        excess = len(established[i]) - theta
         if excess <= 0:
             continue
         current = sorted(established[i])
-        picks = rng.choice(len(current), size=excess, replace=False)
-        for k in picks:
-            j = current[int(k)]
+        for k in rng.choice(len(current), size=excess, replace=False).tolist():
+            j = current[k]
             established[i].discard(j)
             established[j].discard(i)
-            deg[i] -= 1
-            deg[j] -= 1
     return ProjectedGraph(n, established)
 
 

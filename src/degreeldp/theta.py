@@ -24,7 +24,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .graph import Graph, check_count, degree_sequence
+from .graph import Graph, check_count
+from .graph import degree_sequence  # noqa: F401  (bench/tracing.py spans theta.degree_sequence)
 from .mechanisms import check_epsilon
 from .projection import ProjectionConfig, lpea_low, projection_error
 from .secure_agg import DEFAULT_BITS, agree_keys, ka_param, masked_sum_round, round_masks
@@ -34,6 +35,8 @@ METHODS = ("sum", "deviation")
 
 @dataclass(frozen=True)
 class ThetaSearchConfig:
+    """One selection run's settings.  Neither protocol reads alpha; bench/workloads.py passes it."""
+
     K: int
     epsilon: float
     alpha: float = 0.1
@@ -140,19 +143,6 @@ def theta_by_sum(
         ## modeled release error: Laplace noise term plus projection loss
         score = n * k / cfg.epsilon + float(total_loss)
         if best_score is None or score < best_score:
-            best_score = score
-            best_k = k
+            best_score, best_k = score, k
     return best_k
 
-
-def resolve_theta(
-    g: Graph,
-    cfg: ThetaSearchConfig,
-    rng: np.random.Generator,
-    masked: bool = True,
-) -> int:
-    """Run the configured selection method on a graph's degree sequence."""
-    degs = degree_sequence(g)
-    if cfg.method == "deviation":
-        return theta_by_deviation(degs, cfg, rng, masked=masked)
-    return theta_by_sum(g, degs, cfg, rng, masked=masked)

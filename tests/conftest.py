@@ -47,6 +47,12 @@ def facebook_graph() -> Graph:
     return load_graph(path)
 
 
+def edge_set(g) -> set[tuple[int, int]]:
+    """Each edge of a Graph or a ProjectedGraph once, as (i, j) with i < j, read from its adjacency."""
+    nbrs = g.adj if isinstance(g, Graph) else g.neighbors
+    return {(i, j) for i in range(g.n) for j in nbrs[i] if i < j}
+
+
 def random_graph(rng: np.random.Generator, n: int, p: float) -> Graph:
     """Erdos-Renyi style helper for property tests."""
     mask = rng.random((n, n)) < p

@@ -20,7 +20,7 @@ from degreeldp.projection import ProjectionConfig, Strategy, edge_remove, lpea_l
 from degreeldp.secure_agg import agree_keys, ka_param, masked_sum_round, round_masks
 from degreeldp.synthetic import powerlaw_graph
 from degreeldp.theta import ThetaSearchConfig, quantile_oracle, theta_by_deviation, theta_by_sum
-from conftest import FIG_EDGE_LIST, find_facebook, random_graph
+from conftest import FIG_EDGE_LIST, edge_set, find_facebook, random_graph
 
 
 def _report(num: int, ok: bool, detail: str, t0: float) -> None:
@@ -36,7 +36,7 @@ def test_criterion_1_worked_example_projection():
     g = load_edge_list(io.StringIO(FIG_EDGE_LIST))
     cfg = ProjectionConfig(theta=1, strategy=Strategy.LPEA_LOW)
     pg = lpea_low(g, degree_sequence(g), cfg, np.random.default_rng(0))
-    got = pg.edge_set()
+    got = edge_set(pg)
     _report(1, got == {(1, 3), (0, 2)}, f"edges={sorted(got)} expected BD, AC", t0)
 
 
@@ -247,12 +247,12 @@ def test_criterion_7_projection_invariants():
         degs = degree_sequence(g)
         d_max = max(degs)
         theta = int(rng.integers(1, d_max + 2))
-        orig_edges = g.edge_set()
+        orig_edges = edge_set(g)
         for strategy in Strategy:
             for private in (False, True):
                 cfg = ProjectionConfig(theta=theta, strategy=strategy, params=params if private else None)
                 pg = project(g, cfg, np.random.default_rng(graphs), orders=degs)
-                if not pg.edge_set() <= orig_edges:
+                if not edge_set(pg) <= orig_edges:
                     ok = False
                 for i in range(n):
                     if pg.degrees[i] > theta or pg.degrees[i] > degs[i]:
@@ -265,10 +265,10 @@ def test_criterion_7_projection_invariants():
         for strategy in Strategy:
             cfg = ProjectionConfig(theta=d_max, strategy=strategy)
             pg = project(g, cfg, np.random.default_rng(graphs), orders=degs)
-            if pg.edge_set() != orig_edges:
+            if edge_set(pg) != orig_edges:
                 ok = False
         cfg = ProjectionConfig(theta=d_max, strategy=Strategy.EDGE_REMOVE, params=params)
-        if project(g, cfg, np.random.default_rng(graphs)).edge_set() != orig_edges:
+        if edge_set(project(g, cfg, np.random.default_rng(graphs))) != orig_edges:
             ok = False
     _report(7, ok, f"{graphs} graphs x 4 strategies x 2 modes, plus identity at theta=d_max", t0)
 

@@ -1,5 +1,6 @@
 import gzip
 import io
+import re
 
 import numpy as np
 import pytest
@@ -14,19 +15,21 @@ from degreeldp.graph import (
     stats,
     write_edge_list,
 )
+from degreeldp.synthetic import powerlaw_graph
+from conftest import edge_set
 
 
 def test_load_basic_dedupe_and_comments():
     g = load_edge_list(io.StringIO("1 2\n2 1\n2 3\n# comment\n"))
     assert g.n == 3
-    assert g.edge_set() == {(0, 1), (1, 2)}
+    assert edge_set(g) == {(0, 1), (1, 2)}
     assert degree_sequence(g) == [1, 2, 1]
 
 
 def test_load_first_appearance_ids():
     g = load_edge_list(io.StringIO("7 3\n3 9\n"))
     assert g.labels == ["7", "3", "9"]
-    assert g.edge_set() == {(0, 1), (1, 2)}
+    assert edge_set(g) == {(0, 1), (1, 2)}
 
 
 def test_self_loop_registers_node_but_drops_edge():
@@ -67,7 +70,7 @@ def test_adjacency_sorted(fig_graph):
 
 def test_constructor_drops_self_loops_and_duplicates():
     g = Graph(4, [(0, 1), (1, 0), (2, 2), (1, 3), (3, 1)])
-    assert g.edge_set() == {(0, 1), (1, 3)}
+    assert edge_set(g) == {(0, 1), (1, 3)}
     assert degree_sequence(g) == [1, 2, 0, 1]
 
 
@@ -81,7 +84,7 @@ def test_constructor_rejects_out_of_range_pairs():
 def test_edges_by_higher_endpoint_then_lower_descending():
     g = Graph(4, [(1, 3), (0, 1), (3, 2), (0, 3)])
     assert list(g.edges()) == [(0, 1), (2, 3), (1, 3), (0, 3)]
-    assert g.edge_set() == set(g.edges())
+    assert edge_set(g) == set(g.edges())
 
 
 def test_gz_loading(tmp_path):
@@ -100,6 +103,39 @@ def test_roundtrip_preserves_structure_adversarial_order():
     g2 = load_edge_list(io.StringIO(buf.getvalue()))
     assert g2.labels == g.labels
     assert g2.adj == g.adj
+
+
+@pytest.mark.parametrize("n, attach, seed", [(200, 3, 1), (300, 11, 1), (50, 1, 2)])
+def test_synthetic_graph_reloads_to_same_ids(n, attach, seed):
+    g = powerlaw_graph(n, attach, seed)
+    buf = io.StringIO()
+    write_edge_list(g, buf)
+    g2 = load_edge_list(io.StringIO(buf.getvalue()))
+    assert g2.labels == g.labels
+    assert g2.adj == g.adj
+
+
+def test_ids_out_of_first_appearance_order_reload_relabelled():
+    ## both lines hold node 2, so no edge order names 0 and 1 before 2
+    g = Graph(3, [(0, 2), (1, 2)])
+    buf = io.StringIO()
+    write_edge_list(g, buf)
+    g2 = load_edge_list(io.StringIO(buf.getvalue()))
+    assert g2.labels == ["1", "2", "0"]
+    ## a loaded node whose first line is a self-loop takes its id early
+    g = load_edge_list(io.StringIO("7 7\n8 4\n4 7\n"))
+    buf = io.StringIO()
+    write_edge_list(g, buf)
+    assert load_edge_list(io.StringIO(buf.getvalue())).labels == ["8", "4", "7"]
+
+
+@pytest.mark.parametrize("label", ["#a", "", "a b", "a\tb"])
+def test_write_refuses_a_label_that_does_not_read_back(label):
+    g = Graph(3, [(0, 1), (1, 2)], labels=["a", "b", label])
+    buf = io.StringIO()
+    with pytest.raises(ValueError, match=re.escape(repr(label))):
+        write_edge_list(g, buf)
+    assert buf.getvalue() == ""
 
 
 edge_lines = st.lists(
@@ -160,13 +196,23 @@ def test_constructor_matches_set_reference(pairs, shuffler):
 
 
 @given(st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)), max_size=80))
+def test_edges_match_adjacency_walk(pairs):
+    ## duplicates, reversed pairs and self-loops, as in the reference test above
+    pairs = pairs + [(j, i) for i, j in pairs] + [(i, i) for i, _ in pairs[:3]]
+    g = Graph(12, pairs)
+    ## the reference order: j ascending, then each neighbor i below j, descending
+    walk = [(i, j) for j in range(g.n) for i in reversed(g.adj[j]) if i < j]
+    assert list(g.edges()) == walk
+
+
+@given(st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)), max_size=80))
 def test_pairs_and_degrees_arrays(pairs):
     ## duplicates, reversed pairs and self-loops, as in the reference test above
     pairs = pairs + [(j, i) for i, j in pairs] + [(i, i) for i, _ in pairs[:3]]
     g = Graph(12, pairs)
     rows = [tuple(r) for r in g.pairs.tolist()]
     assert len(rows) == len(set(rows)) == g.m
-    assert set(rows) == g.edge_set()
+    assert set(rows) == edge_set(g)
     assert all(i < j for i, j in rows)
     assert g.degrees.tolist() == [len(a) for a in g.adj]
     assert g.pairs.dtype == g.degrees.dtype == np.int32

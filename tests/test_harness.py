@@ -318,13 +318,18 @@ class TestSelectTheta:
     @pytest.mark.parametrize("method", ["deviation", "sum"])
     def test_K_defaults_to_largest_degree_at_least_one(self, method, monkeypatch):
         seen = []
-        original = theta_module.resolve_theta
 
-        def spy(g, tcfg, rng, masked=True):
-            seen.append(tcfg)
-            return original(g, tcfg, rng, masked=masked)
+        def spy(name):
+            original = getattr(theta_module, name)
 
-        monkeypatch.setattr(harness, "resolve_theta", spy)
+            def wrapped(*args, **kwargs):
+                seen.append((name, next(a for a in args if isinstance(a, ThetaSearchConfig))))
+                return original(*args, **kwargs)
+
+            return wrapped
+
+        for name in ("theta_by_deviation", "theta_by_sum"):
+            monkeypatch.setattr(theta_module, name, spy(name))
         g, _ = load_dataset("synthetic:40:3:1")
         ## self-loops only: every degree is 0
         loops = Graph(3, [(0, 0), (2, 2)])
@@ -332,7 +337,17 @@ class TestSelectTheta:
         assert harness.select_theta(auto, loops, np.random.default_rng(0)) == 1
         harness.select_theta(auto, g, np.random.default_rng(0))
         harness.select_theta(replace(auto, K=3), g, np.random.default_rng(0))
-        assert [(t.K, t.method) for t in seen] == [(1, method), (max(degree_sequence(g)), method), (3, method)]
+        called = f"theta_by_{method}"
+        assert [(name, t.K, t.method) for name, t in seen] == [
+            (called, 1, method), (called, max(degree_sequence(g)), method), (called, 3, method)
+        ]
+
+    def test_dispatches_by_method(self):
+        ## a star: one node of degree 9 and nine of degree 1
+        g = Graph(10, [(0, i) for i in range(1, 10)])
+        dev = ExperimentConfig(dataset="x", theta="auto-deviation", epsilon=1.0, K=9, masked=False)
+        assert harness.select_theta(dev, g, np.random.default_rng(0)) == quantile_oracle(degree_sequence(g), 1.0, 9)
+        assert harness.select_theta(replace(dev, theta="auto-sum"), g, np.random.default_rng(0)) == 1
 
 
 class TestRunGrid:

@@ -3,13 +3,14 @@ import pytest
 
 from degreeldp.graph import degree_sequence
 from degreeldp.synthetic import powerlaw_graph
+from conftest import edge_set
 
 
 def test_seed_pins_graph():
     a = powerlaw_graph(200, 3, seed=4)
     b = powerlaw_graph(200, 3, seed=4)
-    assert a.edge_set() == b.edge_set()
-    assert a.edge_set() != powerlaw_graph(200, 3, seed=5).edge_set()
+    assert edge_set(a) == edge_set(b)
+    assert edge_set(a) != edge_set(powerlaw_graph(200, 3, seed=5))
 
 
 def test_attachment_degree_floor():

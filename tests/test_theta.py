@@ -11,7 +11,6 @@ from degreeldp.harness import load_dataset
 from degreeldp.theta import (
     ThetaSearchConfig,
     quantile_oracle,
-    resolve_theta,
     theta_by_deviation,
     theta_by_sum,
 )
@@ -225,14 +224,3 @@ class TestSumGolden:
         theta = theta_by_sum(g, degree_sequence(g), cfg, np.random.default_rng(0), masked=False, round_log=log)
         assert len(log) == 64
         assert (theta, hashlib.sha256(repr(log).encode()).hexdigest()) == SUM_GOLDEN
-
-
-class TestResolve:
-    def test_dispatches_by_method(self):
-        g = star(9)
-        dev = ThetaSearchConfig(K=9, epsilon=1.0, method="deviation")
-        tot = ThetaSearchConfig(K=9, epsilon=1.0, method="sum")
-        assert resolve_theta(g, dev, np.random.default_rng(0), masked=False) == quantile_oracle(
-            degree_sequence(g), 1.0, 9
-        )
-        assert resolve_theta(g, tot, np.random.default_rng(0), masked=False) == 1
