@@ -95,14 +95,15 @@ def wrr_debias_count(u1: float, u2: float, budget: float) -> float:
 
     u2 of the u1 randomized answers came back Yes.  Inverting the response
     distribution gives (u2 * (e^b + 1) - u1) / (e^b - 1), which can fall
-    outside [0, u1]; callers clamp as needed.
+    outside [0, u1]; callers clamp as needed.  e^b - 1 comes from expm1,
+    which stays positive where exp(b) - 1.0 rounds to 0 (b below ~1.1e-16).
     """
     if not budget > 0:
         raise ValueError(f"budget must be positive, got {budget}")
     if u1 < 0 or u2 < 0 or u2 > u1:
         raise ValueError(f"need 0 <= u2 <= u1, got u1={u1}, u2={u2}")
-    e = math.exp(min(budget, _MAX_EXPONENT))
-    return (u2 * (e + 1.0) - u1) / (e - 1.0)
+    b = min(budget, _MAX_EXPONENT)
+    return (u2 * (math.exp(b) + 1.0) - u1) / math.expm1(b)
 
 
 def exp_mech_probs(scores: np.ndarray, budget: float, sensitivity: float) -> np.ndarray:

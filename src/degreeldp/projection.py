@@ -196,7 +196,8 @@ def _addition_run(
             kept = (rng.random(len(pending)) < rate).tolist()
             willing = [j for j, keep in zip(pending, kept) if (deg[j] < theta) == keep]
             debiased = wrr_debias_count(len(pending), len(willing), budget)
-            count = min(max(int(round(debiased)), 0), len(willing))
+            ## clamped before round: a tiny budget can make the estimate infinite
+            count = round(min(max(debiased, 0), len(willing)))
         else:
             willing = [j for j in pending if deg[j] < theta]
             count = len(willing)
@@ -209,8 +210,9 @@ def _addition_run(
         else:
             chosen = willing[:count]
         for j in chosen:
-            ## hard capacity cap; randomized answers can nominate full nodes
-            if deg[i] < theta and deg[j] < theta:
+            ## count <= theta - deg[i] keeps i below theta; randomized answers can nominate a
+            ## full j, and refusing it tells i the true deg[j] < theta bit, outside the DP budget
+            if deg[j] < theta:
                 est_i.add(j)
                 established[j].add(i)
                 deg[i] += 1

@@ -10,6 +10,7 @@ computed from the rounded, clamped values.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,17 +44,20 @@ class ReleaseReport:
 
 
 def noise_scale(theta: int, params: PrivacyParams) -> float:
-    """Laplace scale for one node's bounded degree: theta over the release budget."""
+    """Laplace scale for one node's bounded degree: theta over the release budget, refused unless finite."""
     check_count("theta", theta)
-    return theta / params.release_budget
+    scale = theta / params.release_budget
+    if not math.isfinite(scale):
+        raise ValueError(f"Laplace scale theta / release budget = {theta} / {params.release_budget} is not finite")
+    return scale
 
 
 def degree_distribution(noisy_degrees, n: int) -> np.ndarray:
     """Proportion of nodes per degree bin 0..n-1 after rounding and clamping."""
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
-    vals = np.rint(np.asarray(noisy_degrees, dtype=float)).astype(int)
-    vals = np.clip(vals, 0, n - 1)
+    ## clipped as floats: a value past the int range would wrap in the cast
+    vals = np.clip(np.rint(np.asarray(noisy_degrees, dtype=float)), 0, n - 1).astype(int)
     return np.bincount(vals, minlength=n) / len(vals)
 
 

@@ -2,10 +2,10 @@
 
 A protocol run (one theta selection) starts with key agreement
 (``agree_keys``): every party draws one key pair (sk, pk) and derives a
-Diffie-Hellman shared key with every other party.  For the groups whose
-keys fit in uint64 (up to the default 61-bit group) the whole key matrix
-is one array exponentiation, one row per party from its own secret key;
-the 89- to 127-bit groups use Python's ``pow`` per pair.  Each party then
+Diffie-Hellman shared key with every other party.  The whole key matrix
+is one windowed array exponentiation, one row per party from its own
+secret key: in uint64 for the groups of at most 61 bits (the default),
+in Python ints for the 89- to 127-bit groups.  Each party then
 expands every shared key once into one SHAKE-256 stream of 32 bytes per
 round of the run (``round_masks``); round r's scalar for a pair is chunk
 r of its stream, reduced into Z_q (Bonawitz et al., CCS 2017), and a
@@ -85,29 +85,27 @@ _ROWS = 64
 def ka_agree(sks: Sequence[int], pks: Sequence[int], params: GroupParams) -> np.ndarray:
     """Every pair's shared key: entry [i, j] is pks[j]^sks[i] mod q, so row i comes from sks[i] alone.
 
-    Symmetric for key pairs (sks[i], pks[i]); uint64 for the groups of at most
-    61 bits (by _pow_matrix), Python ints from pow for the wider groups.
+    Symmetric for key pairs (sks[i], pks[i]); one _pow_matrix call for every
+    group, uint64 up to 61 bits and Python ints above.
     """
     q = params.q
     if not all(0 <= s < q for s in sks):
         raise ValueError(f"secret key out of range for q={q}")
     if not all(1 <= p < q for p in pks):
         raise ValueError(f"public key out of range for q={q}")
-    if q < 2**32 or q == _M61:
-        return _pow_matrix(sks, pks, q)
-    return np.array([[pow(p, s, q) for p in pks] for s in sks], dtype=object)
+    return _pow_matrix(sks, pks, q)
 
 
 def _mulmod(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
-    """a * b mod q elementwise on uint64 arrays of residues, for q < 2^32 or q = 2^61 - 1.
+    """a * b mod q elementwise on arrays of residues: uint64 for q < 2^32 or q = 2^61 - 1, else Python ints.
 
-    Below 2^32 the product fits in uint64.  For 2^61 - 1 each factor is
-    split into 32-bit halves, a = ah*2^32 + al, and the 122-bit product
-    ah*bh*2^64 + mid*2^32 + al*bl is folded with 2^61 = 1 (mod q), so
-    2^64 = 8: every term stays below 2^61 and their sum below 2^63.  The
-    sums are taken in place, which keeps the temporaries to a handful.
+    Below 2^32 the uint64 product fits, and Python ints never overflow.
+    For 2^61 - 1 each factor is split into 32-bit halves, a = ah*2^32 + al,
+    and the 122-bit product ah*bh*2^64 + mid*2^32 + al*bl is folded with
+    2^61 = 1 (mod q), so 2^64 = 8: every term stays below 2^61 and their
+    sum below 2^63.  Sums are taken in place, to keep few temporaries.
     """
-    if q < 2**32:
+    if q != _M61:
         return a * b % q
     ah, al, bh, bl = a >> 32, a & 0xFFFFFFFF, b >> 32, b & 0xFFFFFFFF
     mid = ah * bl
@@ -131,28 +129,28 @@ def _mulmod(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
 
 
 def _pow_matrix(sk: list[int], pk: list[int], q: int) -> np.ndarray:
-    """keys[i, j] = pk[j]^sk[i] mod q as uint64, with a fixed 4-bit window over the secret keys.
+    """keys[i, j] = pk[j]^sk[i] mod q, uint64 up to q = 2^61 - 1 and Python ints above, by a 4-bit window.
 
     Window w of the exponent contributes pk^(d * 16^w) for its digit d, so
     one 16-entry table per window, built from the public keys, turns each
     row into a product of one table row per window: a gather and a
     _mulmod over the n columns, _ROWS rows at a time.
     """
+    dtype = np.uint64 if q <= _M61 else object
     windows = -(-q.bit_length() // 4)
     ## squares[k] = pk^(2^k), one squaring of the n public keys at a time
-    squares = np.empty((4 * windows, len(pk)), dtype=np.uint64)
+    squares = np.empty((4 * windows, len(pk)), dtype=dtype)
     squares[0] = pk
     for k in range(1, 4 * windows):
         squares[k] = _mulmod(squares[k - 1], squares[k - 1], q)
     ## tables[w, d] = pk^(d * 16^w): entries 2^b..2^(b+1)-1 of every window
     ## are entries 0..2^b-1 times pk^(2^(4w+b))
-    tables = np.empty((windows, 16, len(pk)), dtype=np.uint64)
+    tables = np.empty((windows, 16, len(pk)), dtype=dtype)
     tables[:, 0] = 1
     for b in range(4):
         tables[:, 1 << b:2 << b] = _mulmod(tables[:, :1 << b], squares[b::4, None], q)
-    shifts = np.arange(0, 4 * windows, 4, dtype=np.uint64)
-    digits = (np.array(sk, dtype=np.uint64)[:, None] >> shifts) & 15
-    keys = np.empty((len(sk), len(pk)), dtype=np.uint64)
+    digits = np.array([[s >> k & 15 for k in range(0, 4 * windows, 4)] for s in sk], dtype=np.intp)
+    keys = np.empty((len(sk), len(pk)), dtype=dtype)
     for start in range(0, len(sk), _ROWS):
         d = digits[start:start + _ROWS]
         acc = tables[0, d[:, 0]]

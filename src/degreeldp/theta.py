@@ -20,6 +20,7 @@ r of each pair's mask stream.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 from typing import Sequence
 
 import numpy as np
@@ -69,6 +70,19 @@ def quantile_oracle(degrees: Sequence[int], epsilon: float, K: int) -> int:
     return K
 
 
+def _round_sums(n: int, cfg: ThetaSearchConfig, rng: np.random.Generator, masked: bool, round_log, rounds: int):
+    """One selection run's aggregation: a function that sums one round's n values per call, at most rounds calls.
+
+    A masked run agrees its keys and derives the masks of every round here, once, before the first round.
+    """
+    if n == 0:
+        raise ValueError("the graph must be nonempty")
+    params = ka_param(cfg.bits)
+    masks = round_masks(agree_keys(n, params, rng), params, rounds) if masked else [None] * rounds
+    r = count()
+    return lambda values: masked_sum_round(values, params, masked=masked, round_log=round_log, masks=masks[next(r)])
+
+
 def theta_by_deviation(
     degrees: Sequence[int],
     cfg: ThetaSearchConfig,
@@ -87,26 +101,18 @@ def theta_by_deviation(
     rounds derived, once for all the rounds.
     """
     degrees = np.asarray(degrees)
-    n = int(degrees.size)
-    if n == 0:
-        raise ValueError("degrees must be nonempty")
-    params = ka_param(cfg.bits)
-    masks = round_masks(agree_keys(n, params, rng), params, cfg.K.bit_length()) if masked else None
-    lo, hi = 1, cfg.K
-    r = 0
+    n = degrees.size
+    K = int(cfg.K)
+    sum_round = _round_sums(n, cfg, rng, masked, round_log, K.bit_length())
+    lo, hi = 1, K
     while lo <= hi:
         probe = (lo + hi) // 2
-        indicators = (degrees > probe).astype(int)
-        count = masked_sum_round(
-            indicators.tolist(), params, masked=masked, round_log=round_log, masks=masks[r] if masked else None
-        )
-        r += 1
         ## compare count < n / epsilon without dividing
-        if count * cfg.epsilon < n:
+        if sum_round((degrees > probe).astype(int).tolist()) * cfg.epsilon < n:
             hi = probe - 1
         else:
             lo = probe + 1
-    return min(max(lo, 1), cfg.K)
+    return min(lo, K)
 
 
 def theta_by_sum(
@@ -127,22 +133,11 @@ def theta_by_sum(
     each k as n * k / epsilon plus the summed loss and returns the
     smallest minimizer.  Exactly K aggregation rounds.
     """
-    n = g.n
-    if n == 0:
-        raise ValueError("graph must be nonempty")
-    params = ka_param(cfg.bits)
-    masks = round_masks(agree_keys(n, params, rng), params, cfg.K) if masked else None
-    best_k = 1
-    best_score = None
-    for k in range(1, cfg.K + 1):
-        pg = lpea_low(g, orders, ProjectionConfig(theta=k), rng)
-        losses, _ = projection_error(g, pg)
-        total_loss = masked_sum_round(
-            losses.tolist(), params, masked=masked, round_log=round_log, masks=masks[k - 1] if masked else None
-        )
+    K = int(cfg.K)
+    sum_round = _round_sums(g.n, cfg, rng, masked, round_log, K)
+    scores = []
+    for k in range(1, K + 1):
+        losses, _ = projection_error(g, lpea_low(g, orders, ProjectionConfig(theta=k), rng))
         ## modeled release error: Laplace noise term plus projection loss
-        score = n * k / cfg.epsilon + float(total_loss)
-        if best_score is None or score < best_score:
-            best_score, best_k = score, k
-    return best_k
-
+        scores.append(g.n * k / cfg.epsilon + float(sum_round(losses.tolist())))
+    return 1 + int(np.argmin(scores))

@@ -170,6 +170,14 @@ class TestRelease:
         assert len(rows) == 4
         assert all(float(r["epsilon"]) == 1e4 and np.isfinite(float(r["mae_seq"])) for r in rows)
 
+    @pytest.mark.parametrize("flags", [["--epsilon", "1e-15"], ["--alpha", "1e-17"]])
+    def test_tiny_negotiation_budget_runs(self, flags, tmp_path):
+        ## below alpha * epsilon / 2 ~ 1.1e-16 the debiased count divided by zero
+        out = tmp_path / "rel.csv"
+        assert cli_main(["release", "synthetic:40:3:1", "--theta", "3", "--trials", "1", "--out", str(out)]
+                        + flags) == 0
+        assert len(read_csv(str(out))) == 1
+
 
 class TestSweep:
     def test_theta_grid(self, tmp_path):
@@ -311,6 +319,8 @@ class TestBadValues:
         (["release", "synthetic:300:11:1", "--theta", "0"], "theta must be at least 1"),
         (["release", "synthetic:300:11:1", "--theta", "auto-bogus"], "theta must be an integer"),
         (["project", "synthetic:40:3:1", "--epsilon", "2,-1,1", "--theta", "3,auto-sum"], "epsilon must be finite"),
+        (["release", "synthetic:40:3:1", "--epsilon", "1e-308", "--strategy", "edge-remove", "--theta", "3"],
+         "Laplace scale theta / release budget = 3 / 8.999999999999997e-309 is not finite"),
     ])
     def test_bad_run_setting_fails_before_any_row(self, args, named, capsys, tmp_path):
         out = tmp_path / "rows.csv"

@@ -174,6 +174,14 @@ class TestDatasetResolution:
 
 
 class TestRunPipeline:
+    def test_numpy_K_runs_as_its_int(self):
+        ## the deviation search read K.bit_length(), which a NumPy K does not have
+        (a,), _ = run_pipeline(ExperimentConfig(dataset="synthetic:40:3:1", K=np.int64(8), trials=1))
+        (b,), _ = run_pipeline(ExperimentConfig(dataset="synthetic:40:3:1", K=8, trials=1))
+        assert type(a.theta) is int
+        assert [getattr(a, c) for c in CSV_COLUMNS if c != "runtime_ms"] == \
+            [getattr(b, c) for c in CSV_COLUMNS if c != "runtime_ms"]
+
     def test_row_count_and_schema(self, fig_file):
         cfg = ExperimentConfig(dataset=fig_file, theta=1, trials=3, seed=5,
                                private=False)

@@ -108,6 +108,13 @@ class TestWrr:
             e = math.exp(budget)
             assert round((u2 * (e + 1.0) - u1) / (e - 1.0)) == u2
 
+    @pytest.mark.parametrize("budget", [1e-17, 5e-309])
+    def test_debias_at_a_tiny_budget(self, budget):
+        ## exp(b) - 1.0 is 0.0 below b ~ 1.1e-16, which divided by zero; the estimate keeps its sign
+        assert wrr_debias_count(10, 5, budget) == 0.0
+        assert wrr_debias_count(10, 7, budget) > 10
+        assert wrr_debias_count(10, 3, budget) < 0
+
     def test_empirical_truth_rate(self):
         rng = np.random.default_rng(99)
         budget = math.log(3)

@@ -135,6 +135,15 @@ def reference_ranked_run(g: Graph, orders, theta: int, strategy: Strategy) -> se
     return {(i, j) for i in range(n) for j in established[i] if i < j}
 
 
+@pytest.mark.parametrize("eps", [1e-15, 1e-307])
+@pytest.mark.parametrize("strategy", [Strategy.LPEA_LOW, Strategy.RANDOM_ADD])
+def test_tiny_negotiation_budget_keeps_the_cap(eps, strategy):
+    ## the debiased count divided by zero at 1e-15 and is infinite at 1e-307; both clamp to the willing
+    g, _ = load_dataset("synthetic:60:4:1")
+    pg = project(g, private_cfg(3, strategy, eps), np.random.default_rng(0), orders=degree_sequence(g))
+    assert max(pg.degrees) <= 3 and pg.edge_count() > 0
+
+
 class TestEdgeScan:
     @given(seed=st.integers(0, 10_000), data=st.data())
     @settings(max_examples=150, deadline=None)

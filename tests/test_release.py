@@ -21,11 +21,20 @@ class TestNoiseScale:
         with pytest.raises(ValueError):
             noise_scale(0, PrivacyParams(3.0, 0.1))
 
+    def test_infinite_scale_refused(self):
+        ## 3 / (0.9 * 1e-308) overflows to inf, and every noisy degree with it
+        with pytest.raises(ValueError, match=r"theta / release budget = 3 / .* is not finite"):
+            noise_scale(3, PrivacyParams(1e-308, 0.1))
+
 
 class TestDegreeDistribution:
     def test_rounding_and_clamping(self):
         dist = degree_distribution([0.2, -0.4, 1.1], 3)
         assert dist == pytest.approx([2 / 3, 1 / 3, 0.0])
+
+    def test_clips_before_the_integer_cast(self):
+        ## cast first, 1e19 wrapped to a negative integer and was counted in bin 0
+        assert degree_distribution([1e19, 2.0, 2.0], 3).tolist() == [0.0, 0.0, 1.0]
 
     def test_clamps_to_bins(self):
         dist = degree_distribution([-5.0, 99.0], 3)

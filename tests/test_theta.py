@@ -102,7 +102,7 @@ class TestThetaByDeviation:
 
     def test_empty_degrees_rejected(self):
         cfg = ThetaSearchConfig(K=5, epsilon=1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="nonempty"):
             theta_by_deviation([], cfg, np.random.default_rng(0))
 
     @given(
@@ -155,6 +155,19 @@ class TestThetaByDeviation:
         with pytest.raises(IndexError):
             theta_by_deviation([9, 9, 9], cfg, np.random.default_rng(0), masked=True)
         assert theta_by_deviation([9, 9, 9], cfg, np.random.default_rng(0), masked=False) == 7
+
+
+@pytest.mark.parametrize("masked", [True, False])
+@pytest.mark.parametrize("K", [9, np.int64(9)], ids=["int", "np.int64"])
+def test_numpy_K_selects_a_python_int(K, masked):
+    ## a NumPy K has no bit_length, which the deviation search read for its round count
+    g = star(9)
+    degs = degree_sequence(g)
+    by_dev = theta_by_deviation(degs, ThetaSearchConfig(K=K, epsilon=1.0), np.random.default_rng(0), masked=masked)
+    by_sum = theta_by_sum(g, degs, ThetaSearchConfig(K=K, epsilon=1.0, method="sum"), np.random.default_rng(0),
+                          masked=masked)
+    assert type(by_dev) is int and by_dev == quantile_oracle(degs, 1.0, 9)
+    assert type(by_sum) is int and by_sum == 1
 
 
 class TestThetaBySum:
