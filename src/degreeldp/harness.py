@@ -15,6 +15,7 @@ per request would take them, so the batches give the same outputs.
 from __future__ import annotations
 
 import csv
+import math
 import os
 import time
 from dataclasses import astuple, dataclass, fields, replace
@@ -38,21 +39,27 @@ SYNTHETIC_PREFIX = "synthetic:"
 AUTO_PREFIX = "auto-"
 
 
-def mae(truth: Sequence[float], estimate: Sequence[float]) -> float:
-    """Mean absolute error between two equal-length sequences."""
+def _mean_error(name: str, truth: Sequence[float], estimate: Sequence[float], power: int) -> float:
+    """Mean of |truth - estimate| ** power in float64, refused unless finite."""
     a = np.asarray(truth, dtype=float)
     b = np.asarray(estimate, dtype=float)
     if a.shape != b.shape:
         raise ValueError(f"length mismatch: {a.shape} vs {b.shape}")
-    return float(np.mean(np.abs(a - b)))
+    with np.errstate(over="ignore"):
+        mean = float(np.mean(np.abs(a - b) ** power))
+    if not math.isfinite(mean):
+        raise ValueError(f"{name} = {mean} is not finite in float64")
+    return mean
+
+
+def mae(truth: Sequence[float], estimate: Sequence[float]) -> float:
+    """Mean absolute error between two equal-length sequences."""
+    return _mean_error("mae", truth, estimate, 1)
 
 
 def mse(truth: Sequence[float], estimate: Sequence[float]) -> float:
-    a = np.asarray(truth, dtype=float)
-    b = np.asarray(estimate, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError(f"length mismatch: {a.shape} vs {b.shape}")
-    return float(np.mean((a - b) ** 2))
+    """Mean squared error between two equal-length sequences."""
+    return _mean_error("mse", truth, estimate, 2)
 
 
 def mae_dist(p: Sequence[float], q: Sequence[float]) -> float:

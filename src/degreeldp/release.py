@@ -43,12 +43,23 @@ class ReleaseReport:
         return json.dumps(payload, sort_keys=True)
 
 
+## laplace_sample's largest |draw| over its scale: -log1p(-2|u|) at u = nextafter(-0.5, 0), 53·ln 2
+_LARGEST_LOG = -math.log1p(-2.0 * abs(math.nextafter(-0.5, 0.0)))
+
+
 def noise_scale(theta: int, params: PrivacyParams) -> float:
-    """Laplace scale for one node's bounded degree: theta over the release budget, refused unless finite."""
+    """Laplace scale for one node's bounded degree: theta over the release budget.
+
+    Refused unless the largest draw at that scale, scale · 53·ln 2, is
+    finite, so no noisy degree can overflow float64.
+    """
     check_count("theta", theta)
     scale = theta / params.release_budget
-    if not math.isfinite(scale):
-        raise ValueError(f"Laplace scale theta / release budget = {theta} / {params.release_budget} is not finite")
+    if not math.isfinite(scale * _LARGEST_LOG):
+        raise ValueError(
+            f"Laplace scale theta / release budget = {theta} / {params.release_budget} "
+            "is not finite at its largest draw, scale · 53·ln 2"
+        )
     return scale
 
 

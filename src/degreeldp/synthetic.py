@@ -1,8 +1,10 @@
 """Seeded synthetic graphs with heavy-tailed degrees.
 
 Hand-rolled preferential attachment (repeated-endpoints urn) rather
-than an external generator so that a seed pins the exact same graph
-across library versions.
+than an external generator, so a seed's graph rests only on this loop
+and NumPy's `Generator` stream.  NumPy may change that stream between
+versions; the pairs goldens in tests/test_synthetic.py and CI's
+`degreeldp stats` check of the benchmark inputs would show it.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ def powerlaw_graph(n: int, attach: int = 4, seed: int = 0) -> Graph:
     follow the usual power-law-like tail.
     """
     check_count("attach", attach)
+    check_count("seed", seed, least=0)
     if n < attach + 1:
         raise ValueError(f"need n > attach, got n={n}, attach={attach}")
     rng = np.random.default_rng(seed)
@@ -34,7 +37,10 @@ def powerlaw_graph(n: int, attach: int = 4, seed: int = 0) -> Graph:
     for v in range(core, n):
         targets: set[int] = set()
         while len(targets) < attach:
-            targets.add(urn[int(rng.integers(len(urn)))])
+            ## each pick adds at most one target, so one pick per call would
+            ## draw at least this many more; a sized call with the same bound
+            ## takes the same values from the stream as that many scalar calls
+            targets.update([urn[k] for k in rng.integers(len(urn), size=attach - len(targets)).tolist()])
         for t in sorted(targets):
             edges.append((t, v))
             urn.append(t)

@@ -328,6 +328,27 @@ class TestBadValues:
         assert named in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags,named", [
+        (["--epsilon", "1e-305"], "mse = inf is not finite in float64"),
+        (["--epsilon", "5e-308", "--strategy", "edge-remove"],
+         "Laplace scale theta / release budget = 3 / 4.5e-308 is not finite at its largest draw"),
+    ])
+    def test_release_beyond_float64_fails_before_any_row(self, flags, named, capsys, tmp_path):
+        ## both exited 0, writing mse_seq=inf and mae_seq=inf
+        out = tmp_path / "rows.csv"
+        args = ["release", "synthetic:40:3:1", "--theta", "3", "--trials", "1", "--out", str(out)]
+        assert cli_main(args + flags) == 1
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["stats", "select-theta", "release"])
+    def test_negative_synthetic_seed_names_it(self, command, capsys):
+        ## NumPy's "expected non-negative integer" used to surface, naming no seed
+        assert cli_main([command, "synthetic:10:3:-1"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: seed must be at least 0 and an integer, got -1 (int)\n"
+
     @pytest.mark.parametrize("command,flag,value", [
         ("release", "--theta", "2.5"), ("release", "--theta", "True"), ("release", "--trials", "2.5"),
         ("release", "--K", "2.5"), ("release", "--psize", "2.5"), ("release", "--seed", "1.5"),

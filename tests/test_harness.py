@@ -57,6 +57,19 @@ class TestMetrics:
         with pytest.raises(ValueError):
             mse([1, 2], [1])
 
+    @pytest.mark.parametrize("metric,name,estimate", [
+        (mae, "mae", [1e308, 1e308]),  # each error is finite, their sum is not
+        (mse, "mse", [1e155, 0.0]),  # the square overflows
+        (mse, "mse", [np.nan, 0.0]),
+    ])
+    def test_non_finite_mean_refused_naming_the_metric(self, metric, name, estimate):
+        with pytest.raises(ValueError, match=rf"^{name} = (inf|nan) is not finite in float64$"):
+            metric([0.0, 0.0], estimate)
+
+    def test_largest_finite_means_kept(self):
+        assert mae([0.0], [1e308]) == 1e308
+        assert mse([0.0], [1e154]) == pytest.approx(1e308)
+
     def test_mae_dist_is_scaled_l1(self):
         p = [0.5, 0.5, 0.0]
         q = [0.25, 0.5, 0.25]

@@ -1,8 +1,10 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from degreeldp.graph import Graph, degree_sequence
-from degreeldp.mechanisms import PrivacyParams
+from degreeldp.mechanisms import PrivacyParams, laplace_sample
 from degreeldp.projection import ProjectionConfig, lpea_low
 from degreeldp.release import degree_distribution, dsr, noise_scale
 
@@ -25,6 +27,28 @@ class TestNoiseScale:
         ## 3 / (0.9 * 1e-308) overflows to inf, and every noisy degree with it
         with pytest.raises(ValueError, match=r"theta / release budget = 3 / .* is not finite"):
             noise_scale(3, PrivacyParams(1e-308, 0.1))
+
+    def test_scale_with_an_infinite_largest_draw_refused(self):
+        ## 3 / (0.9 * 5e-308) = 6.7e307 is finite, but 53·ln 2 times it is not
+        with pytest.raises(ValueError, match=r"= 3 / 4.5e-308 is not finite at its largest draw"):
+            noise_scale(3, PrivacyParams(5e-308, 0.1))
+
+    def test_accepted_exactly_when_the_largest_draw_is_finite(self):
+        ## a generator whose uniforms are all 0.0 gives laplace_sample's largest |draw|
+        zeros = SimpleNamespace(random=np.zeros)
+        accepted = refused = 0
+        for epsilon in np.geomspace(1e-306, 1e-307, 400):
+            params = PrivacyParams(float(epsilon), 0.1)
+            try:
+                scale = noise_scale(1, params)
+            except ValueError:
+                refused += 1
+                with np.errstate(over="ignore"):
+                    assert not np.isfinite(laplace_sample(zeros, 1 / params.release_budget, 1)).all()
+            else:
+                accepted += 1
+                assert np.isfinite(laplace_sample(zeros, scale, 1)).all()
+        assert accepted and refused
 
 
 class TestDegreeDistribution:
