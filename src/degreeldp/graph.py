@@ -3,13 +3,14 @@
 Graphs are read from plain edge lists: one edge per line, two
 whitespace-separated node labels, lines starting with '#' ignored.
 Node labels are remapped to contiguous internal ids 0..n-1 in order of
-first appearance.  The ``Graph`` constructor is the one place that drops
-self-loops (the endpoint still counts as a node) and merges duplicate
-edges.  It builds a graph's sorted neighbor lists and, once, two
-read-only arrays: the edge pairs and the degrees, which projections and
-statistics read instead of walking the lists.  ``edges`` orders the
-pairs so that a graph whose ids are in first-appearance order reloads
-to the same ids.
+first appearance on a line that is not a self-loop; labels seen only on
+self-loops take the last ids.  The ``Graph`` constructor is the one
+place that drops self-loops (the endpoint still counts as a node) and
+merges duplicate edges.  It builds a graph's sorted neighbor lists and,
+once, two read-only arrays: the edge pairs and the degrees, which
+projections and statistics read instead of walking the lists.
+``edges`` orders the pairs so that a graph whose ids are in
+first-appearance order, as a loaded graph's are, reloads to the same ids.
 """
 
 from __future__ import annotations
@@ -83,8 +84,8 @@ class Graph:
         Written out in this order, the edges reload to the same ids iff
         the ids are in first-appearance order: node k is the k-th distinct
         node that this listing names.  Every graph that load_edge_list
-        builds meets this unless some node first appears in a self-loop;
-        Graph(3, [(0, 2), (1, 2)]) does not, as it lists (1, 2) first.
+        builds meets this; Graph(3, [(0, 2), (1, 2)]) does not, as it
+        lists (1, 2) first.
         """
         i, j = self.pairs.T
         order = np.lexsort((-i, j))
@@ -113,6 +114,7 @@ def load_edge_list(source: Iterable[str]) -> Graph:
     """
     id_map: dict[str, int] = {}
     pairs: list[tuple[int, int]] = []
+    loops: list[str] = []
     for lineno, raw in enumerate(source, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -120,8 +122,13 @@ def load_edge_list(source: Iterable[str]) -> Graph:
         parts = line.split()
         if len(parts) != 2:
             raise EdgeListParseError(f"line {lineno}: expected two node labels, got {len(parts)} tokens")
+        if parts[0] == parts[1]:
+            loops.append(parts[0])
+            continue
         ## setdefault hands a new label the next id, in first-appearance order
         pairs.append(tuple(id_map.setdefault(label, len(id_map)) for label in parts))
+    ## labels seen only on self-loops are degree-0 nodes, which write_edge_list cannot write: they take the last ids
+    pairs += [(id_map.setdefault(label, len(id_map)),) * 2 for label in loops]
     return Graph(len(id_map), pairs, list(id_map))
 
 

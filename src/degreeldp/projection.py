@@ -163,9 +163,9 @@ def _addition_run(
     consumed in a fixed documented order: schedule first (random
     strategy only), then per initiator one rng.random(len(pending)) draw,
     a uniform per request in neighbor-rank order, then the responder draw
-    (random strategy only).  Responder j answers yes iff its true
-    "deg < theta" bit is kept, i.e. iff (deg[j] < theta) == (u_j < rate),
-    rate = wrr_truth_rate(budget): the answer wrr_respond gives on u_j.
+    (random strategy only).  Responder j answers yes iff its true bit
+    "j's current degree < theta" equals u_j < rate, rate =
+    wrr_truth_rate(budget): the answer wrr_respond gives on u_j.
     Truthful rank-scheduled runs do not come here: they are one edge
     scan (``_edge_scan``) and draw nothing.
     """
@@ -185,7 +185,6 @@ def _addition_run(
         ranked_adj = [sorted(g.adj[i], key=rank.__getitem__) for i in range(n)]
 
     established: list[set[int]] = [set() for _ in range(n)]
-    deg = [0] * n
 
     for i in schedule:
         est_i = established[i]
@@ -194,14 +193,14 @@ def _addition_run(
             continue
         if private:
             kept = (rng.random(len(pending)) < rate).tolist()
-            willing = [j for j, keep in zip(pending, kept) if (deg[j] < theta) == keep]
+            willing = [j for j, keep in zip(pending, kept) if (len(established[j]) < theta) == keep]
             debiased = wrr_debias_count(len(pending), len(willing), budget)
             ## clamped before round: a tiny budget can make the estimate infinite
             count = round(min(max(debiased, 0), len(willing)))
         else:
-            willing = [j for j in pending if deg[j] < theta]
+            willing = [j for j in pending if len(established[j]) < theta]
             count = len(willing)
-        count = min(count, theta - deg[i])
+        count = min(count, theta - len(est_i))
         if count <= 0:
             continue
         if strategy is Strategy.RANDOM_ADD:
@@ -210,13 +209,11 @@ def _addition_run(
         else:
             chosen = willing[:count]
         for j in chosen:
-            ## count <= theta - deg[i] keeps i below theta; randomized answers can nominate a
-            ## full j, and refusing it tells i the true deg[j] < theta bit, outside the DP budget
-            if deg[j] < theta:
+            ## count <= theta - len(est_i) keeps i below theta; randomized answers can nominate a full
+            ## j, and refusing it tells i the true bit "j's current degree < theta", outside the DP budget
+            if len(established[j]) < theta:
                 est_i.add(j)
                 established[j].add(i)
-                deg[i] += 1
-                deg[j] += 1
 
     return ProjectedGraph(n, established)
 

@@ -25,6 +25,8 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from itertools import repeat
+from operator import mul
 from typing import Sequence
 
 import numpy as np
@@ -181,6 +183,7 @@ def agree_keys(n: int, params: GroupParams, rng: np.random.Generator) -> np.ndar
 ## lanes in int64: exact for fewer than 2^31 parties
 _CHUNK_BYTES = 32
 _LANES = _CHUNK_BYTES // 4
+_LANE_WEIGHTS = [1 << 32 * (_LANES - 1 - k) for k in range(_LANES)]
 
 
 def mask_scalar(shared_key: int, params: GroupParams, rounds: int) -> bytes:
@@ -205,19 +208,12 @@ def compute_mask(i: int, key_row: np.ndarray, params: GroupParams, rounds: int) 
     once, which is the same value mod q as summing the reduced scalars.
     """
     keys = key_row.tolist()
-
-    def lane_sums(parties: range) -> np.ndarray:
-        stream = b"".join(mask_scalar(keys[j], params, rounds) for j in parties)
-        return np.frombuffer(stream, dtype=">u4").reshape(-1, rounds * _LANES).sum(axis=0, dtype=np.int64)
-
-    lanes = lane_sums(range(i + 1, len(keys))) - lane_sums(range(i))
-    masks = []
-    for chunk in lanes.reshape(rounds, _LANES).tolist():
-        m = 0
-        for lane in chunk:
-            m = (m << 32) + lane
-        masks.append(m % params.q)
-    return masks
+    del keys[i]
+    ## one stream per other party, in party order: rows i: are the later parties, rows :i the earlier
+    streams = b"".join(map(mask_scalar, keys, repeat(params), repeat(rounds)))
+    chunks = np.frombuffer(streams, dtype=">u4").reshape(-1, rounds, _LANES)
+    lanes = chunks[i:].sum(0, dtype=np.int64) - chunks[:i].sum(0, dtype=np.int64)
+    return [sum(map(mul, chunk, _LANE_WEIGHTS)) % params.q for chunk in lanes.tolist()]
 
 
 def round_masks(keys: np.ndarray, params: GroupParams, rounds: int) -> list[tuple[int, ...]]:

@@ -26,14 +26,11 @@ def powerlaw_graph(n: int, attach: int = 4, seed: int = 0) -> Graph:
     if n < attach + 1:
         raise ValueError(f"need n > attach, got n={n}, attach={attach}")
     rng = np.random.default_rng(seed)
-    edges: list[tuple[int, int]] = []
-    urn: list[int] = []  # node id repeated once per incident edge
+    urn: list[int] = []  # each edge's two ends in turn: a node once per incident edge
     core = attach + 1
     for i in range(core):
         for j in range(i + 1, core):
-            edges.append((i, j))
-            urn.append(i)
-            urn.append(j)
+            urn += (i, j)
     for v in range(core, n):
         targets: set[int] = set()
         while len(targets) < attach:
@@ -42,7 +39,5 @@ def powerlaw_graph(n: int, attach: int = 4, seed: int = 0) -> Graph:
             ## takes the same values from the stream as that many scalar calls
             targets.update([urn[k] for k in rng.integers(len(urn), size=attach - len(targets)).tolist()])
         for t in sorted(targets):
-            edges.append((t, v))
-            urn.append(t)
-            urn.append(v)
-    return Graph(n, edges)
+            urn += (t, v)
+    return Graph(n, zip(urn[::2], urn[1::2]))

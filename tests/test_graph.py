@@ -122,11 +122,18 @@ def test_ids_out_of_first_appearance_order_reload_relabelled():
     write_edge_list(g, buf)
     g2 = load_edge_list(io.StringIO(buf.getvalue()))
     assert g2.labels == ["1", "2", "0"]
-    ## a loaded node whose first line is a self-loop takes its id early
+    ## a loaded node whose first line is a self-loop takes its id on its first edge
     g = load_edge_list(io.StringIO("7 7\n8 4\n4 7\n"))
+    assert g.labels == ["8", "4", "7"]
     buf = io.StringIO()
     write_edge_list(g, buf)
-    assert load_edge_list(io.StringIO(buf.getvalue())).labels == ["8", "4", "7"]
+    assert load_edge_list(io.StringIO(buf.getvalue())).labels == g.labels
+
+
+def test_labels_only_on_self_loops_take_the_last_ids():
+    g = load_edge_list(io.StringIO("5 5\n1 2\n9 9\n2 5\n5 5\n"))
+    assert g.labels == ["1", "2", "5", "9"]
+    assert degree_sequence(g) == [1, 2, 1, 0]
 
 
 @pytest.mark.parametrize("label", ["#a", "", "a b", "a\tb"])
@@ -163,6 +170,26 @@ def test_roundtrip_identical_internal_structure(pairs):
     assert g2.labels == g.labels
     assert g2.adj == g.adj
     assert list(g2.edges()) == list(g.edges())
+
+
+@st.composite
+def edge_lines_with_loops(draw):
+    """1-12 lines over labels 0-8, self-loops anywhere, each on a label that also has an edge."""
+    edges = draw(st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)).filter(lambda e: e[0] != e[1]),
+                          min_size=1, max_size=8))
+    loops = draw(st.lists(st.sampled_from(sorted({a for e in edges for a in e})), max_size=12 - len(edges)))
+    return draw(st.permutations(edges + [(a, a) for a in loops]))
+
+
+@given(edge_lines_with_loops())
+def test_self_loops_do_not_move_ids(pairs):
+    ## no node has degree 0, so every node is written and reloads
+    g = load_edge_list(io.StringIO("".join(f"{a} {b}\n" for a, b in pairs)))
+    buf = io.StringIO()
+    write_edge_list(g, buf)
+    g2 = load_edge_list(io.StringIO(buf.getvalue()))
+    assert g2.labels == g.labels
+    assert g2.adj == g.adj
 
 
 @given(edge_lines)

@@ -7,11 +7,12 @@ from hypothesis import given, settings, strategies as st
 from degreeldp.encoding import build_partitions, ndoe_sample, order_cdfs
 from degreeldp.graph import Graph, degree_sequence, stats
 from degreeldp.harness import load_dataset
-from degreeldp.mechanisms import PrivacyParams
+from degreeldp.mechanisms import PrivacyParams, wrr_debias_count, wrr_truth_rate
 from degreeldp.projection import (
     ProjectedGraph,
     ProjectionConfig,
     Strategy,
+    _schedule_rank,
     edge_remove,
     lpea_low,
     project,
@@ -133,6 +134,70 @@ def reference_ranked_run(g: Graph, orders, theta: int, strategy: Strategy) -> se
                 deg[i] += 1
                 deg[j] += 1
     return {(i, j) for i in range(n) for j in established[i] if i < j}
+
+
+def reference_addition_run(g: Graph, order_of, cfg: ProjectionConfig, rng: np.random.Generator) -> list[set[int]]:
+    """The per-initiator engine as it was with a degree list kept beside the sets, as an oracle."""
+    n = g.n
+    theta = cfg.theta
+    strategy = cfg.strategy
+    private = cfg.params is not None
+    budget = cfg.params.negotiation_budget if private else 0.0
+    rate = wrr_truth_rate(budget)
+    if strategy is Strategy.RANDOM_ADD:
+        schedule = [int(i) for i in rng.permutation(n)]
+        ranked_adj = g.adj
+    else:
+        rank = _schedule_rank(order_of, strategy).tolist()
+        schedule = sorted(range(n), key=rank.__getitem__)
+        ranked_adj = [sorted(g.adj[i], key=rank.__getitem__) for i in range(n)]
+    established: list[set[int]] = [set() for _ in range(n)]
+    deg = [0] * n
+    for i in schedule:
+        est_i = established[i]
+        pending = [j for j in ranked_adj[i] if j not in est_i]
+        if not pending:
+            continue
+        if private:
+            kept = (rng.random(len(pending)) < rate).tolist()
+            willing = [j for j, keep in zip(pending, kept) if (deg[j] < theta) == keep]
+            debiased = wrr_debias_count(len(pending), len(willing), budget)
+            count = round(min(max(debiased, 0), len(willing)))
+        else:
+            willing = [j for j in pending if deg[j] < theta]
+            count = len(willing)
+        count = min(count, theta - deg[i])
+        if count <= 0:
+            continue
+        if strategy is Strategy.RANDOM_ADD:
+            picks = rng.choice(len(willing), size=count, replace=False)
+            chosen = [willing[int(k)] for k in picks]
+        else:
+            chosen = willing[:count]
+        for j in chosen:
+            if deg[j] < theta:
+                est_i.add(j)
+                established[j].add(i)
+                deg[i] += 1
+                deg[j] += 1
+    return established
+
+
+@given(seed=st.integers(0, 10_000), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_negotiation_matches_degree_list_reference(seed, data):
+    rng = np.random.default_rng(seed)
+    g = random_graph(rng, int(rng.integers(1, 30)), float(rng.uniform(0.05, 0.7)))
+    ## few distinct order values, so ties are common
+    orders = rng.integers(0, int(rng.integers(1, 5)), size=g.n).tolist()
+    theta = data.draw(st.integers(1, max(degree_sequence(g)) + 1), label="theta")
+    eps = data.draw(st.sampled_from([0.1, 1.0, 3.0, 10.0]), label="eps")
+    cases = [private_cfg(theta, s, eps) for s in (Strategy.LPEA_LOW, Strategy.LPEA_HIGH, Strategy.RANDOM_ADD)]
+    for cfg in cases + [nonprivate(theta, Strategy.RANDOM_ADD)]:
+        run_rng, ref_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+        pg = project(g, cfg, run_rng, orders=orders)
+        assert pg.neighbors == reference_addition_run(g, orders, cfg, ref_rng), cfg
+        assert run_rng.bit_generator.state == ref_rng.bit_generator.state, cfg
 
 
 @pytest.mark.parametrize("eps", [1e-15, 1e-307])

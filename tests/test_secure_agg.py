@@ -350,9 +350,10 @@ class TestKeyReuse:
         _, pvalue = sstats.chisquare(buckets)
         assert pvalue > 0.01
 
-    @given(n=st.integers(2, 8), bits=st.sampled_from([16, 61, 127]), rounds=st.integers(1, 20),
+    @given(n=st.integers(2, 8), bits=st.sampled_from(sorted(_GROUPS)), rounds=st.integers(1, 20),
            seed=st.integers(0, 2**31))
-    @settings(max_examples=40, deadline=None)
+    ## 80 examples over the 8 groups: uint64 keys up to 61 bits, Python ints above
+    @settings(max_examples=80, deadline=None)
     def test_compute_mask_matches_per_pair_reference(self, n, bits, rounds, seed):
         p = ka_param(bits)
         keys = agree_keys(n, p, np.random.default_rng(seed))
