@@ -6,7 +6,7 @@ bounded graph by rank-scheduled edge addition with randomized-response
 negotiation, then release Laplace-perturbed degrees.
 """
 
-from .graph import Graph, degree_sequence, load_graph, write_edge_list
+from .graph import Graph, degree_sequence, load_graph
 from .harness import ExperimentConfig, emit_csv, load_dataset, run_grid, run_pipeline
 from .mechanisms import PrivacyParams
 from .projection import ProjectionConfig, Strategy, project

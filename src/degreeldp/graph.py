@@ -9,8 +9,6 @@ place that drops self-loops (the endpoint still counts as a node) and
 merges duplicate edges.  It builds a graph's sorted neighbor lists and,
 once, two read-only arrays: the edge pairs and the degrees, which
 projections and statistics read instead of walking the lists.
-``edges`` orders the pairs so that a graph whose ids are in
-first-appearance order, as a loaded graph's are, reloads to the same ids.
 """
 
 from __future__ import annotations
@@ -18,7 +16,7 @@ from __future__ import annotations
 import gzip
 from dataclasses import dataclass
 from itertools import chain
-from typing import IO, Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -78,19 +76,6 @@ class Graph:
         self.pairs = pairs
         self.degrees = degrees
 
-    def edges(self) -> Iterator[tuple[int, int]]:
-        """Edges as (i, j) pairs with i < j, by j ascending and then i descending.
-
-        Written out in this order, the edges reload to the same ids iff
-        the ids are in first-appearance order: node k is the k-th distinct
-        node that this listing names.  Every graph that load_edge_list
-        builds meets this; Graph(3, [(0, 2), (1, 2)]) does not, as it
-        lists (1, 2) first.
-        """
-        i, j = self.pairs.T
-        order = np.lexsort((-i, j))
-        return zip(i[order].tolist(), j[order].tolist())
-
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
 
@@ -127,24 +112,10 @@ def load_edge_list(source: Iterable[str]) -> Graph:
             continue
         ## setdefault hands a new label the next id, in first-appearance order
         pairs.append(tuple(id_map.setdefault(label, len(id_map)) for label in parts))
-    ## labels seen only on self-loops are degree-0 nodes, which write_edge_list cannot write: they take the last ids
+    ## labels map released degrees back to nodes, and ids break the schedule's ties, so a
+    ## self-loop moves no id: labels seen only on self-loops are degree-0 nodes and take the last ids
     pairs += [(id_map.setdefault(label, len(id_map)),) * 2 for label in loops]
     return Graph(len(id_map), pairs, list(id_map))
-
-
-def write_edge_list(g: Graph, sink: IO[str]) -> None:
-    """Write the edges in the order of ``Graph.edges``, one line of two labels each.
-
-    The graph reloads to the same ids iff its ids are in first-appearance
-    order (see ``Graph.edges``); degree-zero nodes cannot be written and
-    are lost.  A label that would not read back as one token (empty, with
-    whitespace, or starting with '#') raises ValueError before any write.
-    """
-    for label in g.labels:
-        if label.split() != [label] or label.startswith("#"):
-            raise ValueError(f"label {label!r} does not read back: it is empty, holds whitespace or starts with '#'")
-    for i, j in g.edges():
-        sink.write(f"{g.labels[i]} {g.labels[j]}\n")
 
 
 def load_graph(path: str) -> Graph:

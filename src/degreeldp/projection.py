@@ -250,6 +250,9 @@ def edge_remove(g: Graph, cfg: ProjectionConfig, rng: np.random.Generator) -> Pr
             j = current[k]
             established[i].discard(j)
             established[j].discard(i)
+    ## a set keeps its table when it shrinks: swap in copies sized to what is left, one at a time
+    for i, nbrs in enumerate(established):
+        established[i] = set(nbrs)
     return ProjectedGraph(n, established)
 
 

@@ -74,8 +74,8 @@ def _rand_below(rng: np.random.Generator, bound: int) -> int:
 
 
 def ka_gen(params: GroupParams, rng: np.random.Generator) -> tuple[int, int]:
-    """Fresh key pair (sk, pk): random secret in Z_q, public key g^sk mod q."""
-    sk = _rand_below(rng, params.q)
+    """Fresh key pair (sk, pk): random secret in [1, q - 2], so pk = g^sk mod q is never 1 (g has order q - 1)."""
+    sk = 1 + _rand_below(rng, params.q - 2)
     return sk, pow(params.g, sk, params.q)
 
 
@@ -88,12 +88,13 @@ def ka_agree(sks: Sequence[int], pks: Sequence[int], params: GroupParams) -> np.
     """Every pair's shared key: entry [i, j] is pks[j]^sks[i] mod q, so row i comes from sks[i] alone.
 
     Symmetric for key pairs (sks[i], pks[i]); one _pow_matrix call for every
-    group, uint64 up to 61 bits and Python ints above.
+    group, uint64 up to 61 bits and Python ints above.  Secrets outside
+    [1, q - 2] and the public key 1 are refused: each makes its keys 1.
     """
     q = params.q
-    if not all(0 <= s < q for s in sks):
+    if not all(0 < s < q - 1 for s in sks):
         raise ValueError(f"secret key out of range for q={q}")
-    if not all(1 <= p < q for p in pks):
+    if not all(1 < p < q for p in pks):
         raise ValueError(f"public key out of range for q={q}")
     return _pow_matrix(sks, pks, q)
 

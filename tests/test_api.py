@@ -14,7 +14,7 @@ from degreeldp.cli import build_parser
 ROOT = Path(__file__).resolve().parent.parent
 
 PUBLIC = {
-    "Graph", "degree_sequence", "load_graph", "write_edge_list",
+    "Graph", "degree_sequence", "load_graph",
     "ExperimentConfig", "emit_csv", "load_dataset", "run_grid", "run_pipeline",
     "PrivacyParams",
     "ProjectionConfig", "Strategy", "project",

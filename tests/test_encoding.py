@@ -3,11 +3,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from degreeldp.encoding import build_partitions, ndoe_sample, order_cdfs
+from degreeldp.graph import stats
 from degreeldp.harness import load_dataset
 from degreeldp.mechanisms import PrivacyParams, exp_mech_probs
+from conftest import random_graph
 
 
 def two_thirds_params() -> PrivacyParams:
@@ -122,6 +124,24 @@ class TestOrderProbs:
         for p1 in probs:
             for p2 in probs:
                 assert np.all(p1 / p2 <= bound)
+
+    @given(
+        seed=st.integers(0, 10_000),
+        epsilon=st.floats(0.01, 30.0),
+        alpha=st.floats(0.01, 0.99),
+        p_size=st.integers(1, 60),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_row_spread_within_half_the_order_budget(self, seed, epsilon, alpha, p_size):
+        ## scores lie within delta_u of each other, so within one row the
+        ## largest probability is at most exp(order_budget / 2) times the smallest
+        rng = np.random.default_rng(seed)
+        g = random_graph(rng, int(rng.integers(2, 60)), float(rng.uniform(0.02, 0.9)))
+        summary = stats(g)
+        params = PrivacyParams(epsilon, alpha)
+        probs = row_probs(g.degrees, params, build_partitions(summary.d_min, summary.d_max, p_size))
+        spread = probs.max(axis=1) / probs.min(axis=1)
+        assert np.all(spread <= math.exp(params.order_budget / 2) * (1 + 1e-12))
 
     def test_rows_follow_distinct_degrees(self):
         ## one row per distinct degree, ascending; each row's ids are its nodes, ascending

@@ -1,4 +1,5 @@
 import hashlib
+import sys
 
 import numpy as np
 import pytest
@@ -85,7 +86,7 @@ class TestWorkedExample:
         assert total == 4
 
     def test_projection_error_needs_same_node_set(self, fig_graph):
-        other = Graph(fig_graph.n + 1, fig_graph.edges())
+        other = Graph(fig_graph.n + 1, fig_graph.pairs.tolist())
         pg = lpea_low(other, degree_sequence(other), nonprivate(1), np.random.default_rng(0))
         with pytest.raises(ValueError, match="different node set"):
             projection_error(fig_graph, pg)
@@ -335,6 +336,26 @@ class TestInvariants:
         for theta in (1, 3, 6):
             pg = edge_remove(g, nonprivate(theta, Strategy.EDGE_REMOVE), np.random.default_rng(11))
             assert max(pg.degrees) <= theta
+            ## a set keeps its table as it shrinks; the returned sets are sized to what is left
+            assert all(sys.getsizeof(s) == sys.getsizeof(set(s)) for s in pg.neighbors)
+
+
+@given(seed=st.integers(0, 10_000), data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_certain_answers_give_the_truthful_projection(seed, data):
+    ## at a negotiation budget of 45 every answer is the true bit, so private
+    ## rank-scheduled runs with true-degree orders keep the edge scan's edges
+    params = PrivacyParams(100.0, 0.9)
+    assert wrr_truth_rate(params.negotiation_budget) == 1.0
+    rng = np.random.default_rng(seed)
+    g = random_graph(rng, int(rng.integers(1, 30)), float(rng.uniform(0.05, 0.7)))
+    orders = degree_sequence(g)
+    theta = data.draw(st.integers(1, max(orders) + 1), label="theta")
+    for strategy in (Strategy.LPEA_LOW, Strategy.LPEA_HIGH):
+        truthful = project(g, nonprivate(theta, strategy), np.random.default_rng(0), orders=orders)
+        cfg = ProjectionConfig(theta=theta, strategy=strategy, params=params)
+        private = project(g, cfg, np.random.default_rng(seed + 1), orders=orders)
+        assert private.neighbors == truthful.neighbors, strategy
 
 
 class TestOrdersValidation:

@@ -86,11 +86,12 @@ class TestKeyAgreement:
         assert keys[0, 1] == keys[1, 0] == pow(b_pk, a_sk, p.q)
 
     def test_public_key_in_group(self):
-        p = ka_param(17)
-        for seed in range(20):
+        ## at 16 bits, seeds 55834 and 48182 drew sk = 0 and sk = q - 1 from [0, q): both give pk = 1
+        cases = [(ka_param(17), seed) for seed in range(20)] + [(ka_param(16), 55834), (ka_param(16), 48182)]
+        for p, seed in cases:
             sk, pk = ka_gen(p, np.random.default_rng(seed))
-            assert 1 <= pk < p.q
-            assert 0 <= sk < p.q
+            assert 1 <= sk <= p.q - 2
+            assert pk == pow(p.g, sk, p.q) != 1
 
     def test_out_of_range_rejected(self):
         p = ka_param(61)
@@ -152,10 +153,17 @@ class TestArrayKeyAgreement:
         assert ka_agree(sks, pks, p).shape == (5, 5)
         with pytest.raises(ValueError, match="public key"):
             ka_agree(sks, pks[:3] + [0] + pks[4:], p)
+        ## pk = 1 is a group element, but every key agreed with it is 1
+        with pytest.raises(ValueError, match="public key out of range"):
+            ka_agree(sks, pks[:3] + [1] + pks[4:], p)
         with pytest.raises(ValueError, match="secret key"):
             ka_agree(sks[:3] + [p.q] + sks[4:], pks, p)
         with pytest.raises(ValueError, match="secret key"):
             ka_agree([-1] + sks[1:], pks, p)
+        ## the secrets 0 and q - 1 make every key of their row 1, as pk = 1 does its column
+        for weak in (0, p.q - 1):
+            with pytest.raises(ValueError, match="secret key out of range"):
+                ka_agree([weak] + sks[1:], pks, p)
 
 
 class TestMasking:
