@@ -28,10 +28,11 @@ _STRATEGY_CHOICES = [s.value for s in Strategy] + ["all"]
 def _parse_list(text: str, floats: bool = False) -> list:
     """Parse a comma list of floats, or of thetas: ints, inclusive a:b[:step] ranges and auto-<method> names.
 
-    An entry that does not parse, an empty one included, is a usage error; ExperimentConfig checks the values.
+    Entries are stripped of spaces.  An entry that does not parse, an empty one included, is a usage error;
+    ExperimentConfig checks the values.
     """
     out: list = []
-    for chunk in text.split(","):
+    for chunk in map(str.strip, text.split(",")):
         try:
             if floats:
                 out.append(float(chunk))

@@ -8,11 +8,12 @@ estimates the number of willing neighbors, and connects to that many of
 them in rank order.  An edge is established only while both endpoints
 are below the degree bound theta, so the bound holds unconditionally.
 
-The rank-scheduled strategies (lpea-low, lpea-high) share one schedule
-rank: ascending (order, id), reversed for lpea-high.  A truthful run of
-either has the same outcome as one greedy pass over the edges in
-schedule order, and runs as that pass; it draws no randomness.  Private
-runs and random-add keep the per-initiator loop and its order of draws.
+One schedule gives every addition run its turns: ascending (order, id)
+for lpea-low, reversed for lpea-high, uniform for random-add.  Every
+truthful run is one greedy pass over the edges in schedule order, which
+ends where the per-initiator loop ends (for random-add, in
+distribution); only random-add's pass draws randomness.  Private runs
+keep the per-initiator loop and its order of draws.
 
 The removal strategy instead visits nodes in random order and deletes
 random incident edges (symmetrically) until no degree exceeds theta.
@@ -101,39 +102,43 @@ class ProjectedGraph:
         return sum(self.degrees) // 2
 
 
-def _schedule_rank(orders: Sequence[int], strategy: Strategy) -> np.ndarray:
-    """Each node's turn: ascending (order, id), reversed for lpea-high."""
-    n = len(orders)
-    rank = np.empty(n, dtype=np.int32)
-    rank[np.lexsort((np.arange(n), np.asarray(orders)))] = np.arange(n, dtype=np.int32)
-    if strategy is Strategy.LPEA_HIGH:
-        rank = n - 1 - rank
-    return rank
+def _schedule(n: int, orders: Sequence[int] | None, strategy: Strategy, rng: np.random.Generator) -> np.ndarray:
+    """The nodes in turn order: uniform for random-add, else ascending (order, id), reversed for lpea-high."""
+    if strategy is Strategy.RANDOM_ADD:
+        return rng.permutation(n)
+    turns = np.argsort(np.asarray(orders), kind="stable")
+    return turns[::-1] if strategy is Strategy.LPEA_HIGH else turns
 
 
-def _edge_scan(g: Graph, orders: Sequence[int], cfg: ProjectionConfig) -> ProjectedGraph:
-    """Truthful rank-scheduled addition as one greedy pass over the edges.
+def _edge_scan(g: Graph, schedule: np.ndarray, cfg: ProjectionConfig, rng: np.random.Generator) -> ProjectedGraph:
+    """Truthful addition as one greedy pass over the edges.
 
-    Edges run by (earlier endpoint's rank, later endpoint's rank) and are
-    kept iff both endpoints are still below theta.  This is the
-    per-initiator loop's outcome: each edge is decided at its earlier
-    endpoint's turn, in that endpoint's neighbor-rank order, where
-    taking the first theta - deg willing neighbors is the same
+    Edges run by their earlier endpoint's turn and are kept iff both
+    endpoints are still below theta.  This is the per-initiator loop's
+    outcome: each edge is decided at its earlier endpoint's turn, where
+    taking theta - deg of the willing neighbors is the same
     both-below-theta test; degrees only grow, so an edge refused then
-    stays refused at the later endpoint's turn.  A node of degree at
-    most theta never fills before its last edge, so only edges with an
-    endpoint above theta are scanned; the rest are kept outright.
+    stays refused at the later endpoint's turn.  Within a turn, edges
+    run by the later endpoint's rank; random-add instead draws one
+    permutation of the scanned edges, a uniform order of each
+    initiator's neighbors that gives the loop's uniform pick.  A node of
+    degree at most theta never fills before its last edge, so only edges
+    with an endpoint above theta are scanned; the rest are kept outright.
     """
     n = g.n
     theta = cfg.theta
-    rank = _schedule_rank(orders, cfg.strategy)
+    rank = np.empty(n, dtype=np.int64)
+    rank[schedule] = np.arange(n)
     ## orient each edge from the endpoint whose turn decides it
     a, b = g.pairs.T
     first = rank[a] < rank[b]
     u, v = np.where(first, a, b), np.where(first, b, a)
     contested = (g.degrees[u] > theta) | (g.degrees[v] > theta)
     cu, cv = u[contested], v[contested]
-    by_turn = np.argsort(rank[cu].astype(np.int64) * n + rank[cv])
+    if cfg.strategy is Strategy.RANDOM_ADD:
+        by_turn = np.argsort(rank[cu] * cu.size + rng.permutation(cu.size))
+    else:
+        by_turn = np.argsort(rank[cu] * n + rank[cv])
     cu, cv = cu[by_turn], cv[by_turn]
     deg = [0] * n
     keep = bytearray(cu.size)
@@ -150,39 +155,33 @@ def _edge_scan(g: Graph, orders: Sequence[int], cfg: ProjectionConfig) -> Projec
     )
 
 
-def _addition_run(
-    g: Graph,
-    order_of: Sequence[int] | None,
-    cfg: ProjectionConfig,
-    rng: np.random.Generator,
-) -> ProjectedGraph:
-    """Per-initiator engine for private runs and for random-add.
+def _addition_run(g: Graph, schedule: np.ndarray, cfg: ProjectionConfig, rng: np.random.Generator) -> ProjectedGraph:
+    """The private negotiation: the per-initiator loop, run in schedule order.
 
-    order_of gives each node's scheduling rank (private order or true
-    degree); None selects the uniform-random strategy.  Randomness is
-    consumed in a fixed documented order: schedule first (random
-    strategy only), then per initiator one rng.random(len(pending)) draw,
-    a uniform per request in neighbor-rank order, then the responder draw
-    (random strategy only).  Responder j answers yes iff its true bit
-    "j's current degree < theta" equals u_j < rate, rate =
+    An initiator asks its pending neighbors in neighbor-rank order (id
+    order for random-add).  Randomness is consumed in a fixed documented
+    order after the schedule: per initiator one
+    rng.random(len(pending)) draw, a uniform per request, then the
+    responder draw (random-add only).  Responder j answers yes iff its
+    true bit "j's current degree < theta" equals u_j < rate, rate =
     wrr_truth_rate(budget): the answer wrr_respond gives on u_j.
-    Truthful rank-scheduled runs do not come here: they are one edge
-    scan (``_edge_scan``) and draw nothing.
+    Truthful runs do not come here: they are one edge scan
+    (``_edge_scan``).
     """
     n = g.n
     theta = cfg.theta
     strategy = cfg.strategy
-    private = cfg.params is not None
-    budget = cfg.params.negotiation_budget if private else 0.0
+    budget = cfg.params.negotiation_budget
     rate = wrr_truth_rate(budget)
-
+    schedule = schedule.tolist()
     if strategy is Strategy.RANDOM_ADD:
-        schedule = [int(i) for i in rng.permutation(n)]
         ranked_adj = g.adj
     else:
-        rank = _schedule_rank(order_of, strategy).tolist()
-        schedule = sorted(range(n), key=rank.__getitem__)
-        ranked_adj = [sorted(g.adj[i], key=rank.__getitem__) for i in range(n)]
+        ## one pass in turn order lists each node's neighbors by rank
+        ranked_adj = [[] for _ in range(n)]
+        for i in schedule:
+            for j in g.adj[i]:
+                ranked_adj[j].append(i)
 
     established: list[set[int]] = [set() for _ in range(n)]
 
@@ -191,15 +190,11 @@ def _addition_run(
         pending = [j for j in ranked_adj[i] if j not in est_i]
         if not pending:
             continue
-        if private:
-            kept = (rng.random(len(pending)) < rate).tolist()
-            willing = [j for j, keep in zip(pending, kept) if (len(established[j]) < theta) == keep]
-            debiased = wrr_debias_count(len(pending), len(willing), budget)
-            ## clamped before round: a tiny budget can make the estimate infinite
-            count = round(min(max(debiased, 0), len(willing)))
-        else:
-            willing = [j for j in pending if len(established[j]) < theta]
-            count = len(willing)
+        kept = (rng.random(len(pending)) < rate).tolist()
+        willing = [j for j, keep in zip(pending, kept) if (len(established[j]) < theta) == keep]
+        debiased = wrr_debias_count(len(pending), len(willing), budget)
+        ## clamped before round: a tiny budget can make the estimate infinite
+        count = round(min(max(debiased, 0), len(willing)))
         count = min(count, theta - len(est_i))
         if count <= 0:
             continue
@@ -266,22 +261,23 @@ def project(
 
     The two rank-scheduled strategies need per-node orders (private
     encodings, or true degrees in non-private mode); lpea-high runs the
-    schedule rank reversed, so high-order nodes go first.  A truthful
-    (params None) rank-scheduled run is one edge scan and draws nothing
-    from rng.  random-add draws a uniform schedule and uniform responders;
-    edge-remove deletes excess edges instead of adding.
+    schedule reversed, so high-order nodes go first.  random-add draws a
+    uniform schedule and uniform responders.  A truthful (params None)
+    addition run is one edge scan, which draws nothing from rng unless
+    the strategy is random-add; edge-remove deletes excess edges instead
+    of adding.
     """
     if cfg.strategy is Strategy.EDGE_REMOVE:
         return edge_remove(g, cfg, rng)
-    if cfg.strategy is Strategy.RANDOM_ADD:
-        return _addition_run(g, None, cfg, rng)
-    if orders is None:
-        raise ValueError(f"{cfg.strategy.value} requires per-node orders")
-    if len(orders) != g.n:
-        raise ValueError(f"orders must cover all {g.n} nodes, got {len(orders)}")
+    if cfg.strategy is not Strategy.RANDOM_ADD:
+        if orders is None:
+            raise ValueError(f"{cfg.strategy.value} requires per-node orders")
+        if len(orders) != g.n:
+            raise ValueError(f"orders must cover all {g.n} nodes, got {len(orders)}")
+    schedule = _schedule(g.n, orders, cfg.strategy, rng)
     if cfg.params is None:
-        return _edge_scan(g, orders, cfg)
-    return _addition_run(g, orders, cfg, rng)
+        return _edge_scan(g, schedule, cfg, rng)
+    return _addition_run(g, schedule, cfg, rng)
 
 
 def projection_error(g: Graph, pg: ProjectedGraph) -> tuple[np.ndarray, int]:

@@ -14,7 +14,7 @@ import pytest
 
 from degreeldp.encoding import build_partitions, ndoe_sample, order_cdfs
 from degreeldp.graph import Graph, degree_sequence, load_edge_list, load_graph
-from degreeldp.harness import ExperimentConfig, run_pipeline
+from degreeldp.harness import ExperimentConfig, run_grid, run_pipeline
 from degreeldp.mechanisms import PrivacyParams, laplace_sample, wrr_debias_count, wrr_respond, wrr_truth_rate
 from degreeldp.projection import ProjectionConfig, Strategy, edge_remove, lpea_low, project
 from degreeldp.secure_agg import agree_keys, ka_param, masked_sum_round, round_masks
@@ -317,3 +317,37 @@ def test_criterion_9_error_convex_in_theta():
     detail = (f"theta*={theta_star} of K={K}: mae(1)={means[1]:.2f} "
               f"mae(theta*)={means[theta_star]:.2f} mae(K)={means[K]:.2f}")
     _report(9, ok, detail, t0)
+
+
+def test_criterion_10_private_ordering():
+    """In the private pipeline edge removal keeps more edges than LPEA-LOW and has a lower MAE.
+
+    The README's release at theta=19, epsilon=3: this pins the stated
+    inversion of the truthful ordering, not a claim of the paper.
+    """
+    t0 = time.perf_counter()
+    base = ExperimentConfig(dataset="synthetic:4000:11:1", theta=19, epsilon=3.0, trials=5, seed=0, masked=False)
+    rows = run_grid(base, [Strategy.LPEA_LOW, Strategy.EDGE_REMOVE])
+    mean = {s.value: (np.mean([r.edge_ratio for r in rows if r.strategy == s.value]),
+                      np.mean([r.mae_seq for r in rows if r.strategy == s.value]))
+            for s in (Strategy.LPEA_LOW, Strategy.EDGE_REMOVE)}
+    (ll_ratio, ll_mae), (er_ratio, er_mae) = mean["lpea-low"], mean["edge-remove"]
+    ok = er_ratio > ll_ratio and er_mae < ll_mae
+    _report(10, ok, f"synthetic:4000:11:1 theta=19 eps=3: edge_ratio/mae_seq LL={ll_ratio:.3f}/{ll_mae:.2f} "
+                    f"ER={er_ratio:.3f}/{er_mae:.2f}", t0)
+
+
+def test_criterion_11_selected_theta_near_sweep_minimum():
+    """Each selection protocol's theta has a private LPEA-LOW MAE within 1% of a theta sweep's minimum."""
+    t0 = time.perf_counter()
+    base = ExperimentConfig(dataset="synthetic:4000:11:1", epsilon=3.0, K=64, trials=3, seed=0, masked=False)
+    sweep = list(range(10, 29, 3))
+    grid = [{"theta": t} for t in sweep] + [{"theta": "auto-deviation"}, {"theta": "auto-sum"}]
+    rows = run_grid(base, [Strategy.LPEA_LOW], grid)
+    mae_at = [np.mean([r.mae_seq for r in rows[k:k + 3]]) for k in range(0, len(rows), 3)]
+    theta_at = [rows[k].theta for k in range(0, len(rows), 3)]
+    best = min(mae_at[:len(sweep)])
+    picked = dict(zip(("deviation", "sum"), zip(theta_at[len(sweep):], mae_at[len(sweep):])))
+    ok = all(mae <= 1.01 * best for _, mae in picked.values())
+    detail = "; ".join(f"auto-{m} theta={t} mae_seq={mae:.3f}" for m, (t, mae) in picked.items())
+    _report(11, ok, f"sweep 10:28:3 min mae_seq={best:.3f} at theta={theta_at[mae_at.index(best)]}; {detail}", t0)

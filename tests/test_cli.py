@@ -1,3 +1,4 @@
+import argparse
 import csv
 
 import numpy as np
@@ -8,7 +9,7 @@ from degreeldp.graph import degree_sequence
 from degreeldp.harness import CSV_COLUMNS, load_dataset
 from degreeldp.projection import Strategy
 from degreeldp.theta import ThetaSearchConfig, quantile_oracle, theta_by_sum
-from degreeldp.cli import cli_main
+from degreeldp.cli import _parse_list, cli_main
 from conftest import FIG_EDGE_LIST
 
 
@@ -227,6 +228,16 @@ class TestSweep:
             out, err = capsys.readouterr()
             assert out == ""
             assert f"argument {grid}: bad entry" in err
+
+    def test_entries_are_stripped(self, capsys):
+        ## "auto-sum, auto-deviation" was refused for its " auto-deviation" while "16, 32" parsed
+        assert _parse_list("16, auto-sum") == [16, "auto-sum"]
+        assert _parse_list(" 1, 3", floats=True) == [1.0, 3.0]
+        assert _parse_list(" 1 : 3 ") == [1, 2, 3]
+        with pytest.raises(argparse.ArgumentTypeError, match="bad entry ''"):
+            _parse_list("16,")
+        assert cli_main(["select-theta", "synthetic:100:4:1", "--no-mask", "--theta", "auto-sum, auto-deviation"]) == 0
+        assert len(capsys.readouterr().out.split()) == 2
 
     def test_theta_epsilon_product_in_strategy_theta_epsilon_order(self, tmp_path):
         out = tmp_path / "sweep.csv"

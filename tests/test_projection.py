@@ -1,19 +1,24 @@
 import hashlib
 import sys
+from collections import defaultdict
+from fractions import Fraction
+from functools import lru_cache
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import stats as sstats
 
 from degreeldp.encoding import build_partitions, ndoe_sample, order_cdfs
 from degreeldp.graph import Graph, degree_sequence, stats
 from degreeldp.harness import load_dataset
 from degreeldp.mechanisms import PrivacyParams, wrr_debias_count, wrr_truth_rate
+from degreeldp import projection
 from degreeldp.projection import (
     ProjectedGraph,
     ProjectionConfig,
     Strategy,
-    _schedule_rank,
     edge_remove,
     lpea_low,
     project,
@@ -64,11 +69,11 @@ class TestWorkedExample:
         assert edge_set(pg) == {(1, 2)}
         assert pg.edge_count() <= 2  # never beats the low-first variant here
 
-    def test_random_add_seeded_hub_pick(self, fig_graph):
-        ## frozen seed where B initiates early and picks C: only B-C survives
+    def test_random_add_gives_each_maximal_matching(self, fig_graph):
+        ## at theta 1 a truthful random-add keeps a maximal matching: AB, BC, or AC with BD
         cfg = nonprivate(1, Strategy.RANDOM_ADD)
-        pg = project(fig_graph, cfg, np.random.default_rng(16))
-        assert edge_set(pg) == {(1, 2)}
+        got = {frozenset(edge_set(project(fig_graph, cfg, np.random.default_rng(s)))) for s in range(200)}
+        assert got == {frozenset({(0, 1)}), frozenset({(1, 2)}), frozenset({(0, 2), (1, 3)})}
 
     def test_edge_remove_seeded_loss(self, fig_graph):
         ## frozen seed keeping only A-B; per-node losses 1+2+2+1 = 6
@@ -114,12 +119,17 @@ class TestDeterminism:
         assert edge_set(a) == edge_set(b)
 
 
+def schedule_key(orders, strategy: Strategy) -> list[int]:
+    """Each node's turn key: ascending (order, id), reversed for lpea-high."""
+    n = len(orders)
+    key = [orders[i] * n + i for i in range(n)]
+    return [-k for k in key] if strategy is Strategy.LPEA_HIGH else key
+
+
 def reference_ranked_run(g: Graph, orders, theta: int, strategy: Strategy) -> set[tuple[int, int]]:
     """The truthful rank-scheduled per-initiator loop, kept as the oracle for the edge scan."""
     n = g.n
-    key = [orders[i] * n + i for i in range(n)]
-    if strategy is Strategy.LPEA_HIGH:
-        key = [-k for k in key]
+    key = schedule_key(orders, strategy)
     schedule = sorted(range(n), key=key.__getitem__)
     ranked_adj = [sorted(g.adj[i], key=key.__getitem__) for i in range(n)]
     established: list[set[int]] = [set() for _ in range(n)]
@@ -138,20 +148,19 @@ def reference_ranked_run(g: Graph, orders, theta: int, strategy: Strategy) -> se
 
 
 def reference_addition_run(g: Graph, order_of, cfg: ProjectionConfig, rng: np.random.Generator) -> list[set[int]]:
-    """The per-initiator engine as it was with a degree list kept beside the sets, as an oracle."""
+    """The private negotiation as it was with a degree list kept beside the sets, as an oracle."""
     n = g.n
     theta = cfg.theta
     strategy = cfg.strategy
-    private = cfg.params is not None
-    budget = cfg.params.negotiation_budget if private else 0.0
+    budget = cfg.params.negotiation_budget
     rate = wrr_truth_rate(budget)
     if strategy is Strategy.RANDOM_ADD:
         schedule = [int(i) for i in rng.permutation(n)]
         ranked_adj = g.adj
     else:
-        rank = _schedule_rank(order_of, strategy).tolist()
-        schedule = sorted(range(n), key=rank.__getitem__)
-        ranked_adj = [sorted(g.adj[i], key=rank.__getitem__) for i in range(n)]
+        key = schedule_key(order_of, strategy)
+        schedule = sorted(range(n), key=key.__getitem__)
+        ranked_adj = [sorted(g.adj[i], key=key.__getitem__) for i in range(n)]
     established: list[set[int]] = [set() for _ in range(n)]
     deg = [0] * n
     for i in schedule:
@@ -159,14 +168,10 @@ def reference_addition_run(g: Graph, order_of, cfg: ProjectionConfig, rng: np.ra
         pending = [j for j in ranked_adj[i] if j not in est_i]
         if not pending:
             continue
-        if private:
-            kept = (rng.random(len(pending)) < rate).tolist()
-            willing = [j for j, keep in zip(pending, kept) if (deg[j] < theta) == keep]
-            debiased = wrr_debias_count(len(pending), len(willing), budget)
-            count = round(min(max(debiased, 0), len(willing)))
-        else:
-            willing = [j for j in pending if deg[j] < theta]
-            count = len(willing)
+        kept = (rng.random(len(pending)) < rate).tolist()
+        willing = [j for j, keep in zip(pending, kept) if (deg[j] < theta) == keep]
+        debiased = wrr_debias_count(len(pending), len(willing), budget)
+        count = round(min(max(debiased, 0), len(willing)))
         count = min(count, theta - deg[i])
         if count <= 0:
             continue
@@ -193,8 +198,8 @@ def test_negotiation_matches_degree_list_reference(seed, data):
     orders = rng.integers(0, int(rng.integers(1, 5)), size=g.n).tolist()
     theta = data.draw(st.integers(1, max(degree_sequence(g)) + 1), label="theta")
     eps = data.draw(st.sampled_from([0.1, 1.0, 3.0, 10.0]), label="eps")
-    cases = [private_cfg(theta, s, eps) for s in (Strategy.LPEA_LOW, Strategy.LPEA_HIGH, Strategy.RANDOM_ADD)]
-    for cfg in cases + [nonprivate(theta, Strategy.RANDOM_ADD)]:
+    for strategy in (Strategy.LPEA_LOW, Strategy.LPEA_HIGH, Strategy.RANDOM_ADD):
+        cfg = private_cfg(theta, strategy, eps)
         run_rng, ref_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
         pg = project(g, cfg, run_rng, orders=orders)
         assert pg.neighbors == reference_addition_run(g, orders, cfg, ref_rng), cfg
@@ -229,6 +234,111 @@ class TestEdgeScan:
             ## degrees first: they come from the kept edges, before any set is built
             assert pg.degrees == [sum(i in e for e in expected) for i in range(g.n)]
             assert edge_set(pg) == expected, strategy
+
+
+    def test_truthful_runs_never_reach_the_negotiation(self, fig_graph, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("reached _addition_run")
+
+        monkeypatch.setattr(projection, "_addition_run", refuse)
+        orders = degree_sequence(fig_graph)
+        for strategy in (Strategy.LPEA_LOW, Strategy.LPEA_HIGH, Strategy.RANDOM_ADD):
+            assert project(fig_graph, nonprivate(1, strategy), np.random.default_rng(0), orders=orders).edge_count()
+            with pytest.raises(AssertionError, match="reached _addition_run"):
+                project(fig_graph, private_cfg(1, strategy), np.random.default_rng(0), orders=orders)
+
+
+def _uniform_schedule_distribution(g: Graph, theta: int, turn) -> dict[frozenset, Fraction]:
+    """Exact output distribution of a truthful addition run under a uniform schedule.
+
+    The schedule is drawn one turn at a time, each next initiator uniform
+    among the nodes yet to go.  turn(i, remaining, edges) lists the
+    initiator's outcomes as (edge set after its turn, probability).
+    """
+
+    @lru_cache(maxsize=None)
+    def dist(remaining: frozenset, edges: frozenset) -> dict[frozenset, Fraction]:
+        if not remaining:
+            return {edges: Fraction(1)}
+        out: dict[frozenset, Fraction] = defaultdict(Fraction)
+        for i in remaining:
+            for after, p in turn(i, remaining, edges):
+                for final, q in dist(remaining - {i}, after).items():
+                    out[final] += p * q / len(remaining)
+        return out
+
+    return dict(dist(frozenset(range(g.n)), frozenset()))
+
+
+def _degree(edges: frozenset, i: int) -> int:
+    return sum(i in e for e in edges)
+
+
+def loop_distribution(g: Graph, theta: int) -> dict[frozenset, Fraction]:
+    """The per-initiator loop: connect to a uniform subset of min(willing, theta - deg) willing neighbors."""
+
+    def turn(i, remaining, edges):
+        willing = [j for j in g.adj[i] if frozenset((i, j)) not in edges and _degree(edges, j) < theta]
+        subsets = list(combinations(willing, max(min(len(willing), theta - _degree(edges, i)), 0)))
+        return [(edges | {frozenset((i, j)) for j in sub}, Fraction(1, len(subsets))) for sub in subsets]
+
+    return _uniform_schedule_distribution(g, theta, turn)
+
+
+def scan_distribution(g: Graph, theta: int, later_order=None) -> dict[frozenset, Fraction]:
+    """The greedy edge scan: each initiator's later-scheduled neighbors in a uniform order, or in later_order's."""
+
+    def turn(i, remaining, edges):
+        later = [j for j in g.adj[i] if j in remaining]
+        orders = [later_order(later)] if later_order else list(permutations(later))
+        outcomes = []
+        for order in orders:
+            kept = set(edges)
+            for j in order:
+                if _degree(kept, i) < theta and _degree(kept, j) < theta:
+                    kept.add(frozenset((i, j)))
+            outcomes.append((frozenset(kept), Fraction(1, len(orders))))
+        return outcomes
+
+    return _uniform_schedule_distribution(g, theta, turn)
+
+
+def small_cases() -> list[tuple[Graph, int]]:
+    """80 (graph, theta) cases on 3 to 5 nodes, each with a degree above theta."""
+    rng = np.random.default_rng(0)
+    cases = []
+    while len(cases) < 80:
+        g = random_graph(rng, int(rng.integers(3, 6)), float(rng.uniform(0.3, 0.9)))
+        cases += [(g, theta) for theta in (1, 2) if max(degree_sequence(g)) > theta]
+    return cases[:80]
+
+
+class TestTruthfulRandomAdd:
+    def test_uniform_order_scan_has_the_loop_distribution(self):
+        by_id = 0
+        for g, theta in small_cases():
+            loop = loop_distribution(g, theta)
+            assert sum(loop.values()) == 1
+            assert scan_distribution(g, theta) == loop, (edge_set(g), theta)
+            by_id += scan_distribution(g, theta, later_order=sorted) != loop
+        ## the enumeration tells orders apart: a fixed order of the later neighbors gives another distribution
+        assert by_id > 0
+
+    def test_project_fits_the_exact_distribution(self):
+        ## a 5-node graph whose truthful random-add at theta 2 has several likely outcomes
+        g = Graph(5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 4), (2, 3), (3, 4)])
+        expected = {frozenset(tuple(sorted(e)) for e in final): p for final, p in loop_distribution(g, 2).items()}
+        cfg = nonprivate(2, Strategy.RANDOM_ADD)
+        runs = 2000
+        counts = defaultdict(int)
+        for seed in range(runs):
+            counts[frozenset(edge_set(project(g, cfg, np.random.default_rng(seed))))] += 1
+        assert set(counts) <= set(expected)
+        outcomes = sorted(expected, key=sorted)
+        assert min(runs * expected[e] for e in outcomes) >= 5
+        observed = [counts[e] for e in outcomes]
+        result = sstats.chisquare(observed, [float(runs * expected[e]) for e in outcomes])
+        assert result.pvalue > 1e-3, (len(outcomes), result)
 
 
 ## sha256 of repr(sorted(edge_set(pg))) for private projections of
