@@ -15,8 +15,9 @@ ends where the per-initiator loop ends (for random-add, in
 distribution); only random-add's pass draws randomness.  Private runs
 keep the per-initiator loop and its order of draws.
 
-The removal strategy instead visits nodes in random order and deletes
-random incident edges (symmetrically) until no degree exceeds theta.
+The removal strategy visits nodes in random order and deletes random
+incident edges until no degree exceeds theta, as one pass over edge ends:
+every projection but the private negotiation is one pass over Graph.pairs.
 """
 
 from __future__ import annotations
@@ -59,10 +60,9 @@ class ProjectionConfig:
 class ProjectedGraph:
     """Mutable adjacency produced by a projection run.
 
-    ``degrees`` is a list and ``neighbors`` a list of sets.  A graph made
-    by the truthful edge scan holds its kept edges as arrays and builds
-    the sets on the first read of ``neighbors``; the sets are then kept,
-    so edits made through them stay visible.
+    ``degrees`` is a list and ``neighbors`` a list of sets.  A pass over
+    Graph.pairs (any run but the private negotiation) keeps edge arrays and
+    builds the sets on their first read, then keeps them, so edits stay visible.
     """
 
     __slots__ = ("n", "degrees", "_neighbors", "_kept")
@@ -229,26 +229,26 @@ def lpea_low(g: Graph, orders: Sequence[int], cfg: ProjectionConfig, rng: np.ran
 def edge_remove(g: Graph, cfg: ProjectionConfig, rng: np.random.Generator) -> ProjectedGraph:
     """Delete random incident edges until every degree is at most theta.
 
-    Nodes are visited in a uniform random permutation; each over-bound
-    node removes uniformly chosen incident edges, which also lowers the
-    other endpoint's degree.
+    Nodes take turns in a uniform order, each above theta deleting a uniform subset
+    of its remaining edges: one pass over the ends at nodes above theta, by turn and
+    then one permutation, each end deleting its live edge while its node is above theta.
     """
     n = g.n
     theta = cfg.theta
-    established: list[set[int]] = [set(g.adj[i]) for i in range(n)]
-    for i in rng.permutation(n).tolist():
-        excess = len(established[i]) - theta
-        if excess <= 0:
-            continue
-        current = sorted(established[i])
-        for k in rng.choice(len(current), size=excess, replace=False).tolist():
-            j = current[k]
-            established[i].discard(j)
-            established[j].discard(i)
-    ## a set keeps its table when it shrinks: swap in copies sized to what is left, one at a time
-    for i, nbrs in enumerate(established):
-        established[i] = set(nbrs)
-    return ProjectedGraph(n, established)
+    turn = np.argsort(rng.permutation(n))
+    ## end k is at node ends[k] on edge k >> 1, whose other end is k ^ 1
+    ends = g.pairs.ravel()
+    at = np.flatnonzero(g.degrees[ends] > theta)
+    at = at[np.argsort(turn[ends[at]] * at.size + rng.permutation(at.size))]
+    deg = g.degrees.tolist()
+    live = bytearray(b"\x01") * g.m
+    for i, j, e in zip(memoryview(ends[at]), memoryview(ends[at ^ 1]), memoryview(at >> 1)):
+        if deg[i] > theta and live[e]:
+            live[e] = 0
+            deg[i] -= 1
+            deg[j] -= 1
+    kept = np.frombuffer(live, dtype=bool)
+    return ProjectedGraph._from_kept(n, g.pairs[kept, 0], g.pairs[kept, 1])
 
 
 def project(

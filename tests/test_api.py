@@ -1,6 +1,7 @@
-"""The package's top-level surface: what README code and scripts/ import, and the README's CLI lines."""
+"""The package's top-level surface: what README code and scripts/ import, the README's CLI lines and results tables."""
 
 import ast
+import csv
 import re
 import shlex
 import types
@@ -67,3 +68,41 @@ def test_readme_cli_lines_parse():
             parser.parse_args(shlex.split(line)[1:])
         except SystemExit:
             pytest.fail(f"README line does not parse: {line}")
+
+
+def readme_results_tables() -> list[tuple[list[str], list[str], list[list[str]]]]:
+    """(CSVs named before it, header, rows) for each table under the README's "Results on synthetic inputs"."""
+    section = (ROOT / "README.md").read_text().split("## Results on synthetic inputs\n", 1)[1].split("\n## ", 1)[0]
+    tables, named, block = [], [], []
+    for line in section.splitlines() + [""]:
+        if line.startswith("|"):
+            block.append([cell.strip() for cell in line.strip("|").split("|")])
+        elif block:
+            ## the second line of a table is its |---| rule
+            tables.append((named, block[0], block[2:]))
+            named, block = [], []
+        else:
+            named += re.findall(r"results/[\w.-]+\.csv", line)
+    return tables
+
+
+def test_readme_results_tables_are_the_csv_means():
+    ## a column "metric (θ=T, ε=E)" reads the CSV of that run; a bare "metric" the table's one CSV
+    tables = readme_results_tables()
+    assert len(tables) == 2
+    digits = {"edge_ratio": 3, "mae_seq": 2}
+    for named, header, rows in tables:
+        assert header[0] == "strategy" and rows
+        for col, name in enumerate(header[1:], start=1):
+            metric, _, run = name.partition(" ")
+            if run:
+                theta, eps = re.fullmatch(r"\(θ=(\d+), ε=(\d+)\)", run).groups()
+                [path] = [p for p in named if f"_theta{theta}_eps{eps}_" in p]
+            else:
+                [path] = named
+            with open(ROOT / path, newline="") as fh:
+                records = list(csv.DictReader(fh))
+            for row in rows:
+                values = [float(r[metric]) for r in records if r["strategy"] == row[0]]
+                assert values, (path, row[0])
+                assert row[col] == f"{sum(values) / len(values):.{digits[metric]}f}", (path, row[0], metric)

@@ -23,7 +23,7 @@ import pytest
 
 from degreeldp import theta
 from degreeldp.graph import Graph, degree_sequence
-from degreeldp.projection import ProjectedGraph, ProjectionConfig
+from degreeldp.projection import ProjectedGraph, ProjectionConfig, Strategy, edge_remove
 from degreeldp.theta import ThetaSearchConfig
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -120,18 +120,22 @@ def test_traced_sum_selection_samples_once_per_release_trial():
 
 
 def test_truthful_projection_layout():
+    ## the edge scan and edge removal both keep edge arrays and build the sets on the first read
     g = Graph(6, [(0, i) for i in range(1, 6)] + [(1, 2), (2, 3)])
-    pg = theta.lpea_low(g, degree_sequence(g), ProjectionConfig(theta=2), np.random.default_rng(0))
-    assert isinstance(pg.degrees, list)
-    assert isinstance(pg.neighbors, list) and all(isinstance(s, set) for s in pg.neighbors)
-    assert pg.degrees == [len(s) for s in pg.neighbors]
-    ## an edit through the sets stays visible on the next read
-    i = next(i for i in range(pg.n) if pg.neighbors[i])
-    j = next(iter(pg.neighbors[i]))
-    pg.neighbors[i].discard(j)
-    pg.degrees[i] -= 1
-    assert j not in pg.neighbors[i]
-    assert pg.degrees[i] == len(pg.neighbors[i])
+    for pg in (
+        theta.lpea_low(g, degree_sequence(g), ProjectionConfig(theta=2), np.random.default_rng(0)),
+        edge_remove(g, ProjectionConfig(theta=2, strategy=Strategy.EDGE_REMOVE), np.random.default_rng(0)),
+    ):
+        assert isinstance(pg.degrees, list)
+        assert isinstance(pg.neighbors, list) and all(isinstance(s, set) for s in pg.neighbors)
+        assert pg.degrees == [len(s) for s in pg.neighbors]
+        ## an edit through the sets stays visible on the next read
+        i = next(i for i in range(pg.n) if pg.neighbors[i])
+        j = next(iter(pg.neighbors[i]))
+        pg.neighbors[i].discard(j)
+        pg.degrees[i] -= 1
+        assert j not in pg.neighbors[i]
+        assert pg.degrees[i] == len(pg.neighbors[i])
 
 
 def test_projected_graph_keeps_sets_as_given():

@@ -279,9 +279,9 @@ RELEASE_GOLDEN = {
         ('aace7aaa026d491c0660d7138164bbae75dec153721ef53150d6d01d2a6f3f91', ('14.44930271144933', '0.004488888888888889', '0.3469387755102041')),
     ],
     ('synthetic:300:11:1', 'edge-remove'): [
-        ('9903a1a3e933576c665fbf67c93af2acb365e06199dec0bf07e683b757d47f65', ('14.192695498861298', '0.004533333333333334', '0.36332714904143476')),
-        ('8a7dff26014e34518f90c9861ad2d9bccb98e25d00e3ae8278039a6d07cbc29a', ('14.202654131086838', '0.004577777777777777', '0.3772418058132344')),
-        ('dffa86ae42bb04fe4979ad01d8c722bc3b90009e9041bfa9df9218252f7b3049', ('14.183577909626237', '0.004555555555555556', '0.36703772418058134')),
+        ('b0610f582568b78d85e2d797656ebeafd76b87366fb87b853c267b7b9addf9af', ('14.174843970377102', '0.0044666666666666665', '0.37012987012987014')),
+        ('f51151bb3d4fab4fd545ae3077f64e2ba7e1791dc40ecefd8f10ae60720bd18e', ('14.25902641416809', '0.004688888888888889', '0.37043908472479903')),
+        ('844b7dbfa08642ec33b46385c1ddd1cf0c79b379f7f808f51032ea4aab39386a', ('13.99804704359906', '0.004488888888888889', '0.37291280148423006')),
     ],
     ('synthetic:4000:11:1', 'lpea-low'): [
         ('459e4c706ccdfefb36378716a04d824519f80d4ddde8ae0e2a13ae4052a71c8e', ('14.935270023844424', '0.00029562500000000004', '0.4032412254745755')),
@@ -293,7 +293,7 @@ RELEASE_GOLDEN = {
         ('cecdd412ea59a02c6efeb67fd10c302d3ead01c639a062699e0ccfe368d89a74', ('14.861160406223327', '0.0002955', '0.40403787499430965')),
     ],
     ('synthetic:4000:11:1', 'edge-remove'): [
-        ('04a09b1ea08d1d51b407c0baed446d1a7d81d232edc96e4b9e3e6d9640a749ca', ('13.411285387096813', '0.0002375', '0.5022306186552556')),
+        ('c52769dbaed7d938bd6521eac5dee003c8e49d115f3f6607836bf560b1f9e493', ('13.42529843822875', '0.0002385', '0.5022989028998043')),
     ],
 }
 

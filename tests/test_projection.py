@@ -1,5 +1,4 @@
 import hashlib
-import sys
 from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
@@ -78,7 +77,7 @@ class TestWorkedExample:
     def test_edge_remove_seeded_loss(self, fig_graph):
         ## frozen seed keeping only A-B; per-node losses 1+2+2+1 = 6
         cfg = nonprivate(1, Strategy.EDGE_REMOVE)
-        pg = edge_remove(fig_graph, cfg, np.random.default_rng(3))
+        pg = edge_remove(fig_graph, cfg, np.random.default_rng(0))
         assert edge_set(pg) == {(0, 1)}
         losses, total = projection_error(fig_graph, pg)
         assert losses.tolist() == [1, 2, 2, 1]
@@ -248,12 +247,13 @@ class TestEdgeScan:
                 project(fig_graph, private_cfg(1, strategy), np.random.default_rng(0), orders=orders)
 
 
-def _uniform_schedule_distribution(g: Graph, theta: int, turn) -> dict[frozenset, Fraction]:
-    """Exact output distribution of a truthful addition run under a uniform schedule.
+def _uniform_schedule_distribution(g: Graph, theta: int, turn, start=frozenset()) -> dict[frozenset, Fraction]:
+    """Exact output distribution of a truthful projection under a uniform schedule.
 
-    The schedule is drawn one turn at a time, each next initiator uniform
-    among the nodes yet to go.  turn(i, remaining, edges) lists the
-    initiator's outcomes as (edge set after its turn, probability).
+    The schedule is drawn one turn at a time, each next node uniform
+    among the nodes yet to go, from the edge set start (empty for
+    addition).  turn(i, remaining, edges) lists the node's outcomes as
+    (edge set after its turn, probability).
     """
 
     @lru_cache(maxsize=None)
@@ -267,7 +267,7 @@ def _uniform_schedule_distribution(g: Graph, theta: int, turn) -> dict[frozenset
                     out[final] += p * q / len(remaining)
         return out
 
-    return dict(dist(frozenset(range(g.n)), frozenset()))
+    return dict(dist(frozenset(range(g.n)), start))
 
 
 def _degree(edges: frozenset, i: int) -> int:
@@ -341,6 +341,87 @@ class TestTruthfulRandomAdd:
         assert result.pvalue > 1e-3, (len(outcomes), result)
 
 
+def set_removal_distribution(g: Graph, theta: int) -> dict[frozenset, Fraction]:
+    """The set-based removal, as the reference: a node over theta deletes a uniform subset of its remaining edges."""
+
+    def turn(i, remaining, edges):
+        current = [e for e in edges if i in e]
+        subsets = list(combinations(current, max(len(current) - theta, 0)))
+        return [(edges - set(sub), Fraction(1, len(subsets))) for sub in subsets]
+
+    return _uniform_schedule_distribution(g, theta, turn, frozenset(map(frozenset, edge_set(g))))
+
+
+def end_pass_distribution(g: Graph, theta: int, end_order=None) -> dict[frozenset, Fraction]:
+    """The pass over edge ends: a node's edges in a uniform order, or in end_order's, each live one deleted while over theta."""
+
+    @lru_cache(maxsize=None)
+    def after(i, edges):
+        orders = [end_order(g.adj[i])] if end_order else list(permutations(g.adj[i]))
+        counts: dict[frozenset, int] = defaultdict(int)
+        for order in orders:
+            left, deg = set(edges), _degree(edges, i)
+            for j in order:
+                if deg > theta and frozenset((i, j)) in left:
+                    left.remove(frozenset((i, j)))
+                    deg -= 1
+            counts[frozenset(left)] += 1
+        return [(final, Fraction(c, len(orders))) for final, c in counts.items()]
+
+    return _uniform_schedule_distribution(
+        g, theta, lambda i, remaining, edges: after(i, edges), frozenset(map(frozenset, edge_set(g)))
+    )
+
+
+class TestEdgeRemove:
+    def test_end_pass_has_the_set_based_distribution(self):
+        by_id = 0
+        for g, theta in small_cases():
+            reference = set_removal_distribution(g, theta)
+            assert sum(reference.values()) == 1
+            assert end_pass_distribution(g, theta) == reference, (edge_set(g), theta)
+            by_id += end_pass_distribution(g, theta, end_order=sorted) != reference
+        ## deleting in neighbour-id order within a turn gives another distribution
+        assert by_id > 0
+
+    def test_project_fits_the_worked_distribution(self, fig_graph):
+        ## theta 1 on the figure graph: each outcome's probability and projection_error total
+        expected = {
+            frozenset({(0, 1)}): (Fraction(5, 24), 6),
+            frozenset({(1, 2)}): (Fraction(5, 24), 6),
+            frozenset({(0, 2)}): (Fraction(11, 72), 6),
+            frozenset({(1, 3)}): (Fraction(11, 72), 6),
+            frozenset({(0, 2), (1, 3)}): (Fraction(5, 18), 4),
+        }
+        reference = set_removal_distribution(fig_graph, 1)
+        assert {frozenset(tuple(sorted(e)) for e in final): p for final, p in reference.items()} == {
+            e: p for e, (p, _) in expected.items()
+        }
+        cfg = nonprivate(1, Strategy.EDGE_REMOVE)
+        runs = 2000
+        counts = defaultdict(int)
+        for seed in range(runs):
+            pg = project(fig_graph, cfg, np.random.default_rng(seed))
+            kept = frozenset(edge_set(pg))
+            assert kept in expected, kept
+            assert projection_error(fig_graph, pg)[1] == expected[kept][1], kept
+            counts[kept] += 1
+        outcomes = sorted(expected, key=sorted)
+        observed = [counts[e] for e in outcomes]
+        result = sstats.chisquare(observed, [float(runs * expected[e][0]) for e in outcomes])
+        assert result.pvalue > 1e-3, result
+
+    def test_projections_but_the_negotiation_read_no_adjacency_lists(self, fig_graph):
+        ## each is one pass over pairs, so a graph without adj gives the same edges
+        bare = Graph(fig_graph.n, fig_graph.pairs.tolist())
+        bare.adj = None
+        orders = degree_sequence(fig_graph)
+        for cfg in [nonprivate(1, s) for s in Strategy] + [private_cfg(1, Strategy.EDGE_REMOVE)]:
+            for seed in range(5):
+                want = project(fig_graph, cfg, np.random.default_rng(seed), orders=orders).neighbors
+                assert project(bare, cfg, np.random.default_rng(seed), orders=orders).neighbors == want, cfg
+
+
 ## sha256 of repr(sorted(edge_set(pg))) for private projections of
 ## synthetic:300:11:1 with ndoe_sample orders (eps 3, alpha 0.1, seed 2024)
 ## and projection seed 7; a reordered or extra draw changes these
@@ -351,8 +432,8 @@ PRIVATE_GOLDEN = {
     ("lpea-high", 17): "62f45622290809d89fdb419e7ba7d4c35085dee7c3f6c36f7d63b8bff56572d7",
     ("random-add", 3): "549e2dadeb8c9c588376471d43d8988d681fc132ce721f67baddddc4466070fd",
     ("random-add", 17): "ae9b49e145ec4cfa721e571869cc203611417eec413a813a4671e6828049becc",
-    ("edge-remove", 3): "59571d5eb6660194154932270c28f734348831aa981e531b77cf9655f0a59c28",
-    ("edge-remove", 17): "0b7129496490b43884d2e4ad505723ab3f9550ab878addd59e49d750ff513d4e",
+    ("edge-remove", 3): "74e60eef6e910a27c10932ad21bd0d030527555d2f553ac2f237afc85c509f64",
+    ("edge-remove", 17): "1d301dd75cb2efaa7eb279a3f38200cc81780660fb48ff377bdb22e5e97e30d2",
 }
 
 
@@ -446,8 +527,6 @@ class TestInvariants:
         for theta in (1, 3, 6):
             pg = edge_remove(g, nonprivate(theta, Strategy.EDGE_REMOVE), np.random.default_rng(11))
             assert max(pg.degrees) <= theta
-            ## a set keeps its table as it shrinks; the returned sets are sized to what is left
-            assert all(sys.getsizeof(s) == sys.getsizeof(set(s)) for s in pg.neighbors)
 
 
 @given(seed=st.integers(0, 10_000), data=st.data())
