@@ -8,7 +8,7 @@ self-loops take the last ids.  The ``Graph`` constructor is the one
 place that drops self-loops (the endpoint still counts as a node) and
 merges duplicate edges.  It builds a graph's sorted neighbor lists and,
 once, two read-only arrays: the edge pairs and the degrees, which
-projections and statistics read instead of walking the lists.
+projections and statistics read instead of the lists.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ class Graph:
     Attributes:
         n: number of nodes.
         m: number of distinct undirected edges.
-        adj: per-node neighbor lists, each sorted by internal id.
+        adj: per-node neighbor lists, each sorted by internal id; no projection reads them.
         labels: internal id -> original external label.
         pairs: read-only int32 array of shape (m, 2), each edge once with
             the lower id first, in the order of first appearance.
@@ -48,6 +48,7 @@ class Graph:
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]], labels: list[str] | None = None):
         """Build from integer id pairs, dropping self-loops and merging duplicates."""
+        check_count("n", n, least=0)
         labels = [str(i) for i in range(n)] if labels is None else labels
         if len(labels) != n:
             raise ValueError("labels must have one entry per node")

@@ -13,11 +13,11 @@ for lpea-low, reversed for lpea-high, uniform for random-add.  Every
 truthful run is one greedy pass over the edges in schedule order, which
 ends where the per-initiator loop ends (for random-add, in
 distribution); only random-add's pass draws randomness.  Private runs
-keep the per-initiator loop and its order of draws.
+keep the per-initiator loop and its order of draws, over sorted edge ends.
 
 The removal strategy visits nodes in random order and deletes random
 incident edges until no degree exceeds theta, as one pass over edge ends:
-every projection but the private negotiation is one pass over Graph.pairs.
+every projection is a pass over Graph.pairs and reads no neighbor lists.
 """
 
 from __future__ import annotations
@@ -60,9 +60,9 @@ class ProjectionConfig:
 class ProjectedGraph:
     """Mutable adjacency produced by a projection run.
 
-    ``degrees`` is a list and ``neighbors`` a list of sets.  A pass over
-    Graph.pairs (any run but the private negotiation) keeps edge arrays and
-    builds the sets on their first read, then keeps them, so edits stay visible.
+    ``degrees`` is a list and ``neighbors`` a list of sets.  A projection
+    keeps its kept edges as arrays and builds the sets on their first read,
+    then keeps them, so edits stay visible; the constructor takes sets as given.
     """
 
     __slots__ = ("n", "degrees", "_neighbors", "_kept")
@@ -88,7 +88,7 @@ class ProjectedGraph:
     def neighbors(self) -> list[set[int]]:
         if self._neighbors is None:
             nbrs: list[set[int]] = [set() for _ in range(self.n)]
-            ## the sets share one int object per node, as sets of Graph.adj entries do
+            ## the sets share one int object per node
             node = list(range(self.n))
             u, v = self._kept
             for i, j in zip(memoryview(u), memoryview(v)):
@@ -158,44 +158,41 @@ def _edge_scan(g: Graph, schedule: np.ndarray, cfg: ProjectionConfig, rng: np.ra
 def _addition_run(g: Graph, schedule: np.ndarray, cfg: ProjectionConfig, rng: np.random.Generator) -> ProjectedGraph:
     """The private negotiation: the per-initiator loop, run in schedule order.
 
-    An initiator asks its pending neighbors in neighbor-rank order (id
-    order for random-add).  Randomness is consumed in a fixed documented
-    order after the schedule: per initiator one
-    rng.random(len(pending)) draw, a uniform per request, then the
-    responder draw (random-add only).  Responder j answers yes iff its
-    true bit "j's current degree < theta" equals u_j < rate, rate =
-    wrr_truth_rate(budget): the answer wrr_respond gives on u_j.
-    Truthful runs do not come here: they are one edge scan
-    (``_edge_scan``).
+    An initiator's run of the edge ends, sorted by (turn, neighbor rank;
+    id for random-add), lists the neighbors it asks, less edges already
+    live.  Randomness is consumed in a fixed documented order after the
+    schedule: per initiator one rng.random(len(pending)) draw, a uniform
+    per request, then the responder draw (random-add only).  Responder j
+    answers yes iff its true bit "j's current degree < theta" equals
+    u_j < rate, rate = wrr_truth_rate(budget): the answer wrr_respond
+    gives on u_j.  Truthful runs are one edge scan (``_edge_scan``).
     """
     n = g.n
     theta = cfg.theta
     strategy = cfg.strategy
     budget = cfg.params.negotiation_budget
     rate = wrr_truth_rate(budget)
-    schedule = schedule.tolist()
-    if strategy is Strategy.RANDOM_ADD:
-        ranked_adj = g.adj
-    else:
-        ## one pass in turn order lists each node's neighbors by rank
-        ranked_adj = [[] for _ in range(n)]
-        for i in schedule:
-            for j in g.adj[i]:
-                ranked_adj[j].append(i)
-
-    established: list[set[int]] = [set() for _ in range(n)]
-
-    for i in schedule:
-        est_i = established[i]
-        pending = [j for j in ranked_adj[i] if j not in est_i]
+    rank = np.argsort(schedule)
+    ## end k is at node ends[k] on edge k >> 1, whose other end is k ^ 1
+    ends = g.pairs.ravel()
+    asks = ends[np.arange(ends.size) ^ 1]
+    at = np.argsort(rank[ends] * n + (asks if strategy is Strategy.RANDOM_ADD else rank[asks]))
+    nbr, edge = memoryview(asks[at]), memoryview(at >> 1)
+    deg, live = [0] * n, bytearray(g.m)
+    start = 0
+    for i, stop in zip(schedule.tolist(), np.cumsum(g.degrees[schedule]).tolist()):
+        ## one initiator's ints at a time (whole-array lists would hold them all), kept by position in its run
+        js, es = nbr[start:stop].tolist(), edge[start:stop].tolist()
+        start = stop
+        pending = [k for k, e in enumerate(es) if not live[e]]
         if not pending:
             continue
         kept = (rng.random(len(pending)) < rate).tolist()
-        willing = [j for j, keep in zip(pending, kept) if (len(established[j]) < theta) == keep]
+        willing = [k for k, keep in zip(pending, kept) if (deg[js[k]] < theta) == keep]
         debiased = wrr_debias_count(len(pending), len(willing), budget)
         ## clamped before round: a tiny budget can make the estimate infinite
         count = round(min(max(debiased, 0), len(willing)))
-        count = min(count, theta - len(est_i))
+        count = min(count, theta - deg[i])
         if count <= 0:
             continue
         if strategy is Strategy.RANDOM_ADD:
@@ -203,14 +200,16 @@ def _addition_run(g: Graph, schedule: np.ndarray, cfg: ProjectionConfig, rng: np
             chosen = [willing[int(k)] for k in picks]
         else:
             chosen = willing[:count]
-        for j in chosen:
-            ## count <= theta - len(est_i) keeps i below theta; randomized answers can nominate a full
+        for k in chosen:
+            j = js[k]
+            ## count <= theta - deg[i] keeps i below theta; randomized answers can nominate a full
             ## j, and refusing it tells i the true bit "j's current degree < theta", outside the DP budget
-            if len(established[j]) < theta:
-                est_i.add(j)
-                established[j].add(i)
-
-    return ProjectedGraph(n, established)
+            if deg[j] < theta:
+                live[es[k]] = 1
+                deg[i] += 1
+                deg[j] += 1
+    established = np.frombuffer(live, dtype=bool)
+    return ProjectedGraph._from_kept(n, g.pairs[established, 0], g.pairs[established, 1])
 
 
 def lpea_low(g: Graph, orders: Sequence[int], cfg: ProjectionConfig, rng: np.random.Generator) -> ProjectedGraph:

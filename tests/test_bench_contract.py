@@ -23,7 +23,8 @@ import pytest
 
 from degreeldp import theta
 from degreeldp.graph import Graph, degree_sequence
-from degreeldp.projection import ProjectedGraph, ProjectionConfig, Strategy, edge_remove
+from degreeldp.mechanisms import PrivacyParams
+from degreeldp.projection import ProjectedGraph, ProjectionConfig, Strategy, edge_remove, project
 from degreeldp.theta import ThetaSearchConfig
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -120,12 +121,15 @@ def test_traced_sum_selection_samples_once_per_release_trial():
 
 
 def test_truthful_projection_layout():
-    ## the edge scan and edge removal both keep edge arrays and build the sets on the first read
+    ## the edge scan, edge removal and the private negotiation keep edge arrays and build the sets on the first read
     g = Graph(6, [(0, i) for i in range(1, 6)] + [(1, 2), (2, 3)])
+    private = ProjectionConfig(theta=2, params=PrivacyParams(3.0, 0.1))
     for pg in (
         theta.lpea_low(g, degree_sequence(g), ProjectionConfig(theta=2), np.random.default_rng(0)),
         edge_remove(g, ProjectionConfig(theta=2, strategy=Strategy.EDGE_REMOVE), np.random.default_rng(0)),
+        project(g, private, np.random.default_rng(0), orders=degree_sequence(g)),
     ):
+        assert pg._neighbors is None
         assert isinstance(pg.degrees, list)
         assert isinstance(pg.neighbors, list) and all(isinstance(s, set) for s in pg.neighbors)
         assert pg.degrees == [len(s) for s in pg.neighbors]

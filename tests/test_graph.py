@@ -78,6 +78,13 @@ def test_constructor_rejects_out_of_range_pairs():
         Graph(2, [(0, 1)], labels=["a"])
 
 
+@pytest.mark.parametrize("n", [-1, 2.5, True])
+def test_constructor_checks_the_node_count(n):
+    ## n is checked first, so a bad count is named as such and not as a labels or range() error
+    with pytest.raises(ValueError, match="n must be"):
+        Graph(n, [])
+
+
 def test_gz_loading(tmp_path):
     path = tmp_path / "g.txt.gz"
     with gzip.open(path, "wt") as fh:
