@@ -1,19 +1,27 @@
 """Pairwise-masked secure aggregation over a prime-order multiplicative group.
 
 A protocol run (one theta selection) starts with key agreement
-(``agree_keys``): every party draws one key pair (sk, pk) and derives a
-Diffie-Hellman shared key with every other party.  The whole key matrix
-is one windowed array exponentiation, one row per party from its own
-secret key: in uint64 for the groups of at most 61 bits (the default),
-in Python ints for the 89- to 127-bit groups.  Each party then
-expands every shared key once into one SHAKE-256 stream of 32 bytes per
-round of the run (``round_masks``); round r's scalar for a pair is chunk
-r of its stream, reduced into Z_q (Bonawitz et al., CCS 2017), and a
-party's mask for the round adds the scalars with a sign that depends on
-the party ordering.  Summed over all parties the masks telescope to
-zero, so the collector of a round (``masked_sum_round``) recovers the
-exact plaintext sum while any single masked value is uniformly
-distributed.  Keys and masks live for one run only; the next run agrees
+(``agree_keys``): every party draws one key pair (sk, pk), and the
+collector draws a uniform permutation of the parties, the order of one
+Harary ring.  Ring position p masks with positions p +- 1, ..., p +- h
+(mod n), h = min(ceil(log2 n), floor(n / 2)), so every party has
+k = min(2h, n - 1) peers (Bell et al., CCS 2020): 18 at n = 300, 32 at
+n = 40,000, and every other party up to n = 7.  Each party derives its
+shared key with each of its peers from its own secret key and the
+peer's public key; the n x k key table is one windowed array
+exponentiation, one row per party from its own secret key: in uint64
+for the groups of at most 61 bits (the default), in Python ints for the
+89- to 127-bit groups.  Each party then expands each of its keys once
+into one SHAKE-256 stream of 32 bytes per round of the run
+(``round_masks``); round r's scalar for a pair is chunk r of its
+stream, reduced into Z_q (Bonawitz et al., CCS 2017), and a party's mask
+for the round adds the scalars with a sign that depends on the party
+ordering.  Summed over all parties the masks telescope to zero, so the
+collector of a round (``masked_sum_round``) recovers the exact
+plaintext sum while any single masked value is uniformly distributed.
+The collector learns the sum over a set S of parties only if every
+peer of S outside S colludes with it: for one party, all k of its
+peers.  Keys, ring and masks live for one run only; the next run agrees
 new ones.
 
 This is a protocol simulation for experiments, not hardened
@@ -80,23 +88,26 @@ def ka_gen(params: GroupParams, rng: np.random.Generator) -> tuple[int, int]:
 
 
 _M61 = 2**61 - 1
-## rows of the key matrix exponentiated at once: temporaries stay O(_ROWS * n)
-_ROWS = 64
+## rows of the key table exponentiated at once: temporaries stay O(_ROWS * k)
+_ROWS = 1024
+## entries of the window tables held at once: all 16 windows of the default group up to n = 1024
+_TABLE = 1 << 18
 
 
-def ka_agree(sks: Sequence[int], pks: Sequence[int], params: GroupParams) -> np.ndarray:
-    """Every pair's shared key: entry [i, j] is pks[j]^sks[i] mod q, so row i comes from sks[i] alone.
+def ka_agree(sks: Sequence[int], pks: Sequence[int], params: GroupParams, peers: np.ndarray) -> np.ndarray:
+    """Each party's keys with its peers: entry [i, c] is pks[peers[i, c]]^sks[i] mod q, so row i is sks[i]'s alone.
 
-    Symmetric for key pairs (sks[i], pks[i]); one _pow_matrix call for every
-    group, uint64 up to 61 bits and Python ints above.  Secrets outside
-    [1, q - 2] and the public key 1 are refused: each makes its keys 1.
+    For key pairs (sks[i], pks[i]) both ends of an edge hold the same key;
+    one _pow_rows call for every group, uint64 up to 61 bits and Python
+    ints above.  Secrets outside [1, q - 2] and the public key 1 are
+    refused: each makes its keys 1.
     """
     q = params.q
     if not all(0 < s < q - 1 for s in sks):
         raise ValueError(f"secret key out of range for q={q}")
     if not all(1 < p < q for p in pks):
         raise ValueError(f"public key out of range for q={q}")
-    return _pow_matrix(sks, pks, q)
+    return _pow_rows(sks, pks, peers, q)
 
 
 def _mulmod(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
@@ -131,57 +142,81 @@ def _mulmod(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
     return np.minimum(s, s - _M61, out=s)
 
 
-def _pow_matrix(sk: list[int], pk: list[int], q: int) -> np.ndarray:
-    """keys[i, j] = pk[j]^sk[i] mod q, uint64 up to q = 2^61 - 1 and Python ints above, by a 4-bit window.
+def _pow_rows(sk: Sequence[int], pk: Sequence[int], peers: np.ndarray, q: int) -> np.ndarray:
+    """keys[i, c] = pk[peers[i, c]]^sk[i] mod q, uint64 up to q = 2^61 - 1 and Python ints above, by a 4-bit window.
 
     Window w of the exponent contributes pk^(d * 16^w) for its digit d, so
-    one 16-entry table per window, built from the public keys, turns each
-    row into a product of one table row per window: a gather and a
-    _mulmod over the n columns, _ROWS rows at a time.
+    one 16-entry table per window, built from the n public keys, turns
+    each entry into a product of one table entry per window: per window,
+    a gather and a _mulmod over the n x k entries, _ROWS rows at a time.
+    The tables are built for as many windows at once as fit in _TABLE
+    entries.
     """
+    n = len(pk)
     dtype = np.uint64 if q <= _M61 else object
     windows = -(-q.bit_length() // 4)
-    ## squares[k] = pk^(2^k), one squaring of the n public keys at a time
-    squares = np.empty((4 * windows, len(pk)), dtype=dtype)
-    squares[0] = pk
-    for k in range(1, 4 * windows):
-        squares[k] = _mulmod(squares[k - 1], squares[k - 1], q)
-    ## tables[w, d] = pk^(d * 16^w): entries 2^b..2^(b+1)-1 of every window
-    ## are entries 0..2^b-1 times pk^(2^(4w+b))
-    tables = np.empty((windows, 16, len(pk)), dtype=dtype)
-    tables[:, 0] = 1
-    for b in range(4):
-        tables[:, 1 << b:2 << b] = _mulmod(tables[:, :1 << b], squares[b::4, None], q)
     digits = np.array([[s >> k & 15 for k in range(0, 4 * windows, 4)] for s in sk], dtype=np.intp)
-    keys = np.empty((len(sk), len(pk)), dtype=dtype)
-    for start in range(0, len(sk), _ROWS):
-        d = digits[start:start + _ROWS]
-        acc = tables[0, d[:, 0]]
-        for w in range(1, windows):
-            acc = _mulmod(acc, tables[w, d[:, w]], q)
-        keys[start:start + _ROWS] = acc
+    keys = np.ones(peers.shape, dtype=dtype)
+    group = max(1, _TABLE // (16 * n))
+    ## square = pk^(2^(4 * first)) at the start of each group of windows
+    square = np.array(pk, dtype=dtype)
+    for first in range(0, windows, group):
+        stop = min(first + group, windows)
+        ## squares[k] = pk^(2^(4 * first + k)), one squaring of the n public keys at a time
+        squares = np.empty((4 * (stop - first), n), dtype=dtype)
+        for k in range(len(squares)):
+            squares[k] = square
+            square = _mulmod(square, square, q)
+        ## tables[w - first, d] = pk^(d * 16^w): entries 2^b..2^(b+1)-1 of every
+        ## window are entries 0..2^b-1 times pk^(2^(4w+b))
+        tables = np.empty((stop - first, 16, n), dtype=dtype)
+        tables[:, 0] = 1
+        for b in range(4):
+            tables[:, 1 << b:2 << b] = _mulmod(tables[:, :1 << b], squares[b::4, None], q)
+        for w in range(first, stop):
+            for start in range(0, len(sk), _ROWS):
+                rows = slice(start, start + _ROWS)
+                keys[rows] = _mulmod(keys[rows], tables[w - first, digits[rows, w, None], peers[rows]], q)
     return keys
 
 
-def agree_keys(n: int, params: GroupParams, rng: np.random.Generator) -> np.ndarray:
-    """Key agreement for one protocol run of n parties, before its first round.
+def _ring_peers(ring: np.ndarray) -> np.ndarray:
+    """Each party's peers, ascending, on the Harary ring that visits the parties in the order ring.
 
-    Every party draws one key pair, then derives its shared key with every
-    other party from its own secret key and the other's public key, all
-    in one ka_agree call: keys[i, j] is party i's copy, computed from
-    party i's secret key alone, keys[j, i] party j's, and the two are
-    equal.  The diagonal is unused and set to 0.
+    Position p's peers are positions p +- 1, ..., p +- h (mod n) with
+    h = min(ceil(log2 n), floor(n / 2)): k = min(2h, n - 1) distinct
+    parties, and the relation is symmetric.  Up to n = 7 that is every
+    other party.
+    """
+    n = ring.size
+    h = min((n - 1).bit_length(), n // 2)  # (n - 1).bit_length() = ceil(log2 n)
+    offsets = np.array(sorted({d % n for d in range(-h, h + 1)} - {0}))
+    position = np.empty(n, dtype=np.intp)
+    position[ring] = np.arange(n)
+    peers = ring[(position[:, None] + offsets) % n]
+    peers.sort(axis=1)
+    return peers
+
+
+def agree_keys(n: int, params: GroupParams, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Key agreement for one protocol run of n parties, before its first round: the (peers, keys) tables.
+
+    Every party draws one key pair, in party order; then the collector
+    draws a uniform permutation of the parties, the order of the run's
+    Harary ring.  Row i of peers lists party i's k peers ascending, and
+    keys[i, c] is party i's key with peers[i, c], computed from party i's
+    secret key alone, all rows in one ka_agree call.  Both ends of an edge
+    hold the same key.
     """
     if n < 2:
         raise ValueError(f"masking needs at least 2 parties, got {n}")
     sks, pks = zip(*(ka_gen(params, rng) for _ in range(n)))
-    keys = ka_agree(sks, pks, params)
-    np.fill_diagonal(keys, 0)
-    return keys
+    peers = _ring_peers(rng.permutation(n))
+    return peers, ka_agree(sks, pks, params, peers)
 
 
 ## one round's chunk of a pair's mask stream, summed as 32-bit big-endian
-## lanes in int64: exact for fewer than 2^31 parties
+## lanes in int64: exact for fewer than 2^31 peers
 _CHUNK_BYTES = 32
 _LANES = _CHUNK_BYTES // 4
 _LANE_WEIGHTS = [1 << 32 * (_LANES - 1 - k) for k in range(_LANES)]
@@ -199,32 +234,29 @@ def mask_scalar(shared_key: int, params: GroupParams, rounds: int) -> bytes:
     return hashlib.shake_256(data).digest(_CHUNK_BYTES * rounds)
 
 
-def compute_mask(i: int, key_row: np.ndarray, params: GroupParams, rounds: int) -> list[int]:
-    """Party i's additive masks for rounds 0..rounds-1 from its row of the run's keys.
+def compute_mask(i: int, peers: np.ndarray, keys: np.ndarray, params: GroupParams, rounds: int) -> list[int]:
+    """Party i's additive masks for rounds 0..rounds-1 from its rows of the run's peer and key tables.
 
-    key_row is keys[i] from agree_keys.  Streams of keys with
-    higher-indexed parties enter positively, lower-indexed negatively, so
+    peers and keys are row i of the tables from agree_keys.  Streams of
+    keys with higher-id peers enter positively, lower-id negatively, so
     each round's masks cancel when all parties are summed.  The chunks
     are summed unreduced, lane by lane, and each round reduces mod q
     once, which is the same value mod q as summing the reduced scalars.
     """
-    keys = key_row.tolist()
-    del keys[i]
-    ## one stream per other party, in party order: rows i: are the later parties, rows :i the earlier
-    streams = b"".join(map(mask_scalar, keys, repeat(params), repeat(rounds)))
-    chunks = np.frombuffer(streams, dtype=">u4").reshape(-1, rounds, _LANES)
-    lanes = chunks[i:].sum(0, dtype=np.int64) - chunks[:i].sum(0, dtype=np.int64)
-    return [sum(map(mul, chunk, _LANE_WEIGHTS)) % params.q for chunk in lanes.tolist()]
+    streams = b"".join(map(mask_scalar, keys.tolist(), repeat(params), repeat(rounds)))
+    chunks = np.frombuffer(streams, dtype=">u4").reshape(len(keys), rounds * _LANES)
+    lanes = np.where(peers > i, 1, -1) @ chunks
+    return [sum(map(mul, chunk, _LANE_WEIGHTS)) % params.q for chunk in lanes.reshape(rounds, _LANES).tolist()]
 
 
-def round_masks(keys: np.ndarray, params: GroupParams, rounds: int) -> list[tuple[int, ...]]:
-    """Every party's masks for rounds 0..rounds-1 of the run whose keys came from agree_keys.
+def round_masks(peers: np.ndarray, keys: np.ndarray, params: GroupParams, rounds: int) -> list[tuple[int, ...]]:
+    """Every party's masks for rounds 0..rounds-1 of the run whose tables came from agree_keys.
 
     Entry r holds round r's masks in party order, ready for
     masked_sum_round; a run with more rounds than derived has no masks
     for them.
     """
-    return list(zip(*(compute_mask(i, keys[i], params, rounds) for i in range(keys.shape[0]))))
+    return list(zip(*map(compute_mask, range(len(peers)), peers, keys, repeat(params), repeat(rounds))))
 
 
 def aggregate(values: Sequence[int], params: GroupParams) -> int:

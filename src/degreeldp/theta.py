@@ -12,9 +12,12 @@ learns aggregate statistics and nothing per-node.
   sum per round.
 
 A masked selection is one protocol run: the parties agree their pairwise
-keys once, before the first round, and expand them at once into the
-masks of every round the run can take (round_masks); round r uses chunk
-r of each pair's mask stream.
+keys once, before the first round, each with its k = O(log n) peers on
+a Harary ring over a permutation the collector draws (agree_keys), and
+expand them at once into the masks of every round the run can take
+(round_masks); round r uses chunk r of each pair's mask stream.  The
+collector learns a sum over fewer than all parties only if every peer
+of that set outside it colludes: for one party, all k of its peers.
 """
 
 from __future__ import annotations
@@ -73,12 +76,13 @@ def quantile_oracle(degrees: Sequence[int], epsilon: float, K: int) -> int:
 def _round_sums(n: int, cfg: ThetaSearchConfig, rng: np.random.Generator, masked: bool, round_log, rounds: int):
     """One selection run's aggregation: a function that sums one round's n values per call, at most rounds calls.
 
-    A masked run agrees its keys and derives the masks of every round here, once, before the first round.
+    A masked run agrees its peer and key tables and derives the masks of every round here, once, before the first
+    round.
     """
     if n == 0:
         raise ValueError("the graph must be nonempty")
     params = ka_param(cfg.bits)
-    masks = round_masks(agree_keys(n, params, rng), params, rounds) if masked else [None] * rounds
+    masks = round_masks(*agree_keys(n, params, rng), params, rounds) if masked else [None] * rounds
     r = count()
     return lambda values: masked_sum_round(values, params, masked=masked, round_log=round_log, masks=masks[next(r)])
 
@@ -135,6 +139,8 @@ def theta_by_sum(
     """
     K = int(cfg.K)
     sum_round = _round_sums(g.n, cfg, rng, masked, round_log, K)
+    ## converted once, not in each of the K trials' schedule sorts
+    orders = np.asarray(orders, dtype=np.int64)
     scores = []
     for k in range(1, K + 1):
         losses, _ = projection_error(g, lpea_low(g, orders, ProjectionConfig(theta=k), rng))

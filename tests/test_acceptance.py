@@ -50,7 +50,7 @@ def test_criterion_2_masked_aggregation_exact():
     for n in (2, 3, 50):
         for _ in range(100):
             values = [int(v) for v in rng.integers(0, 2**40, n)]
-            masks = round_masks(agree_keys(n, params, rng), params, 1)[0]
+            masks = round_masks(*agree_keys(n, params, rng), params, 1)[0]
             if masked_sum_round(values, params, masks=masks) != sum(values):
                 ok = False
             checked += 1

@@ -1,12 +1,15 @@
-"""The package's top-level surface: what README code and scripts/ import, the README's CLI lines and results tables."""
+"""The package's top-level surface: what README code and scripts/ import, the README's CLI lines, results tables and
+collusion figures."""
 
 import ast
 import csv
+import math
 import re
 import shlex
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import degreeldp
@@ -106,3 +109,22 @@ def test_readme_results_tables_are_the_csv_means():
                 values = [float(r[metric]) for r in records if r["strategy"] == row[0]]
                 assert values, (path, row[0])
                 assert row[col] == f"{sum(values) / len(values):.{digits[metric]}f}", (path, row[0], metric)
+
+
+def test_readme_collusion_figures_are_recomputed():
+    ## README states k at three sizes and C(c, k)/C(n - 1, k) for two (n, c); each must match the code's ring
+    from degreeldp.secure_agg import _ring_peers
+
+    text = " ".join((ROOT / "README.md").read_text().split())
+    number = r"(\d{1,3}(?:,\d{3})*)"
+    [sizes] = re.findall(rf"peers: {number} at n = {number}, {number} at {number} and {number} at {number}", text)
+    degrees = {int(n.replace(",", "")): int(k) for k, n in zip(sizes[::2], sizes[1::2])}
+    assert degrees == {300: 18, 4000: 24, 40000: 32}
+    for n, k in degrees.items():
+        assert _ring_peers(np.arange(n)).shape == (n, k)
+    quoted = re.findall(rf"(\d\.\de-\d+) at n = {number} with c = {number}", text)
+    assert len(quoted) == 2
+    for figure, n, c in quoted:
+        n, c = int(n.replace(",", "")), int(c.replace(",", ""))
+        k = _ring_peers(np.arange(n)).shape[1]
+        assert figure == f"{math.comb(c, k) / math.comb(n - 1, k):.1e}", (n, c)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import sympy
@@ -6,6 +8,7 @@ from scipy import stats as sstats
 
 from degreeldp import secure_agg
 from degreeldp.graph import Graph, degree_sequence
+from degreeldp.harness import load_dataset
 from degreeldp.secure_agg import (
     _GROUPS,
     _mulmod,
@@ -37,7 +40,20 @@ SUBGROUP_FACTORS = {
 
 def run_masks(values, p, seed):
     """Masks of a one-round run over len(values) parties."""
-    return round_masks(agree_keys(len(values), p, np.random.default_rng(seed)), p, 1)[0]
+    return round_masks(*agree_keys(len(values), p, np.random.default_rng(seed)), p, 1)[0]
+
+
+def complete_peers(n):
+    """Every other party, ascending: the peer table of the complete masking graph."""
+    return np.array([[j for j in range(n) if j != i] for i in range(n)], dtype=np.intp)
+
+
+def key_matrix(peers, keys):
+    """The n x n matrix holding party i's key with party j at [i, j], and 0 where they are not peers."""
+    dense = np.zeros((len(peers), len(peers)), dtype=object)
+    for i, (row, key_row) in enumerate(zip(peers, keys)):
+        dense[i, row] = key_row.tolist()
+    return dense
 
 
 class TestGroupTable:
@@ -82,8 +98,8 @@ class TestKeyAgreement:
         p = ka_param(61)
         rng = np.random.default_rng(seed)
         (a_sk, a_pk), (b_sk, b_pk) = ka_gen(p, rng), ka_gen(p, rng)
-        keys = ka_agree([a_sk, b_sk], [a_pk, b_pk], p)
-        assert keys[0, 1] == keys[1, 0] == pow(b_pk, a_sk, p.q)
+        keys = ka_agree([a_sk, b_sk], [a_pk, b_pk], p, complete_peers(2))
+        assert keys[0, 0] == keys[1, 0] == pow(b_pk, a_sk, p.q)
 
     def test_public_key_in_group(self):
         ## at 16 bits, seeds 55834 and 48182 drew sk = 0 and sk = q - 1 from [0, q): both give pk = 1
@@ -95,12 +111,13 @@ class TestKeyAgreement:
 
     def test_out_of_range_rejected(self):
         p = ka_param(61)
+        peers = complete_peers(1)
         with pytest.raises(ValueError):
-            ka_agree([0], [0], p)  # pk = 0 is not a group element
+            ka_agree([0], [0], p, peers)  # pk = 0 is not a group element
         with pytest.raises(ValueError):
-            ka_agree([p.q], [2], p)
+            ka_agree([p.q], [2], p, peers)
         with pytest.raises(ValueError):
-            ka_agree([-1], [2], p)
+            ka_agree([-1], [2], p, peers)
 
     def test_mask_scalar_deterministic(self):
         p = ka_param(61)
@@ -111,24 +128,47 @@ class TestKeyAgreement:
         assert stream != mask_scalar(123456789, ka_param(127), 3)
 
 
+def ring_reach(n):
+    """h = min(ceil(log2 n), floor(n / 2)): ring position p masks with positions p ± 1, ..., p ± h."""
+    return min(math.ceil(math.log2(n)), n // 2)
+
+
+def ring_degree(n):
+    """k = min(2h, n - 1) peers per party."""
+    return min(2 * ring_reach(n), n - 1)
+
+
+def check_tables(peers, keys, p, seed):
+    """The tables of agree_keys(n, p, default_rng(seed)): ring peers, and every key is pow of the peer's pk."""
+    n = len(peers)
+    k, h = ring_degree(n), ring_reach(n)
+    ## the same draws as agree_keys: one key pair per party, in party order, then the ring
+    rng = np.random.default_rng(seed)
+    pairs = [ka_gen(p, rng) for _ in range(n)]
+    ring = rng.permutation(n)
+    assert peers.shape == keys.shape == (n, k)
+    position = {int(party): pos for pos, party in enumerate(ring)}
+    for i in range(n):
+        row = peers[i].tolist()
+        assert row == sorted(set(row)) and i not in row
+        ## ring positions p +- 1, ..., p +- h
+        assert {(position[j] - position[i]) % n for j in row} <= set(range(1, h + 1)) | set(range(n - h, n))
+        for c, j in enumerate(row):
+            assert int(keys[i, c]) == pow(pairs[j][1], pairs[i][0], p.q)
+    ## the peer relation is symmetric, and both ends of an edge hold the same key
+    dense = key_matrix(peers, keys)
+    assert np.array_equal(dense, dense.T)
+
+
 class TestArrayKeyAgreement:
-    """The key matrix from one array ka_agree call equals pow on every pair."""
+    """The key table from one array ka_agree call equals pow on every edge of the ring."""
 
     @given(n=st.integers(2, 40), bits=st.sampled_from(sorted(_GROUPS)), seed=st.integers(0, 2**63))
     @settings(max_examples=60, deadline=None)
     def test_agree_keys_matches_pow(self, n, bits, seed):
         p = ka_param(bits)
-        keys = agree_keys(n, p, np.random.default_rng(seed))
-        ## the same draws as agree_keys: one key pair per party, in party order
-        rng = np.random.default_rng(seed)
-        pairs = [ka_gen(p, rng) for _ in range(n)]
-        assert keys.shape == (n, n)
-        for i in range(n):
-            assert keys[i, i] == 0
-            for j in range(n):
-                if j != i:
-                    assert int(keys[i, j]) == pow(pairs[j][1], pairs[i][0], p.q)
-        assert np.array_equal(keys, keys.T)
+        peers, keys = agree_keys(n, p, np.random.default_rng(seed))
+        check_tables(peers, keys, p, seed)
 
     def test_mulmod_boundaries(self):
         q = 2**61 - 1
@@ -150,20 +190,21 @@ class TestArrayKeyAgreement:
         p = ka_param(bits)
         rng = np.random.default_rng(0)
         sks, pks = (list(x) for x in zip(*(ka_gen(p, rng) for _ in range(5))))
-        assert ka_agree(sks, pks, p).shape == (5, 5)
+        peers = complete_peers(5)
+        assert ka_agree(sks, pks, p, peers).shape == (5, 4)
         with pytest.raises(ValueError, match="public key"):
-            ka_agree(sks, pks[:3] + [0] + pks[4:], p)
+            ka_agree(sks, pks[:3] + [0] + pks[4:], p, peers)
         ## pk = 1 is a group element, but every key agreed with it is 1
         with pytest.raises(ValueError, match="public key out of range"):
-            ka_agree(sks, pks[:3] + [1] + pks[4:], p)
+            ka_agree(sks, pks[:3] + [1] + pks[4:], p, peers)
         with pytest.raises(ValueError, match="secret key"):
-            ka_agree(sks[:3] + [p.q] + sks[4:], pks, p)
+            ka_agree(sks[:3] + [p.q] + sks[4:], pks, p, peers)
         with pytest.raises(ValueError, match="secret key"):
-            ka_agree([-1] + sks[1:], pks, p)
+            ka_agree([-1] + sks[1:], pks, p, peers)
         ## the secrets 0 and q - 1 make every key of their row 1, as pk = 1 does its column
         for weak in (0, p.q - 1):
             with pytest.raises(ValueError, match="secret key out of range"):
-                ka_agree([weak] + sks[1:], pks, p)
+                ka_agree([weak] + sks[1:], pks, p, peers)
 
 
 class TestMasking:
@@ -171,13 +212,14 @@ class TestMasking:
         p = ka_param(bits)
         rng = np.random.default_rng(seed)
         keys = [ka_gen(p, rng) for _ in range(n)]
+        peers = secure_agg._ring_peers(rng.permutation(n))
         masks = []
         for i in range(n):
-            row = np.array([0 if j == i else pow(keys[j][1], keys[i][0], p.q) for j in range(n)], dtype=np.uint64)
-            masks.append(compute_mask(i, row, p, 1)[0])
+            row = np.array([pow(keys[j][1], keys[i][0], p.q) for j in peers[i]], dtype=np.uint64)
+            masks.append(compute_mask(i, peers[i], row, p, 1)[0])
         return p, masks
 
-    @pytest.mark.parametrize("n,seed", [(2, 0), (3, 1), (5, 2), (8, 3)])
+    @pytest.mark.parametrize("n,seed", [(2, 0), (3, 1), (5, 2), (8, 3), (12, 4)])
     def test_masks_telescope_to_zero(self, n, seed):
         p, masks = self._masks(n, seed)
         assert sum(masks) % p.q == 0
@@ -185,7 +227,7 @@ class TestMasking:
     def test_missing_pairwise_key_rejected(self):
         ## a round without party 2's mask: masks cover 2 parties, values 3
         p = ka_param(61)
-        masks = round_masks(agree_keys(2, p, np.random.default_rng(0)), p, 1)[0]
+        masks = round_masks(*agree_keys(2, p, np.random.default_rng(0)), p, 1)[0]
         with pytest.raises(ValueError, match="2 masks for 3 parties"):
             masked_sum_round([1, 2, 3], p, masks=masks)
         with pytest.raises(ValueError, match="1 masks for 2 parties"):
@@ -278,7 +320,7 @@ class TestMaskedSumRound:
         rounds = 4000
         for _ in range(rounds):
             log: list = []
-            masked_sum_round([7, 130, 55], p, round_log=log, masks=round_masks(agree_keys(3, p, rng), p, 1)[0])
+            masked_sum_round([7, 130, 55], p, round_log=log, masks=round_masks(*agree_keys(3, p, rng), p, 1)[0])
             first = log[0][1][0]
             buckets[first * 16 // p.q] += 1
         _, pvalue = sstats.chisquare(buckets)
@@ -290,18 +332,16 @@ def chunk_scalar(stream, r, p):
     return int.from_bytes(stream[32 * r:32 * (r + 1)], "big") % p.q
 
 
-def reference_masks(keys, p, rounds):
+def reference_masks(peers, keys, p, rounds):
     """Plain per-pair masks: round r's scalar is chunk r of the pair's stream mod q, signed by party order."""
-    n = keys.shape[0]
     out = []
     for r in range(rounds):
         row = []
-        for i in range(n):
+        for i in range(len(peers)):
             m = 0
-            for j in range(n):
-                if j != i:
-                    s = chunk_scalar(mask_scalar(int(keys[i, j]), p, rounds), r, p)
-                    m += s if j > i else -s
+            for j, key in zip(peers[i], keys[i]):
+                s = chunk_scalar(mask_scalar(int(key), p, rounds), r, p)
+                m += s if j > i else -s
             row.append(m % p.q)
         out.append(tuple(row))
     return out
@@ -313,9 +353,12 @@ class TestKeyReuse:
     @pytest.mark.parametrize("bits", [16, 61, 127])
     def test_every_round_telescopes_to_zero(self, bits):
         p = ka_param(bits)
-        keys = agree_keys(6, p, np.random.default_rng(bits))
-        assert np.array_equal(keys, keys.T)
-        masks = round_masks(keys, p, 20)
+        peers, keys = agree_keys(6, p, np.random.default_rng(bits))
+        ## up to 7 parties the ring is the complete graph
+        assert np.array_equal(peers, complete_peers(6))
+        dense = key_matrix(peers, keys)
+        assert np.array_equal(dense, dense.T)
+        masks = round_masks(peers, keys, p, 20)
         assert len(masks) == 20
         for r in range(20):
             assert len(masks[r]) == 6
@@ -324,31 +367,31 @@ class TestKeyReuse:
     def test_rounds_of_one_run_recover_sums(self):
         p = ka_param(61)
         rng = np.random.default_rng(9)
-        masks = round_masks(agree_keys(5, p, rng), p, 10)
+        masks = round_masks(*agree_keys(5, p, rng), p, 10)
         for r in range(10):
             values = [int(v) for v in rng.integers(0, 10**6, 5)]
             assert masked_sum_round(values, p, masks=masks[r]) == sum(values)
 
     def test_keys_must_match_party_count(self):
         p = ka_param(61)
-        masks = round_masks(agree_keys(3, p, np.random.default_rng(0)), p, 1)[0]
+        masks = round_masks(*agree_keys(3, p, np.random.default_rng(0)), p, 1)[0]
         with pytest.raises(ValueError, match="3 masks for 2 parties"):
             masked_sum_round([1, 2], p, masks=masks)
 
     def test_pair_mask_changes_between_rounds(self):
         p = ka_param(61)
-        keys = agree_keys(2, p, np.random.default_rng(4))
-        stream = mask_scalar(int(keys[0, 1]), p, 50)
+        peers, keys = agree_keys(2, p, np.random.default_rng(4))
+        stream = mask_scalar(int(keys[0, 0]), p, 50)
         scalars = [chunk_scalar(stream, r, p) for r in range(50)]
         assert len(set(scalars)) == 50
-        masks = round_masks(keys, p, 2)
+        masks = round_masks(peers, keys, p, 2)
         assert masks[0] != masks[1]
 
     def test_payloads_across_rounds_look_uniform(self):
         ## chi-square on the first party's masked value over the rounds of one run
         p = ka_param(61)
         rounds = 4000
-        masks = round_masks(agree_keys(3, p, np.random.default_rng(2024)), p, rounds)
+        masks = round_masks(*agree_keys(3, p, np.random.default_rng(2024)), p, rounds)
         buckets = np.zeros(16, dtype=int)
         log: list = []
         for r in range(rounds):
@@ -358,26 +401,26 @@ class TestKeyReuse:
         _, pvalue = sstats.chisquare(buckets)
         assert pvalue > 0.01
 
-    @given(n=st.integers(2, 8), bits=st.sampled_from(sorted(_GROUPS)), rounds=st.integers(1, 20),
+    @given(n=st.integers(2, 12), bits=st.sampled_from(sorted(_GROUPS)), rounds=st.integers(1, 20),
            seed=st.integers(0, 2**31))
-    ## 80 examples over the 8 groups: uint64 keys up to 61 bits, Python ints above
+    ## 80 examples over the 8 groups: uint64 keys up to 61 bits, Python ints above; complete and sparse rings
     @settings(max_examples=80, deadline=None)
     def test_compute_mask_matches_per_pair_reference(self, n, bits, rounds, seed):
         p = ka_param(bits)
-        keys = agree_keys(n, p, np.random.default_rng(seed))
-        expected = reference_masks(keys, p, rounds)
+        peers, keys = agree_keys(n, p, np.random.default_rng(seed))
+        expected = reference_masks(peers, keys, p, rounds)
         for i in range(n):
-            assert compute_mask(i, keys[i], p, rounds) == [expected[r][i] for r in range(rounds)]
-        assert round_masks(keys, p, rounds) == expected
+            assert compute_mask(i, peers[i], keys[i], p, rounds) == [expected[r][i] for r in range(rounds)]
+        assert round_masks(peers, keys, p, rounds) == expected
 
     def test_derivation_is_prefix_stable(self):
         ## deriving a longer run never changes an earlier round's masks
         p = ka_param(61)
-        keys = agree_keys(5, p, np.random.default_rng(6))
-        assert mask_scalar(int(keys[0, 1]), p, 7)[:6 * 32] == mask_scalar(int(keys[0, 1]), p, 6)
-        assert round_masks(keys, p, 7)[:6] == round_masks(keys, p, 6)
+        peers, keys = agree_keys(5, p, np.random.default_rng(6))
+        assert mask_scalar(int(keys[0, 0]), p, 7)[:6 * 32] == mask_scalar(int(keys[0, 0]), p, 6)
+        assert round_masks(peers, keys, p, 7)[:6] == round_masks(peers, keys, p, 6)
         for i in range(5):
-            assert compute_mask(i, keys[i], p, 7)[:6] == compute_mask(i, keys[i], p, 6)
+            assert compute_mask(i, peers[i], keys[i], p, 7)[:6] == compute_mask(i, peers[i], keys[i], p, 6)
 
     @pytest.fixture
     def key_calls(self, monkeypatch):
@@ -400,8 +443,10 @@ class TestKeyReuse:
         theta_by_deviation(degrees, cfg, np.random.default_rng(0), masked=masked, round_log=log)
         n = len(degrees)
         assert len(log) > 1
-        ## one key pair per party, one ka_agree call for the whole key matrix, one stream per ordered pair
-        assert key_calls == ({"ka_gen": n, "ka_agree": 1, "mask_scalar": n * (n - 1)} if masked
+        ## one key pair per party, one ka_agree call for the whole key table, one stream per party and peer:
+        ## n·k = 40·12, where the complete graph took n(n−1) = 1,560
+        assert ring_degree(n) == 12
+        assert key_calls == ({"ka_gen": n, "ka_agree": 1, "mask_scalar": n * ring_degree(n)} if masked
                              else {"ka_gen": 0, "ka_agree": 0, "mask_scalar": 0})
 
     @pytest.mark.parametrize("masked", [True, False])
@@ -411,5 +456,75 @@ class TestKeyReuse:
         log: list = []
         theta_by_sum(g, degree_sequence(g), cfg, np.random.default_rng(0), masked=masked, round_log=log)
         assert len(log) == 7
-        assert key_calls == ({"ka_gen": 8, "ka_agree": 1, "mask_scalar": 8 * 7} if masked
+        ## n·k = 8·6: at 8 parties the ring first leaves out a pair
+        assert key_calls == ({"ka_gen": 8, "ka_agree": 1, "mask_scalar": 8 * 6} if masked
                              else {"ka_gen": 0, "ka_agree": 0, "mask_scalar": 0})
+
+
+SPARSE_SIZES = (2, 3, 7, 8, 9, 60, 300)
+
+
+class TestSparseRing:
+    """Every group masks over the Harary ring: k peers per party, n·k keys and streams, exact sums."""
+
+    @pytest.mark.parametrize("bits", sorted(_GROUPS))
+    @pytest.mark.parametrize("n", SPARSE_SIZES)
+    def test_tables_are_the_ring(self, n, bits):
+        p = ka_param(bits)
+        peers, keys = agree_keys(n, p, np.random.default_rng(n * 1000 + bits))
+        check_tables(peers, keys, p, n * 1000 + bits)
+
+    def test_ring_degree(self):
+        ## the complete graph up to 7 parties, then 2 ceil(log2 n)
+        assert [ring_degree(n) for n in SPARSE_SIZES] == [1, 2, 6, 6, 8, 12, 18]
+        assert [ring_degree(n) for n in (4000, 40000)] == [24, 32]
+
+    @pytest.mark.parametrize("bits", sorted(_GROUPS))
+    @pytest.mark.parametrize("n", SPARSE_SIZES)
+    def test_masks_telescope_and_sums_are_exact(self, n, bits):
+        p = ka_param(bits)
+        rng = np.random.default_rng(n + bits)
+        masks = round_masks(*agree_keys(n, p, rng), p, 5)
+        assert len(masks) == 5
+        top = (p.q - 1) // n
+        for r in range(5):
+            assert len(masks[r]) == n and sum(masks[r]) % p.q == 0
+            ## up to floor((q - 1) / n) each, so the sum stays below q
+            values = [int.from_bytes(rng.bytes(16), "big") % (top + 1) for _ in range(n)]
+            assert masked_sum_round(values, p, masks=masks[r]) == sum(values)
+
+    @pytest.mark.parametrize("bits", sorted(_GROUPS))
+    @pytest.mark.parametrize("n", SPARSE_SIZES)
+    def test_party_zero_payloads_look_uniform(self, n, bits):
+        ## chi-square on party 0's payloads over 2,000 rounds of one run, from its own rows of the tables;
+        ## 56 cases, so each must pass at 1e-4 (a family-wise level of about 0.006)
+        p = ka_param(bits)
+        rounds = 2000
+        peers, keys = agree_keys(n, p, np.random.default_rng(7 * n + bits))
+        payloads = [(1 + m) % p.q for m in compute_mask(0, peers[0], keys[0], p, rounds)]
+        buckets = np.bincount([x * 16 // p.q for x in payloads], minlength=16)
+        _, pvalue = sstats.chisquare(buckets)
+        assert pvalue > 1e-4
+
+
+@pytest.mark.parametrize("epsilon", [1.0, 3.0])
+@pytest.mark.parametrize("token,method", [
+    ("synthetic:300:11:1", "deviation"),
+    ("synthetic:2000:11:1", "deviation"),
+    ("synthetic:4000:11:1", "deviation"),
+    ("synthetic:300:11:1", "sum"),
+])
+def test_sparse_masked_theta_equals_unmasked(token, method, epsilon):
+    g, _ = load_dataset(token)
+    degs = degree_sequence(g)
+    cfg = ThetaSearchConfig(K=max(degs), epsilon=epsilon, method=method)
+
+    def select(masked, log=None):
+        rng = np.random.default_rng(3)
+        if method == "sum":
+            return theta_by_sum(g, degs, cfg, rng, masked=masked, round_log=log)
+        return theta_by_deviation(degs, cfg, rng, masked=masked, round_log=log)
+
+    log: list = []
+    assert select(True, log) == select(False)
+    assert log and all(kind == "masked" for kind, _ in log)

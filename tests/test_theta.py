@@ -150,7 +150,8 @@ class TestThetaByDeviation:
     def test_round_past_the_derived_masks_fails(self, monkeypatch):
         ## every probe goes right, so K = 7 takes all 3 rounds; with masks for 2 the third has none
         original = theta.round_masks
-        monkeypatch.setattr(theta, "round_masks", lambda keys, params, rounds: original(keys, params, rounds - 1))
+        monkeypatch.setattr(theta, "round_masks",
+                            lambda peers, keys, params, rounds: original(peers, keys, params, rounds - 1))
         cfg = ThetaSearchConfig(K=7, epsilon=1.0)
         with pytest.raises(IndexError):
             theta_by_deviation([9, 9, 9], cfg, np.random.default_rng(0), masked=True)
