@@ -8,8 +8,8 @@ resulting small integer is the node's order, used to schedule the edge
 negotiation without revealing true degrees.
 
 A run builds its order table once (order_cdfs): one inverse-CDF row per
-distinct degree, from one exponential-mechanism call.  Each trial samples
-all orders from one rng.random(n), node i on the i-th double.
+distinct degree, from one exponential-mechanism call, and each node's row.
+Each trial samples all orders from one rng.random(n), node i on the i-th double.
 """
 
 from __future__ import annotations
@@ -57,13 +57,13 @@ def build_partitions(d_min: int, d_max: int, p_size: int = DEFAULT_PARTITION_SIZ
     return PartitionScheme(d_min=d_min, d_max=d_max, medians=medians)
 
 
-def order_cdfs(degrees, params: PrivacyParams, scheme: PartitionScheme) -> tuple[np.ndarray, list[np.ndarray]]:
-    """The run's order table: one inverse-CDF row per distinct degree, ascending, and each row's node ids.
+def order_cdfs(degrees, params: PrivacyParams, scheme: PartitionScheme) -> tuple[np.ndarray, np.ndarray]:
+    """The run's order table: one inverse-CDF row per distinct degree, ascending, and each node's row index.
 
     Scores are negated distances to partition medians, the budget is the order
     share; a degenerate domain (delta_u = 0) makes order 1 certain: one column of ones.
     """
-    present, inverse = np.unique(np.asarray(degrees, dtype=np.int64), return_inverse=True)
+    present, row = np.unique(np.asarray(degrees, dtype=np.int64), return_inverse=True)
     if not scheme.d_min <= present[0] <= present[-1] <= scheme.d_max:
         raise ValueError(f"degrees [{present[0]}, {present[-1]}] outside [{scheme.d_min}, {scheme.d_max}]")
     if scheme.delta_u == 0:
@@ -71,19 +71,16 @@ def order_cdfs(degrees, params: PrivacyParams, scheme: PartitionScheme) -> tuple
     else:
         scores = -np.abs(present[:, None] - np.asarray(scheme.medians))
         probs = exp_mech_probs(scores, params.order_budget, scheme.delta_u)
-    nodes = np.split(np.argsort(inverse, kind="stable"), np.cumsum(np.bincount(inverse))[:-1])
-    return np.cumsum(probs, axis=1), nodes
+    return np.cumsum(probs, axis=1), row
 
 
-def ndoe_sample(table: tuple[np.ndarray, list[np.ndarray]], rng: np.random.Generator) -> np.ndarray:
+def ndoe_sample(table: tuple[np.ndarray, np.ndarray], rng: np.random.Generator) -> np.ndarray:
     """Sample every node's private order (1-based partition index) from the order_cdfs table.
 
-    Node i's order is the inverse CDF of its degree's row at u[i], where
-    u = rng.random(n); a u[i] at or above a row total below 1 takes the last order.
+    Node i's order is the inverse CDF of its row at u[i], u = rng.random(n), counted over one
+    n-by-orders gather; a u[i] at or above a row total below 1 takes the last order.
     """
-    cdf, nodes = table
-    u = rng.random(sum(ids.size for ids in nodes))
-    orders = np.empty(u.size, dtype=np.int64)
-    for row, ids in zip(cdf, nodes):
-        orders[ids] = np.searchsorted(row, u[ids], side="right")
-    return np.minimum(orders, cdf.shape[1] - 1, out=orders) + 1
+    cdf, row = table
+    u = rng.random(row.size)
+    orders = (cdf[row] <= u[:, None]).sum(axis=1)
+    return np.minimum(orders, cdf.shape[1] - 1) + 1

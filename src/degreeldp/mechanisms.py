@@ -90,6 +90,15 @@ def wrr_respond(rng: np.random.Generator, truth: bool, budget: float) -> bool:
     return truth if rng.random() < wrr_truth_rate(budget) else (not truth)
 
 
+def wrr_debiaser(budget: float):
+    """wrr_debias_count's estimator at one budget as a function of (u1, u2), which it does not check."""
+    if not budget > 0:
+        raise ValueError(f"budget must be positive, got {budget}")
+    b = min(budget, _MAX_EXPONENT)
+    plus, minus = math.exp(b) + 1.0, math.expm1(b)
+    return lambda u1, u2: (u2 * plus - u1) / minus
+
+
 def wrr_debias_count(u1: float, u2: float, budget: float) -> float:
     """Unbiased estimate of the number of true Yes answers among u1 responses.
 
@@ -98,12 +107,9 @@ def wrr_debias_count(u1: float, u2: float, budget: float) -> float:
     outside [0, u1]; callers clamp as needed.  e^b - 1 comes from expm1,
     which stays positive where exp(b) - 1.0 rounds to 0 (b below ~1.1e-16).
     """
-    if not budget > 0:
-        raise ValueError(f"budget must be positive, got {budget}")
     if u1 < 0 or u2 < 0 or u2 > u1:
         raise ValueError(f"need 0 <= u2 <= u1, got u1={u1}, u2={u2}")
-    b = min(budget, _MAX_EXPONENT)
-    return (u2 * (math.exp(b) + 1.0) - u1) / math.expm1(b)
+    return wrr_debiaser(budget)(u1, u2)
 
 
 def exp_mech_probs(scores: np.ndarray, budget: float, sensitivity: float) -> np.ndarray:

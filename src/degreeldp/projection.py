@@ -5,7 +5,7 @@ take turns initiating: the initiator asks each not-yet-connected
 neighbor whether it still has spare capacity (through randomized
 response when the config carries PrivacyParams, truthfully otherwise),
 estimates the number of willing neighbors, and connects to that many of
-them in rank order.  An edge is established only while both endpoints
+them in asking order.  An edge is established only while both endpoints
 are below the degree bound theta, so the bound holds unconditionally.
 
 One schedule gives every addition run its turns: ascending (order, id)
@@ -13,7 +13,8 @@ for lpea-low, reversed for lpea-high, uniform for random-add.  Every
 truthful run is one greedy pass over the edges in schedule order, which
 ends where the per-initiator loop ends (for random-add, in
 distribution); only random-add's pass draws randomness.  Private runs
-keep the per-initiator loop and its order of draws, over sorted edge ends.
+keep the per-initiator loop over sorted edge ends, drawing random-add's
+permutation of the ends, then one double per request in request order.
 
 The removal strategy visits nodes in random order and deletes random
 incident edges until no degree exceeds theta, as one pass over edge ends:
@@ -29,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from .graph import Graph, check_count
-from .mechanisms import PrivacyParams, wrr_debias_count, wrr_truth_rate
+from .mechanisms import PrivacyParams, wrr_debiaser, wrr_truth_rate
 
 ## bench/tracing.py wraps projection.wrr_respond to count answers, so the name
 ## stays here though the negotiation draws its answers in bulk (_addition_run)
@@ -159,57 +160,53 @@ def _addition_run(g: Graph, schedule: np.ndarray, cfg: ProjectionConfig, rng: np
     """The private negotiation: the per-initiator loop, run in schedule order.
 
     An initiator's run of the edge ends, sorted by (turn, neighbor rank;
-    id for random-add), lists the neighbors it asks, less edges already
-    live.  Randomness is consumed in a fixed documented order after the
-    schedule: per initiator one rng.random(len(pending)) draw, a uniform
-    per request, then the responder draw (random-add only).  Responder j
-    answers yes iff its true bit "j's current degree < theta" equals
-    u_j < rate, rate = wrr_truth_rate(budget): the answer wrr_respond
-    gives on u_j.  Truthful runs are one edge scan (``_edge_scan``).
+    one permutation of the ends for random-add), lists the neighbors it
+    asks, less edges already live.  After the schedule, randomness is
+    random-add's permutation, then one double u per request in request
+    order; no responder draw.  j answers yes iff its true bit "j's current
+    degree < theta" equals u < rate, rate = wrr_truth_rate(budget): the
+    answer wrr_respond gives on u.  The initiator takes the first count
+    willing, count the debiased yes count: a uniform subset for random-add.
+    The doubles come from one rng.random(2m), and rng is left where
+    rng.random(used) leaves it.  Truthful runs are one edge scan (``_edge_scan``).
     """
-    n = g.n
     theta = cfg.theta
-    strategy = cfg.strategy
     budget = cfg.params.negotiation_budget
-    rate = wrr_truth_rate(budget)
+    debias = wrr_debiaser(budget)
     rank = np.argsort(schedule)
     ## end k is at node ends[k] on edge k >> 1, whose other end is k ^ 1
     ends = g.pairs.ravel()
     asks = ends[np.arange(ends.size) ^ 1]
-    at = np.argsort(rank[ends] * n + (asks if strategy is Strategy.RANDOM_ADD else rank[asks]))
+    ## within a turn by the neighbor's rank, or by one permutation of the ends for random-add; both are below n + 2m
+    after = rng.permutation(ends.size) if cfg.strategy is Strategy.RANDOM_ADD else rank[asks]
+    at = np.argsort(rank[ends] * (g.n + ends.size) + after)
     nbr, edge = memoryview(asks[at]), memoryview(at >> 1)
-    deg, live = [0] * n, bytearray(g.m)
-    start = 0
-    for i, stop in zip(schedule.tolist(), np.cumsum(g.degrees[schedule]).tolist()):
-        ## one initiator's ints at a time (whole-array lists would hold them all), kept by position in its run
-        js, es = nbr[start:stop].tolist(), edge[start:stop].tolist()
-        start = stop
-        pending = [k for k, e in enumerate(es) if not live[e]]
-        if not pending:
-            continue
-        kept = (rng.random(len(pending)) < rate).tolist()
-        willing = [k for k, keep in zip(pending, kept) if (deg[js[k]] < theta) == keep]
-        debiased = wrr_debias_count(len(pending), len(willing), budget)
-        ## clamped before round: a tiny budget can make the estimate infinite
-        count = round(min(max(debiased, 0), len(willing)))
-        count = min(count, theta - deg[i])
-        if count <= 0:
-            continue
-        if strategy is Strategy.RANDOM_ADD:
-            picks = rng.choice(len(willing), size=count, replace=False)
-            chosen = [willing[int(k)] for k in picks]
-        else:
-            chosen = willing[:count]
-        for k in chosen:
-            j = js[k]
-            ## count <= theta - deg[i] keeps i below theta; randomized answers can nominate a full
-            ## j, and refusing it tells i the true bit "j's current degree < theta", outside the DP budget
-            if deg[j] < theta:
-                live[es[k]] = 1
-                deg[i] += 1
-                deg[j] += 1
+    ## an edge is asked at most once per end: 2m coins cover every request
+    state = rng.bit_generator.state
+    coin = (rng.random(ends.size) < wrr_truth_rate(budget)).tobytes()
+    deg, live = [0] * g.n, bytearray(g.m)
+    stop = used = 0
+    for i, degree in zip(schedule.tolist(), g.degrees[schedule].tolist()):
+        start, stop = stop, stop + degree
+        ## the edges not yet live are pending; an initiator at theta asks them all and takes none
+        pending = degree - deg[i]
+        if pending and deg[i] < theta:
+            asked = [(j, e) for j, e in zip(nbr[start:stop], edge[start:stop]) if not live[e]]
+            willing = [p for p, keep in zip(asked, coin[used:used + pending]) if (deg[p[0]] < theta) == keep]
+            ## clamped before round: a tiny budget can make the estimate infinite
+            count = min(round(min(max(debias(pending, len(willing)), 0), len(willing))), theta - deg[i])
+            for j, e in willing[:count]:
+                ## count <= theta - deg[i] keeps i below theta; randomized answers can nominate a full
+                ## j, and refusing it tells i the true bit "j's current degree < theta", outside the DP budget
+                if deg[j] < theta:
+                    live[e] = 1
+                    deg[i] += 1
+                    deg[j] += 1
+        used += pending
+    rng.bit_generator.state = state
+    rng.random(used)
     established = np.frombuffer(live, dtype=bool)
-    return ProjectedGraph._from_kept(n, g.pairs[established, 0], g.pairs[established, 1])
+    return ProjectedGraph._from_kept(g.n, g.pairs[established, 0], g.pairs[established, 1])
 
 
 def lpea_low(g: Graph, orders: Sequence[int], cfg: ProjectionConfig, rng: np.random.Generator) -> ProjectedGraph:
@@ -261,7 +258,7 @@ def project(
     The two rank-scheduled strategies need per-node orders (private
     encodings, or true degrees in non-private mode); lpea-high runs the
     schedule reversed, so high-order nodes go first.  random-add draws a
-    uniform schedule and uniform responders.  A truthful (params None)
+    uniform schedule and a uniform asking order.  A truthful (params None)
     addition run is one edge scan, which draws nothing from rng unless
     the strategy is random-add; edge-remove deletes excess edges instead
     of adding.

@@ -82,9 +82,9 @@ class TestOrderProbs:
 
     def test_degenerate_domain_is_certain(self):
         s = build_partitions(3, 3, 10)
-        cdf, nodes = order_cdfs([3, 3], PrivacyParams(3.0, 0.1), s)
+        cdf, row = order_cdfs([3, 3], PrivacyParams(3.0, 0.1), s)
         assert cdf.tolist() == [[1.0]]
-        assert [ids.tolist() for ids in nodes] == [[0, 1]]
+        assert row.tolist() == [0, 0]
 
     def test_out_of_domain_rejected(self):
         s = build_partitions(1, 10, 5)
@@ -144,12 +144,12 @@ class TestOrderProbs:
         assert np.all(spread <= math.exp(params.order_budget / 2) * (1 + 1e-12))
 
     def test_rows_follow_distinct_degrees(self):
-        ## one row per distinct degree, ascending; each row's ids are its nodes, ascending
+        ## one row per distinct degree, ascending, and each node's row index
         s = build_partitions(0, 100, 10)
         params = PrivacyParams(epsilon=3.0, alpha=0.1)
         degrees = [42, 3, 42, 97, 0, 3, 42]
-        cdf, nodes = order_cdfs(degrees, params, s)
-        assert [ids.tolist() for ids in nodes] == [[4], [1, 5], [0, 2, 6], [3]]
+        cdf, row = order_cdfs(degrees, params, s)
+        assert row.tolist() == [2, 1, 2, 3, 0, 1, 2]
         assert np.array_equal(cdf, order_cdfs([0, 3, 42, 97], params, s)[0])
 
 
@@ -181,12 +181,12 @@ class TestNdoeSample:
 
     def test_point_mass(self):
         ## a hand-built table: every node's row puts all mass on order 2
-        table = (np.cumsum([[0.0, 1.0, 0.0]], axis=1), [np.arange(20)])
+        table = (np.cumsum([[0.0, 1.0, 0.0]], axis=1), np.zeros(20, dtype=np.int64))
         assert ndoe_sample(table, np.random.default_rng(0)).tolist() == [2] * 20
 
     def test_frequencies(self):
         probs = np.array([0.25, 0.25, 0.5])
-        table = (np.cumsum([probs], axis=1), [np.arange(40_000)])
+        table = (np.cumsum([probs], axis=1), np.zeros(40_000, dtype=np.int64))
         counts = np.bincount(ndoe_sample(table, np.random.default_rng(31)), minlength=4)[1:]
         assert counts / 40_000 == pytest.approx(probs, abs=0.01)
 
@@ -201,7 +201,7 @@ class TestNdoeSample:
             orders = ndoe_sample(table, FixedRng(np.nextafter(1.0, 0.0)))
             assert orders.min() >= 1 and orders.max() <= len(s.medians)
         ## a row whose total rounds below 1 takes the last order
-        short = (np.array([[0.5, 1.0 - 2.0**-52]]), [np.arange(3)])
+        short = (np.array([[0.5, 1.0 - 2.0**-52]]), np.zeros(3, dtype=np.int64))
         assert ndoe_sample(short, FixedRng(np.nextafter(1.0, 0.0))).tolist() == [2, 2, 2]
 
     def test_batch_equals_per_node_draws(self):

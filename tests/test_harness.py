@@ -274,9 +274,9 @@ RELEASE_GOLDEN = {
         ('b93bdd63c5553aa26b39241d7b53aba02fabe0c1e802bf853312ce69bc7e5104', ('14.402139184012656', '0.0044666666666666665', '0.35435992578849723')),
     ],
     ('synthetic:300:11:1', 'random-add'): [
-        ('10d2cc7ce789993c16db81f0b2f2ff8c92450dd02dddfe0124b1072562a90d09', ('14.529043978015931', '0.004577777777777778', '0.3358070500927644')),
-        ('cf259b5e00a80ab94e0f9633e29ef752df20abca05d8ffe99259f81197cc59de', ('14.765417575516418', '0.004866666666666667', '0.3416821273964131')),
-        ('aace7aaa026d491c0660d7138164bbae75dec153721ef53150d6d01d2a6f3f91', ('14.44930271144933', '0.004488888888888889', '0.3469387755102041')),
+        ('78b47e45ceba6646abfa06eaf05aed0987838374cd379eb6cef3b4377d99e478', ('14.36075801037724', '0.004266666666666667', '0.3518862090290662')),
+        ('7b73334a0cd4f1af23bd4cc136a10a200f637bd7a63369e31bbe77583421601d', ('15.06669349344541', '0.004933333333333333', '0.32869511440940014')),
+        ('8b7a15e88725e866eaa07aa0a524d16303f1b0a93abef0ad0035c8b7b354bdc2', ('14.405283607558246', '0.004533333333333333', '0.3500309214594929')),
     ],
     ('synthetic:300:11:1', 'edge-remove'): [
         ('b0610f582568b78d85e2d797656ebeafd76b87366fb87b853c267b7b9addf9af', ('14.174843970377102', '0.0044666666666666665', '0.37012987012987014')),
@@ -290,7 +290,7 @@ RELEASE_GOLDEN = {
         ('ba1558416700ac234ace94589a2e5b4f8f5d81e72f96cc099d1f4fb82103e63a', ('14.802048415616861', '0.00029487500000000005', '0.41193608594710246')),
     ],
     ('synthetic:4000:11:1', 'random-add'): [
-        ('cecdd412ea59a02c6efeb67fd10c302d3ead01c639a062699e0ccfe368d89a74', ('14.861160406223327', '0.0002955', '0.40403787499430965')),
+        ('56bef1a06e6db9fa92de71d5cafa1554198f4d368b6d615b87db33425bb7075b', ('14.786477171883327', '0.00028787500000000004', '0.40651886921291025')),
     ],
     ('synthetic:4000:11:1', 'edge-remove'): [
         ('c52769dbaed7d938bd6521eac5dee003c8e49d115f3f6607836bf560b1f9e493', ('13.42529843822875', '0.0002385', '0.5022989028998043')),

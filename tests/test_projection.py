@@ -1,8 +1,9 @@
 import hashlib
+import math
 from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 import numpy as np
 import pytest
@@ -137,7 +138,7 @@ def reference_ranked_run(g: Graph, orders, theta: int, strategy: Strategy) -> se
         pending = [j for j in ranked_adj[i] if j not in established[i]]
         willing = [j for j in pending if deg[j] < theta]
         count = min(len(willing), theta - deg[i])
-        for j in willing[:max(count, 0)]:
+        for j in willing[:count]:
             if deg[i] < theta and deg[j] < theta:
                 established[i].add(j)
                 established[j].add(i)
@@ -147,7 +148,12 @@ def reference_ranked_run(g: Graph, orders, theta: int, strategy: Strategy) -> se
 
 
 def reference_addition_run(g: Graph, order_of, cfg: ProjectionConfig, rng: np.random.Generator) -> list[set[int]]:
-    """The private negotiation as it was with a degree list kept beside the sets, as an oracle."""
+    """The private negotiation over neighbor sets with a degree list kept beside them, as an oracle.
+
+    Each initiator draws rng.random(len(pending)) and connects to the first
+    count of its willing neighbors in asking order; random-add asks in the
+    order of one permutation of the edge ends, drawn after the schedule.
+    """
     n = g.n
     theta = cfg.theta
     strategy = cfg.strategy
@@ -155,7 +161,10 @@ def reference_addition_run(g: Graph, order_of, cfg: ProjectionConfig, rng: np.ra
     rate = wrr_truth_rate(budget)
     if strategy is Strategy.RANDOM_ADD:
         schedule = [int(i) for i in rng.permutation(n)]
-        ranked_adj = g.adj
+        ends = g.pairs.ravel().tolist()
+        after = rng.permutation(len(ends)).tolist()
+        key = {(ends[k], ends[k ^ 1]): after[k] for k in range(len(ends))}
+        ranked_adj = [sorted(g.adj[i], key=lambda j: key[i, j]) for i in range(n)]
     else:
         key = schedule_key(order_of, strategy)
         schedule = sorted(range(n), key=key.__getitem__)
@@ -172,14 +181,7 @@ def reference_addition_run(g: Graph, order_of, cfg: ProjectionConfig, rng: np.ra
         debiased = wrr_debias_count(len(pending), len(willing), budget)
         count = round(min(max(debiased, 0), len(willing)))
         count = min(count, theta - deg[i])
-        if count <= 0:
-            continue
-        if strategy is Strategy.RANDOM_ADD:
-            picks = rng.choice(len(willing), size=count, replace=False)
-            chosen = [willing[int(k)] for k in picks]
-        else:
-            chosen = willing[:count]
-        for j in chosen:
+        for j in willing[:count]:
             if deg[j] < theta:
                 est_i.add(j)
                 established[j].add(i)
@@ -203,6 +205,22 @@ def test_negotiation_matches_degree_list_reference(seed, data):
         pg = project(g, cfg, run_rng, orders=orders)
         assert pg.neighbors == reference_addition_run(g, orders, cfg, ref_rng), cfg
         assert run_rng.bit_generator.state == ref_rng.bit_generator.state, cfg
+
+
+@pytest.mark.parametrize("a, b", [(0, 0), (0, 5), (1, 1), (7, 300), (1000, 1)])
+def test_batched_doubles_are_the_split_draws(a, b):
+    ## the negotiation draws its coins as one rng.random(2m), then rewinds rng and draws the used
+    ## prefix again; that matches per-initiator draws only if random(a) then random(b) is
+    ## random(a + b), doubles and final state, from a state a permutation left mid-word
+    split, batch = np.random.default_rng(5), np.random.default_rng(5)
+    split.permutation(11), batch.permutation(11)
+    assert split.bit_generator.state["has_uint32"] == 1
+    first, second = split.random(a), split.random(b)
+    state = batch.bit_generator.state
+    assert np.array_equal(np.concatenate((first, second)), batch.random(a + b + 3)[: a + b])
+    batch.bit_generator.state = state
+    batch.random(a + b)
+    assert split.bit_generator.state == batch.bit_generator.state
 
 
 @pytest.mark.parametrize("eps", [1e-15, 1e-307])
@@ -248,26 +266,23 @@ class TestEdgeScan:
 
 
 def _uniform_schedule_distribution(g: Graph, theta: int, turn, start=frozenset()) -> dict[frozenset, Fraction]:
-    """Exact output distribution of a truthful projection under a uniform schedule.
+    """Exact output distribution of a projection under a uniform schedule.
 
     The schedule is drawn one turn at a time, each next node uniform
     among the nodes yet to go, from the edge set start (empty for
     addition).  turn(i, remaining, edges) lists the node's outcomes as
-    (edge set after its turn, probability).
+    (edge set after its turn, probability).  The distribution over
+    (nodes yet to go, edges) is carried forward one turn at a time.
     """
-
-    @lru_cache(maxsize=None)
-    def dist(remaining: frozenset, edges: frozenset) -> dict[frozenset, Fraction]:
-        if not remaining:
-            return {edges: Fraction(1)}
-        out: dict[frozenset, Fraction] = defaultdict(Fraction)
-        for i in remaining:
-            for after, p in turn(i, remaining, edges):
-                for final, q in dist(remaining - {i}, after).items():
-                    out[final] += p * q / len(remaining)
-        return out
-
-    return dict(dist(frozenset(range(g.n)), start))
+    states: dict[tuple, Fraction] = {(frozenset(range(g.n)), start): Fraction(1)}
+    for _ in range(g.n):
+        ahead: dict[tuple, Fraction] = defaultdict(Fraction)
+        for (remaining, edges), p in states.items():
+            for i in remaining:
+                for after, q in turn(i, remaining, edges):
+                    ahead[remaining - {i}, after] += p * q / len(remaining)
+        states = ahead
+    return {edges: p for (_, edges), p in states.items()}
 
 
 def _degree(edges: frozenset, i: int) -> int:
@@ -339,6 +354,57 @@ class TestTruthfulRandomAdd:
         observed = [counts[e] for e in outcomes]
         result = sstats.chisquare(observed, [float(runs * expected[e]) for e in outcomes])
         assert result.pvalue > 1e-3, (len(outcomes), result)
+
+
+def private_distribution(g: Graph, theta: int, budget: float, orders=None) -> dict[frozenset, Fraction]:
+    """Exact output distribution of private random-add, one coin per pending request.
+
+    A request's answer is yes iff the neighbor's true bit "degree < theta"
+    equals a coin that lands true with probability wrr_truth_rate(budget),
+    and count is the code's own float estimate of the yes answers.  With
+    orders None the initiator connects to a uniform count-subset of the
+    willing, as the per-initiator rng.choice loop picks it; otherwise it asks
+    in one of orders(pending), equally likely, and takes the first count
+    willing.  A nominated neighbor already at theta refuses.
+    """
+    rate = Fraction(wrr_truth_rate(budget))
+
+    @lru_cache(maxsize=None)
+    def after(i, edges):
+        pending = [j for j in g.adj[i] if frozenset((i, j)) not in edges]
+        room = theta - _degree(edges, i)
+        if not pending or room <= 0:
+            return [(edges, Fraction(1))]
+        below = {j: _degree(edges, j) < theta for j in pending}
+        asked = list(orders(pending)) if orders else [pending]
+        out: dict[frozenset, Fraction] = defaultdict(Fraction)
+        for coins in product((True, False), repeat=len(pending)):
+            p = math.prod(rate if keep else 1 - rate for keep in coins) / len(asked)
+            for order in asked:
+                willing = [j for j, keep in zip(order, coins) if below[j] == keep]
+                debiased = wrr_debias_count(len(order), len(willing), budget)
+                count = min(round(min(max(debiased, 0), len(willing))), room)
+                picks = [willing[:count]] if orders else list(combinations(willing, count))
+                for chosen in picks:
+                    out[frozenset(j for j in chosen if below[j])] += p / len(picks)
+        return [(edges | {frozenset((i, j)) for j in chosen}, p) for chosen, p in out.items()]
+
+    return _uniform_schedule_distribution(g, theta, lambda i, remaining, edges: after(i, edges))
+
+
+class TestPrivateRandomAdd:
+    def test_uniform_order_prefix_has_the_choice_distribution(self):
+        ## a budget whose truth rate is exactly 7/8 keeps the fractions small
+        budget = math.log(7)
+        assert wrr_truth_rate(budget) == 0.875
+        by_id = False
+        for g, theta in small_cases():
+            choice = private_distribution(g, theta, budget)
+            assert sum(choice.values()) == 1
+            assert private_distribution(g, theta, budget, orders=permutations) == choice, (edge_set(g), theta)
+            ## asking by id and cutting to a prefix gives another distribution; one case shows it
+            by_id = by_id or private_distribution(g, theta, budget, orders=lambda pending: [sorted(pending)]) != choice
+        assert by_id
 
 
 def set_removal_distribution(g: Graph, theta: int) -> dict[frozenset, Fraction]:
@@ -431,8 +497,8 @@ PRIVATE_GOLDEN = {
     ("lpea-low", 17): "0edb90270f45e95c075c30198fbdf4a30d4479baee5f91d68c3dadb309b0f025",
     ("lpea-high", 3): "2222dd62d97caf8fa159ab6bafa86a6ee953aa254df68b212ef105f436801b5c",
     ("lpea-high", 17): "62f45622290809d89fdb419e7ba7d4c35085dee7c3f6c36f7d63b8bff56572d7",
-    ("random-add", 3): "549e2dadeb8c9c588376471d43d8988d681fc132ce721f67baddddc4466070fd",
-    ("random-add", 17): "ae9b49e145ec4cfa721e571869cc203611417eec413a813a4671e6828049becc",
+    ("random-add", 3): "2dabd3ef8da11049e2b188038f4fca6b0643a59c0ce5cf0d787c0e71e67f4b6e",
+    ("random-add", 17): "10fbc30fd9dc12eb0d040287291cd596530fa86597c0b5602fbadcb6ff3d3312",
     ("edge-remove", 3): "74e60eef6e910a27c10932ad21bd0d030527555d2f553ac2f237afc85c509f64",
     ("edge-remove", 17): "1d301dd75cb2efaa7eb279a3f38200cc81780660fb48ff377bdb22e5e97e30d2",
 }
