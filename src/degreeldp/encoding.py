@@ -77,10 +77,12 @@ def order_cdfs(degrees, params: PrivacyParams, scheme: PartitionScheme) -> tuple
 def ndoe_sample(table: tuple[np.ndarray, np.ndarray], rng: np.random.Generator) -> np.ndarray:
     """Sample every node's private order (1-based partition index) from the order_cdfs table.
 
-    Node i's order is the inverse CDF of its row at u[i], u = rng.random(n), counted over one
-    n-by-orders gather; a u[i] at or above a row total below 1 takes the last order.
+    Node i's order is the inverse CDF of its row at u[i], u = rng.random(n), counted one CDF
+    column at a time, in O(n) memory; a u[i] at or above a row total below 1 takes the last order.
     """
     cdf, row = table
     u = rng.random(row.size)
-    orders = (cdf[row] <= u[:, None]).sum(axis=1)
+    orders = np.zeros(row.size, dtype=np.int64)
+    for column in cdf.T:
+        orders += column[row] <= u
     return np.minimum(orders, cdf.shape[1] - 1) + 1

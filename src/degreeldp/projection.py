@@ -7,18 +7,13 @@ response when the config carries PrivacyParams, truthfully otherwise),
 estimates the number of willing neighbors, and connects to that many of
 them in asking order.  An edge is established only while both endpoints
 are below the degree bound theta, so the bound holds unconditionally.
+The removal strategy instead deletes random incident edges of each node
+above theta.
 
-One schedule gives every addition run its turns: ascending (order, id)
-for lpea-low, reversed for lpea-high, uniform for random-add.  Every
-truthful run is one greedy pass over the edges in schedule order, which
-ends where the per-initiator loop ends (for random-add, in
-distribution); only random-add's pass draws randomness.  Private runs
-keep the per-initiator loop over sorted edge ends, drawing random-add's
-permutation of the ends, then one double per request in request order.
-
-The removal strategy visits nodes in random order and deletes random
-incident edges until no degree exceeds theta, as one pass over edge ends:
-every projection is a pass over Graph.pairs and reads no neighbor lists.
+``project`` fixes every strategy's turns and runs one of three loops:
+the truthful edge scan, the private negotiation or edge removal.  Each
+is one pass over the ends of Graph.pairs sorted by turn, reads no
+neighbor lists, and builds its result from one kept flag per edge.
 """
 
 from __future__ import annotations
@@ -77,12 +72,13 @@ class ProjectedGraph:
         self._kept = None
 
     @classmethod
-    def _from_kept(cls, n: int, u: np.ndarray, v: np.ndarray) -> "ProjectedGraph":
+    def _from_kept(cls, g: Graph, live: bytearray) -> "ProjectedGraph":
+        """The projection of g that keeps the edges whose flag in live is set."""
         pg = cls.__new__(cls)
-        pg.n = n
-        pg.degrees = np.bincount(np.concatenate((u, v)), minlength=n).tolist()
+        pg.n = g.n
+        pg._kept = g.pairs.compress(np.frombuffer(live, dtype=bool), axis=0)
+        pg.degrees = np.bincount(pg._kept.ravel(), minlength=g.n).tolist()
         pg._neighbors = None
-        pg._kept = (u, v)
         return pg
 
     @property
@@ -91,7 +87,7 @@ class ProjectedGraph:
             nbrs: list[set[int]] = [set() for _ in range(self.n)]
             ## the sets share one int object per node
             node = list(range(self.n))
-            u, v = self._kept
+            u, v = self._kept.T
             for i, j in zip(memoryview(u), memoryview(v)):
                 nbrs[i].add(node[j])
                 nbrs[j].add(node[i])
@@ -103,90 +99,74 @@ class ProjectedGraph:
         return sum(self.degrees) // 2
 
 
-def _schedule(n: int, orders: Sequence[int] | None, strategy: Strategy, rng: np.random.Generator) -> np.ndarray:
-    """The nodes in turn order: uniform for random-add, else ascending (order, id), reversed for lpea-high."""
-    if strategy is Strategy.RANDOM_ADD:
-        return rng.permutation(n)
-    turns = np.argsort(np.asarray(orders), kind="stable")
-    return turns[::-1] if strategy is Strategy.LPEA_HIGH else turns
+def _ends(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """End k sits at node ends[k] on edge k >> 1 and faces nbrs[k]; intp, which gathers faster than int32."""
+    ends = g.pairs.ravel().astype(np.intp)
+    return ends, ends[np.arange(ends.size) ^ 1]
 
 
-def _edge_scan(g: Graph, schedule: np.ndarray, cfg: ProjectionConfig, rng: np.random.Generator) -> ProjectedGraph:
+def _by_turn(at: np.ndarray, ends: np.ndarray, nbrs: np.ndarray, rank: np.ndarray, uniform: bool, rng) -> np.ndarray:
+    """The ends at, by their node's turn and then the neighbor's, or one permutation of at if uniform."""
+    after = rng.permutation(at.size) if uniform else rank[nbrs[at]]
+    ## both tie-breaks are below n + at.size
+    return at[np.argsort(rank[ends[at]] * (rank.size + at.size) + after)]
+
+
+def _edge_scan(g: Graph, cfg: ProjectionConfig, rank: np.ndarray, uniform: bool, rng) -> ProjectedGraph:
     """Truthful addition as one greedy pass over the edges.
 
-    Edges run by their earlier endpoint's turn and are kept iff both
+    Each edge is decided at its earlier-turn end and kept iff both
     endpoints are still below theta.  This is the per-initiator loop's
-    outcome: each edge is decided at its earlier endpoint's turn, where
-    taking theta - deg of the willing neighbors is the same
+    outcome: taking theta - deg of the willing neighbors is the same
     both-below-theta test; degrees only grow, so an edge refused then
-    stays refused at the later endpoint's turn.  Within a turn, edges
-    run by the later endpoint's rank; random-add instead draws one
-    permutation of the scanned edges, a uniform order of each
-    initiator's neighbors that gives the loop's uniform pick.  A node of
-    degree at most theta never fills before its last edge, so only edges
-    with an endpoint above theta are scanned; the rest are kept outright.
+    stays refused at the later endpoint's turn.  A uniform order within
+    each turn gives random-add's uniform pick.  A node of degree at most
+    theta never fills before its last edge, so only edges with an
+    endpoint above theta are scanned; the rest are kept outright.
     """
-    n = g.n
     theta = cfg.theta
-    rank = np.empty(n, dtype=np.int64)
-    rank[schedule] = np.arange(n)
-    ## orient each edge from the endpoint whose turn decides it
-    a, b = g.pairs.T
-    first = rank[a] < rank[b]
-    u, v = np.where(first, a, b), np.where(first, b, a)
-    contested = (g.degrees[u] > theta) | (g.degrees[v] > theta)
-    cu, cv = u[contested], v[contested]
-    if cfg.strategy is Strategy.RANDOM_ADD:
-        by_turn = np.argsort(rank[cu] * cu.size + rng.permutation(cu.size))
-    else:
-        by_turn = np.argsort(rank[cu] * n + rank[cv])
-    cu, cv = cu[by_turn], cv[by_turn]
-    deg = [0] * n
-    keep = bytearray(cu.size)
+    ends, nbrs = _ends(g)
+    over = g.degrees > theta
+    at = np.flatnonzero((rank[ends] < rank[nbrs]) & (over[ends] | over[nbrs]))
+    at = _by_turn(at, ends, nbrs, rank, uniform, rng)
+    deg = [0] * g.n
+    live = bytearray(b"\x01") * g.m
     ## memoryview hands out each int as it is read; tolist would hold all of them at once
-    for e, (i, j) in enumerate(zip(memoryview(cu), memoryview(cv))):
+    for i, j, e in zip(memoryview(ends[at]), memoryview(nbrs[at]), memoryview(at >> 1)):
         if deg[i] < theta and deg[j] < theta:
             deg[i] += 1
             deg[j] += 1
-            keep[e] = 1
-    kept = np.frombuffer(keep, dtype=bool)
-    free = ~contested
-    return ProjectedGraph._from_kept(
-        n, np.concatenate((u[free], cu[kept])), np.concatenate((v[free], cv[kept]))
-    )
+        else:
+            live[e] = 0
+    return ProjectedGraph._from_kept(g, live)
 
 
-def _addition_run(g: Graph, schedule: np.ndarray, cfg: ProjectionConfig, rng: np.random.Generator) -> ProjectedGraph:
-    """The private negotiation: the per-initiator loop, run in schedule order.
+def _addition_run(g: Graph, cfg: ProjectionConfig, rank: np.ndarray, uniform: bool, rng) -> ProjectedGraph:
+    """The private negotiation: the per-initiator loop, run in turn order.
 
-    An initiator's run of the edge ends, sorted by (turn, neighbor rank;
-    one permutation of the ends for random-add), lists the neighbors it
-    asks, less edges already live.  After the schedule, randomness is
+    An initiator's run of the sorted edge ends lists the neighbors it
+    asks, less edges already live.  After the turns, randomness is
     random-add's permutation, then one double u per request in request
     order; no responder draw.  j answers yes iff its true bit "j's current
     degree < theta" equals u < rate, rate = wrr_truth_rate(budget): the
     answer wrr_respond gives on u.  The initiator takes the first count
     willing, count the debiased yes count: a uniform subset for random-add.
     The doubles come from one rng.random(2m), and rng is left where
-    rng.random(used) leaves it.  Truthful runs are one edge scan (``_edge_scan``).
+    rng.random(used) leaves it.
     """
     theta = cfg.theta
     budget = cfg.params.negotiation_budget
     debias = wrr_debiaser(budget)
-    rank = np.argsort(schedule)
-    ## end k is at node ends[k] on edge k >> 1, whose other end is k ^ 1
-    ends = g.pairs.ravel()
-    asks = ends[np.arange(ends.size) ^ 1]
-    ## within a turn by the neighbor's rank, or by one permutation of the ends for random-add; both are below n + 2m
-    after = rng.permutation(ends.size) if cfg.strategy is Strategy.RANDOM_ADD else rank[asks]
-    at = np.argsort(rank[ends] * (g.n + ends.size) + after)
-    nbr, edge = memoryview(asks[at]), memoryview(at >> 1)
+    ends, nbrs = _ends(g)
+    at = _by_turn(np.arange(ends.size), ends, nbrs, rank, uniform, rng)
+    nbr, edge = memoryview(nbrs[at]), memoryview(at >> 1)
     ## an edge is asked at most once per end: 2m coins cover every request
     state = rng.bit_generator.state
     coin = (rng.random(ends.size) < wrr_truth_rate(budget)).tobytes()
     deg, live = [0] * g.n, bytearray(g.m)
     stop = used = 0
-    for i, degree in zip(schedule.tolist(), g.degrees[schedule].tolist()):
+    turns = np.argsort(rank)
+    for i, degree in zip(turns.tolist(), g.degrees[turns].tolist()):
         start, stop = stop, stop + degree
         ## the edges not yet live are pending; an initiator at theta asks them all and takes none
         pending = degree - deg[i]
@@ -205,8 +185,27 @@ def _addition_run(g: Graph, schedule: np.ndarray, cfg: ProjectionConfig, rng: np
         used += pending
     rng.bit_generator.state = state
     rng.random(used)
-    established = np.frombuffer(live, dtype=bool)
-    return ProjectedGraph._from_kept(g.n, g.pairs[established, 0], g.pairs[established, 1])
+    return ProjectedGraph._from_kept(g, live)
+
+
+def _edge_remove(g: Graph, cfg: ProjectionConfig, rank: np.ndarray, uniform: bool, rng) -> ProjectedGraph:
+    """Delete random incident edges until every degree is at most theta.
+
+    Each node above theta deletes a uniform subset of its remaining edges
+    at its turn: one pass over the ends at nodes above theta, each end
+    deleting its live edge while its node is above theta.
+    """
+    theta = cfg.theta
+    ends, nbrs = _ends(g)
+    at = _by_turn(np.flatnonzero(g.degrees[ends] > theta), ends, nbrs, rank, uniform, rng)
+    deg = g.degrees.tolist()
+    live = bytearray(b"\x01") * g.m
+    for i, j, e in zip(memoryview(ends[at]), memoryview(nbrs[at]), memoryview(at >> 1)):
+        if deg[i] > theta and live[e]:
+            live[e] = 0
+            deg[i] -= 1
+            deg[j] -= 1
+    return ProjectedGraph._from_kept(g, live)
 
 
 def lpea_low(g: Graph, orders: Sequence[int], cfg: ProjectionConfig, rng: np.random.Generator) -> ProjectedGraph:
@@ -222,31 +221,6 @@ def lpea_low(g: Graph, orders: Sequence[int], cfg: ProjectionConfig, rng: np.ran
     return project(g, cfg, rng, orders=orders)
 
 
-def edge_remove(g: Graph, cfg: ProjectionConfig, rng: np.random.Generator) -> ProjectedGraph:
-    """Delete random incident edges until every degree is at most theta.
-
-    Nodes take turns in a uniform order, each above theta deleting a uniform subset
-    of its remaining edges: one pass over the ends at nodes above theta, by turn and
-    then one permutation, each end deleting its live edge while its node is above theta.
-    """
-    n = g.n
-    theta = cfg.theta
-    turn = np.argsort(rng.permutation(n))
-    ## end k is at node ends[k] on edge k >> 1, whose other end is k ^ 1
-    ends = g.pairs.ravel()
-    at = np.flatnonzero(g.degrees[ends] > theta)
-    at = at[np.argsort(turn[ends[at]] * at.size + rng.permutation(at.size))]
-    deg = g.degrees.tolist()
-    live = bytearray(b"\x01") * g.m
-    for i, j, e in zip(memoryview(ends[at]), memoryview(ends[at ^ 1]), memoryview(at >> 1)):
-        if deg[i] > theta and live[e]:
-            live[e] = 0
-            deg[i] -= 1
-            deg[j] -= 1
-    kept = np.frombuffer(live, dtype=bool)
-    return ProjectedGraph._from_kept(n, g.pairs[kept, 0], g.pairs[kept, 1])
-
-
 def project(
     g: Graph,
     cfg: ProjectionConfig,
@@ -255,25 +229,34 @@ def project(
 ) -> ProjectedGraph:
     """Run the configured strategy.
 
-    The two rank-scheduled strategies need per-node orders (private
-    encodings, or true degrees in non-private mode); lpea-high runs the
-    schedule reversed, so high-order nodes go first.  random-add draws a
-    uniform schedule and a uniform asking order.  A truthful (params None)
-    addition run is one edge scan, which draws nothing from rng unless
-    the strategy is random-add; edge-remove deletes excess edges instead
-    of adding.
+    The turns are fixed here, for every strategy.  random-add and
+    edge-remove take a uniform order, rng.permutation(n), as their first
+    draw.  lpea-low takes ascending (order, id) over per-node orders
+    (private encodings, or true degrees in non-private mode), and
+    lpea-high the reverse, so high-order nodes go first; neither draws
+    here.  Each loop then walks the edge ends by their node's turn and,
+    within a turn, by the neighbor's turn, or for random-add and
+    edge-remove by one permutation of the walked ends.  A truthful
+    (params None) addition run is one edge scan, which draws nothing
+    unless the strategy is random-add; edge-remove deletes excess edges
+    instead of adding.
     """
+    uniform = cfg.strategy in (Strategy.RANDOM_ADD, Strategy.EDGE_REMOVE)
+    if uniform:
+        turns = rng.permutation(g.n)
+    elif orders is None:
+        raise ValueError(f"{cfg.strategy.value} requires per-node orders")
+    elif len(orders) != g.n:
+        raise ValueError(f"orders must cover all {g.n} nodes, got {len(orders)}")
+    else:
+        turns = np.argsort(np.asarray(orders), kind="stable")
+        if cfg.strategy is Strategy.LPEA_HIGH:
+            turns = turns[::-1]
     if cfg.strategy is Strategy.EDGE_REMOVE:
-        return edge_remove(g, cfg, rng)
-    if cfg.strategy is not Strategy.RANDOM_ADD:
-        if orders is None:
-            raise ValueError(f"{cfg.strategy.value} requires per-node orders")
-        if len(orders) != g.n:
-            raise ValueError(f"orders must cover all {g.n} nodes, got {len(orders)}")
-    schedule = _schedule(g.n, orders, cfg.strategy, rng)
-    if cfg.params is None:
-        return _edge_scan(g, schedule, cfg, rng)
-    return _addition_run(g, schedule, cfg, rng)
+        run = _edge_remove
+    else:
+        run = _edge_scan if cfg.params is None else _addition_run
+    return run(g, cfg, np.argsort(turns), uniform, rng)
 
 
 def projection_error(g: Graph, pg: ProjectedGraph) -> tuple[np.ndarray, int]:

@@ -16,7 +16,7 @@ from degreeldp.encoding import build_partitions, ndoe_sample, order_cdfs
 from degreeldp.graph import Graph, degree_sequence, load_edge_list, load_graph
 from degreeldp.harness import ExperimentConfig, run_grid, run_pipeline
 from degreeldp.mechanisms import PrivacyParams, laplace_sample, wrr_debias_count, wrr_respond, wrr_truth_rate
-from degreeldp.projection import ProjectionConfig, Strategy, edge_remove, lpea_low, project
+from degreeldp.projection import ProjectionConfig, Strategy, lpea_low, project
 from degreeldp.secure_agg import agree_keys, ka_param, masked_sum_round, round_masks
 from degreeldp.synthetic import powerlaw_graph
 from degreeldp.theta import ThetaSearchConfig, quantile_oracle, theta_by_deviation, theta_by_sum
@@ -151,8 +151,8 @@ def test_criterion_5_strategy_ordering_on_facebook():
             for s in range(trials)
         ])
         er = np.mean([
-            edge_remove(g, ProjectionConfig(theta=theta, strategy=Strategy.EDGE_REMOVE),
-                        np.random.default_rng(s)).edge_count() / g.m
+            project(g, ProjectionConfig(theta=theta, strategy=Strategy.EDGE_REMOVE),
+                    np.random.default_rng(s)).edge_count() / g.m
             for s in range(trials)
         ])
         if not (ll_ratio >= ra >= er):

@@ -24,7 +24,7 @@ import pytest
 from degreeldp import theta
 from degreeldp.graph import Graph, degree_sequence
 from degreeldp.mechanisms import PrivacyParams
-from degreeldp.projection import ProjectedGraph, ProjectionConfig, Strategy, edge_remove, project
+from degreeldp.projection import ProjectedGraph, ProjectionConfig, Strategy, project
 from degreeldp.theta import ThetaSearchConfig
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -127,7 +127,7 @@ def test_truthful_projection_layout():
     private = ProjectionConfig(theta=2, params=PrivacyParams(3.0, 0.1))
     for pg in (
         theta.lpea_low(g, degree_sequence(g), ProjectionConfig(theta=2), np.random.default_rng(0)),
-        edge_remove(g, ProjectionConfig(theta=2, strategy=Strategy.EDGE_REMOVE), np.random.default_rng(0)),
+        project(g, ProjectionConfig(theta=2, strategy=Strategy.EDGE_REMOVE), np.random.default_rng(0)),
         project(g, private, np.random.default_rng(0), orders=degree_sequence(g)),
     ):
         assert pg._neighbors is None

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -219,6 +220,24 @@ class TestNdoeSample:
         batch_rng = np.random.default_rng(2024)
         assert ndoe_sample(order_cdfs(degs, params, s), batch_rng).tolist() == expected
         assert batch_rng.random() == rng.random()
+
+    def test_column_count_is_the_row_search_in_linear_memory(self):
+        g, _ = load_dataset("synthetic:4000:11:1")
+        degs = g.degrees.tolist()
+        for p_size in (50, 3, 1):
+            scheme = build_partitions(min(degs), max(degs), p_size)
+            cdf, row = table = order_cdfs(degs, PrivacyParams(3.0, 0.1), scheme)
+            u = np.random.default_rng(p_size).random(row.size)
+            want = [min(int(np.searchsorted(cdf[r], x, side="right")), cdf.shape[1] - 1) + 1 for r, x in zip(row, u)]
+            assert ndoe_sample(table, np.random.default_rng(p_size)).tolist() == want, p_size
+        ## at p_size 1 (369 orders) an n-by-orders gather peaks near 13 MB
+        tracemalloc.start()
+        try:
+            ndoe_sample(table, np.random.default_rng(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000, peak
 
     def test_psize3_orders_golden(self):
         g, _ = load_dataset("synthetic:300:11:1")

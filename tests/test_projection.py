@@ -19,7 +19,6 @@ from degreeldp.projection import (
     ProjectedGraph,
     ProjectionConfig,
     Strategy,
-    edge_remove,
     lpea_low,
     project,
     projection_error,
@@ -78,7 +77,7 @@ class TestWorkedExample:
     def test_edge_remove_seeded_loss(self, fig_graph):
         ## frozen seed keeping only A-B; per-node losses 1+2+2+1 = 6
         cfg = nonprivate(1, Strategy.EDGE_REMOVE)
-        pg = edge_remove(fig_graph, cfg, np.random.default_rng(0))
+        pg = project(fig_graph, cfg, np.random.default_rng(0))
         assert edge_set(pg) == {(0, 1)}
         losses, total = projection_error(fig_graph, pg)
         assert losses.tolist() == [1, 2, 2, 1]
@@ -521,27 +520,44 @@ class TestPrivateGolden:
 
 
 ## sha256 of repr(degrees) and of repr(sorted(edge_set(pg))) for truthful
-## lpea-high projections of synthetic:1000:3:5 with true degrees as orders
+## projections of synthetic:1000:3:5 with true degrees as orders and
+## projection seed 0; random-add's are its two permutations' draws
 TRUTHFUL_GOLDEN = {
-    3: (
+    ("lpea-low", 3): (
+        "518d7630839361bb4f0a9dcdbcd94659a9e5690cdb79fb1b1988133ccf16f44f",
+        "331a3cb0253aa7448c764b5b12f2e0b6715211540b5b035eb6db110ae4217341",
+    ),
+    ("lpea-low", 17): (
+        "20a06b2ac7091a6586a3ec1bc6b2ab2029f59822f55528608273f4fe63d12750",
+        "7484234b48f5c27123f912b15021a5bd21e3f3e97096f16be62237fc1a1867d2",
+    ),
+    ("lpea-high", 3): (
         "78009f42bd5860289f0c1fe854c1f512cfc1926f59bd4212cc6777037ba0e22c",
         "53423fd863a00a6cc54da3f7a5a4a55bb4279730ee029c38b869beadf0a58e46",
     ),
-    17: (
+    ("lpea-high", 17): (
         "03ec4d6c2cfadf0917e742642d086b259613cd037522184a5d93ce877058cb96",
         "2473fdb2a71b8ce0e150a6f8a4b74558eb3a03bfcece4071147fe1ef08a3d017",
+    ),
+    ("random-add", 3): (
+        "8a207be687380a5f91cbdc5acaa9e03dbda17c2b65e1324a9a20dd8f789e2c75",
+        "cb2d4a5fcf45f8c8f36809a70aa2a3272f6b6c1eed425beaa069a8e4a34643c0",
+    ),
+    ("random-add", 17): (
+        "088bcbeb87288fce60dc4d3a304265169d4df9102e5bd0d222a8c820d66ae41b",
+        "485ded8739587119b7a9dc563bd2852cb3786879bd02a4aac4eff58c69567873",
     ),
 }
 
 
 class TestTruthfulGolden:
-    def test_lpea_high_pinned(self):
+    def test_edge_sets_pinned(self):
         g, _ = load_dataset("synthetic:1000:3:5")
         orders = degree_sequence(g)
         got = {}
-        for theta in TRUTHFUL_GOLDEN:
-            pg = project(g, nonprivate(theta, Strategy.LPEA_HIGH), np.random.default_rng(0), orders=orders)
-            got[theta] = (
+        for strategy, theta in TRUTHFUL_GOLDEN:
+            pg = project(g, nonprivate(theta, Strategy(strategy)), np.random.default_rng(0), orders=orders)
+            got[strategy, theta] = (
                 hashlib.sha256(repr(pg.degrees).encode()).hexdigest(),
                 hashlib.sha256(repr(sorted(edge_set(pg))).encode()).hexdigest(),
             )
@@ -583,7 +599,7 @@ class TestInvariants:
             dmax = max(degree_sequence(g))
             for seed in (1, 2):
                 counts = [
-                    edge_remove(g, nonprivate(t, Strategy.EDGE_REMOVE), np.random.default_rng(seed)).edge_count()
+                    project(g, nonprivate(t, Strategy.EDGE_REMOVE), np.random.default_rng(seed)).edge_count()
                     for t in range(1, dmax + 2)
                 ]
                 assert all(a <= b for a, b in zip(counts, counts[1:]))
@@ -592,7 +608,7 @@ class TestInvariants:
         rng = np.random.default_rng(7)
         g = random_graph(rng, 40, 0.3)
         for theta in (1, 3, 6):
-            pg = edge_remove(g, nonprivate(theta, Strategy.EDGE_REMOVE), np.random.default_rng(11))
+            pg = project(g, nonprivate(theta, Strategy.EDGE_REMOVE), np.random.default_rng(11))
             assert max(pg.degrees) <= theta
 
 
