@@ -205,7 +205,9 @@ def run_pipeline(cfg: ExperimentConfig, graph: Graph | None = None) -> tuple[lis
     scheme = build_partitions(st.d_min, st.d_max, cfg.p_size)
     dist_orig = degree_distribution(degs, graph.n)
     pcfg = ProjectionConfig(theta=bound, strategy=cfg.strategy, params=params if cfg.private else None)
-    order_table = order_cdfs(degs, params, scheme) if cfg.private else None
+    ## random-add and edge-remove never read orders, so their trials leave order_rng undrawn
+    sample_orders = cfg.private and not cfg.strategy.uniform
+    order_table = order_cdfs(degs, params, scheme) if sample_orders else None
 
     rows: list[MetricsRow] = []
     reports: list[ReleaseReport] = []
@@ -214,7 +216,7 @@ def run_pipeline(cfg: ExperimentConfig, graph: Graph | None = None) -> tuple[lis
         order_rng, proj_rng, release_rng = (
             np.random.default_rng(s) for s in np.random.SeedSequence(trial_seed).spawn(3)
         )
-        orders = ndoe_sample(order_table, order_rng) if cfg.private else degs
+        orders = ndoe_sample(order_table, order_rng) if sample_orders else degs
         pg = project(graph, pcfg, proj_rng, orders=orders)
         if cfg.private:
             report = dsr(pg, bound, params, release_rng, seed=trial_seed)

@@ -38,6 +38,11 @@ class Strategy(enum.Enum):
     RANDOM_ADD = "random-add"
     EDGE_REMOVE = "edge-remove"
 
+    @property
+    def uniform(self) -> bool:
+        """random-add and edge-remove take their turns from rng.permutation(n) and never read per-node orders."""
+        return self in (Strategy.RANDOM_ADD, Strategy.EDGE_REMOVE)
+
 
 @dataclass(frozen=True)
 class ProjectionConfig:
@@ -241,7 +246,7 @@ def project(
     unless the strategy is random-add; edge-remove deletes excess edges
     instead of adding.
     """
-    uniform = cfg.strategy in (Strategy.RANDOM_ADD, Strategy.EDGE_REMOVE)
+    uniform = cfg.strategy.uniform
     if uniform:
         turns = rng.permutation(g.n)
     elif orders is None:

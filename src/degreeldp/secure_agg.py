@@ -3,8 +3,10 @@
 A protocol run (one theta selection) starts with key agreement
 (``agree_keys``): every party draws one key pair (sk, pk), and the
 collector draws a uniform permutation of the parties, the order of one
-Harary ring.  Ring position p masks with positions p +- 1, ..., p +- h
-(mod n), h = min(ceil(log2 n), floor(n / 2)), so every party has
+Harary ring.  The n key pairs come from one batch (``ka_gen``) that
+takes the same draws as n party-by-party rejection loops.  Ring position
+p masks with positions p +- 1, ..., p +- h (mod n),
+h = min(ceil(log2 n), floor(n / 2)), so every party has
 k = min(2h, n - 1) peers (Bell et al., CCS 2020): 18 at n = 300, 32 at
 n = 40,000, and every other party up to n = 7.  Each party derives its
 shared key with each of its peers from its own secret key and the
@@ -16,13 +18,14 @@ into one SHAKE-256 stream of 32 bytes per round of the run
 (``round_masks``); round r's scalar for a pair is chunk r of its
 stream, reduced into Z_q (Bonawitz et al., CCS 2017), and a party's mask
 for the round adds the scalars with a sign that depends on the party
-ordering.  Summed over all parties the masks telescope to zero, so the
-collector of a round (``masked_sum_round``) recovers the exact
-plaintext sum while any single masked value is uniformly distributed.
-The collector learns the sum over a set S of parties only if every
-peer of S outside S colludes with it: for one party, all k of its
-peers.  Keys, ring and masks live for one run only; the next run agrees
-new ones.
+ordering.  The masks are derived in blocks of parties whose streams fit
+in about 0.5 MB, and each party's come from its own rows alone.  Summed
+over all parties the masks telescope to zero, so the collector of a
+round (``masked_sum_round``) recovers the exact plaintext sum while any
+single masked value is uniformly distributed.  The collector learns the
+sum over a set S of parties only if every peer of S outside S colludes
+with it: for one party, all k of its peers.  Keys, ring and masks live
+for one run only; the next run agrees new ones.
 
 This is a protocol simulation for experiments, not hardened
 cryptography: group sizes are small (moduli of at most 127 bits), there is
@@ -34,7 +37,6 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from itertools import repeat
-from operator import mul
 from typing import Sequence
 
 import numpy as np
@@ -70,21 +72,45 @@ def ka_param(bits: int = DEFAULT_BITS) -> GroupParams:
     return GroupParams(*_GROUPS[bits])
 
 
-def _rand_below(rng: np.random.Generator, bound: int) -> int:
-    """Uniform integer in [0, bound) by rejection on raw random bytes."""
+def ka_gen(params: GroupParams, rng: np.random.Generator, n: int) -> tuple[list[int], list[int]]:
+    """n fresh key pairs (sks, pks) in party order: secrets uniform in [1, q - 2], so pk = g^sk mod q is never 1.
+
+    g has order q - 1.  Each party's secret is 1 plus the first accepted
+    draw of a rejection loop: rng.bytes(nbytes) read big-endian, masked to
+    the bit length of q - 2, is accepted below q - 2.  rng.bytes(nbytes)
+    takes ceil(nbytes / 4) whole uint32s from the stream, so one rng.bytes
+    call over n slots of that many uint32s draws what n single calls
+    draw, and each rejected slot is replaced by a further batch the size
+    of the shortfall: the secrets and the generator's end state are those
+    of n party-by-party loops.  The public keys are one 4-bit fixed-base
+    window exponentiation of g over all n secrets.
+    """
+    q = params.q
+    bound = q - 2
     nbits = bound.bit_length()
     nbytes = (nbits + 7) // 8
-    mask = (1 << nbits) - 1
-    while True:
-        x = int.from_bytes(rng.bytes(nbytes), "big") & mask
-        if x < bound:
-            return x
-
-
-def ka_gen(params: GroupParams, rng: np.random.Generator) -> tuple[int, int]:
-    """Fresh key pair (sk, pk): random secret in [1, q - 2], so pk = g^sk mod q is never 1 (g has order q - 1)."""
-    sk = 1 + _rand_below(rng, params.q - 2)
-    return sk, pow(params.g, sk, params.q)
+    slot = -(-nbytes // 4) * 4
+    dtype = _dtype(q)
+    sks = np.empty(0, dtype=dtype)
+    while sks.size < n:
+        raw = np.frombuffer(rng.bytes((n - sks.size) * slot), dtype=np.uint8).reshape(-1, slot)[:, :nbytes]
+        draws = np.zeros(len(raw), dtype=dtype)
+        for column in raw.T.astype(dtype):
+            draws = draws << 8 | column
+        draws &= (1 << nbits) - 1
+        sks = np.concatenate([sks, draws[draws < bound]])
+    sks += 1
+    windows = -(-q.bit_length() // 4)
+    ## table[w, d] = g^(d * 16^w), one row per 4-bit window of the exponent
+    table = np.empty((windows, 16), dtype=dtype)
+    base = params.g
+    for w in range(windows):
+        table[w] = [pow(base, d, q) for d in range(16)]
+        base = pow(base, 16, q)
+    pks = np.ones(n, dtype=dtype)
+    for w, digits in enumerate(_digits(sks, windows).T):
+        pks = _mulmod(pks, table[w, digits], q)
+    return sks.tolist(), pks.tolist()
 
 
 _M61 = 2**61 - 1
@@ -142,6 +168,17 @@ def _mulmod(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
     return np.minimum(s, s - _M61, out=s)
 
 
+def _dtype(q: int):
+    """Residues mod q as uint64 up to q = 2^61 - 1 and Python ints above."""
+    return np.uint64 if q <= _M61 else object
+
+
+def _digits(exponents: np.ndarray, windows: int) -> np.ndarray:
+    """The 4-bit digits of each exponent, least significant first: one row of windows digits per exponent."""
+    shifts = np.arange(0, 4 * windows, 4, dtype=exponents.dtype)
+    return (exponents[:, None] >> shifts & 15).astype(np.intp)
+
+
 def _pow_rows(sk: Sequence[int], pk: Sequence[int], peers: np.ndarray, q: int) -> np.ndarray:
     """keys[i, c] = pk[peers[i, c]]^sk[i] mod q, uint64 up to q = 2^61 - 1 and Python ints above, by a 4-bit window.
 
@@ -153,9 +190,9 @@ def _pow_rows(sk: Sequence[int], pk: Sequence[int], peers: np.ndarray, q: int) -
     entries.
     """
     n = len(pk)
-    dtype = np.uint64 if q <= _M61 else object
+    dtype = _dtype(q)
     windows = -(-q.bit_length() // 4)
-    digits = np.array([[s >> k & 15 for k in range(0, 4 * windows, 4)] for s in sk], dtype=np.intp)
+    digits = _digits(np.array(sk, dtype=dtype), windows)
     keys = np.ones(peers.shape, dtype=dtype)
     group = max(1, _TABLE // (16 * n))
     ## square = pk^(2^(4 * first)) at the start of each group of windows
@@ -210,7 +247,7 @@ def agree_keys(n: int, params: GroupParams, rng: np.random.Generator) -> tuple[n
     """
     if n < 2:
         raise ValueError(f"masking needs at least 2 parties, got {n}")
-    sks, pks = zip(*(ka_gen(params, rng) for _ in range(n)))
+    sks, pks = ka_gen(params, rng, n)
     peers = _ring_peers(rng.permutation(n))
     return peers, ka_agree(sks, pks, params, peers)
 
@@ -219,7 +256,9 @@ def agree_keys(n: int, params: GroupParams, rng: np.random.Generator) -> tuple[n
 ## lanes in int64: exact for fewer than 2^31 peers
 _CHUNK_BYTES = 32
 _LANES = _CHUNK_BYTES // 4
-_LANE_WEIGHTS = [1 << 32 * (_LANES - 1 - k) for k in range(_LANES)]
+_LANE_WEIGHTS = np.array([1 << 32 * (_LANES - 1 - k) for k in range(_LANES)], dtype=object)
+## a block of round_masks: its streams and their int64 copy fill at most this many bytes
+_MASK_BYTES = 1 << 19
 
 
 def mask_scalar(shared_key: int, params: GroupParams, rounds: int) -> bytes:
@@ -234,19 +273,22 @@ def mask_scalar(shared_key: int, params: GroupParams, rounds: int) -> bytes:
     return hashlib.shake_256(data).digest(_CHUNK_BYTES * rounds)
 
 
-def compute_mask(i: int, peers: np.ndarray, keys: np.ndarray, params: GroupParams, rounds: int) -> list[int]:
-    """Party i's additive masks for rounds 0..rounds-1 from its rows of the run's peer and key tables.
+def compute_mask(first: int, peers: np.ndarray, keys: np.ndarray, params: GroupParams, rounds: int) -> list[list[int]]:
+    """Additive masks of parties first, first + 1, ... for rounds 0..rounds-1, from their own rows of the tables.
 
-    peers and keys are row i of the tables from agree_keys.  Streams of
-    keys with higher-id peers enter positively, lower-id negatively, so
-    each round's masks cancel when all parties are summed.  The chunks
-    are summed unreduced, lane by lane, and each round reduces mod q
-    once, which is the same value mod q as summing the reduced scalars.
+    peers and keys hold those parties' rows of the tables from agree_keys,
+    and row b's masks come from row b alone.  Streams of keys with
+    higher-id peers enter positively, lower-id negatively, so each round's
+    masks cancel when all parties are summed.  One batched matmul sums
+    every party's signed chunks unreduced, lane by lane, and each round
+    reduces mod q once, which is the same value mod q as summing the
+    reduced scalars.
     """
-    streams = b"".join(map(mask_scalar, keys.tolist(), repeat(params), repeat(rounds)))
-    chunks = np.frombuffer(streams, dtype=">u4").reshape(len(keys), rounds * _LANES)
-    lanes = np.where(peers > i, 1, -1) @ chunks
-    return [sum(map(mul, chunk, _LANE_WEIGHTS)) % params.q for chunk in lanes.reshape(rounds, _LANES).tolist()]
+    streams = b"".join(map(mask_scalar, keys.ravel().tolist(), repeat(params), repeat(rounds)))
+    chunks = np.frombuffer(streams, dtype=">u4").reshape(*peers.shape, rounds * _LANES)
+    signs = np.where(peers > np.arange(first, first + len(peers))[:, None], 1, -1)
+    lanes = (signs[:, None] @ chunks).reshape(len(peers), rounds, _LANES)
+    return (lanes.astype(object) @ _LANE_WEIGHTS % params.q).tolist()
 
 
 def round_masks(peers: np.ndarray, keys: np.ndarray, params: GroupParams, rounds: int) -> list[tuple[int, ...]]:
@@ -254,9 +296,15 @@ def round_masks(peers: np.ndarray, keys: np.ndarray, params: GroupParams, rounds
 
     Entry r holds round r's masks in party order, ready for
     masked_sum_round; a run with more rounds than derived has no masks
-    for them.
+    for them.  The parties are taken in blocks whose streams, with their
+    int64 copy, fill at most _MASK_BYTES.
     """
-    return list(zip(*map(compute_mask, range(len(peers)), peers, keys, repeat(params), repeat(rounds))))
+    block = max(1, _MASK_BYTES // (3 * peers.shape[1] * rounds * _CHUNK_BYTES))
+    masks = []
+    for first in range(0, len(peers), block):
+        rows = slice(first, first + block)
+        masks += compute_mask(first, peers[rows], keys[rows], params, rounds)
+    return list(zip(*masks))
 
 
 def aggregate(values: Sequence[int], params: GroupParams) -> int:

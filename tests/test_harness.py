@@ -257,6 +257,16 @@ class TestRunPipeline:
         rows, _ = run_pipeline(cfg)
         assert rows[0].strategy == "edge-remove"
 
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_orders_sampled_only_for_strategies_that_read_them(self, strategy, monkeypatch):
+        ## random-add and edge-remove take their turns from proj_rng; order_rng is a separate stream,
+        ## so leaving it undrawn moves no draw (RELEASE_GOLDEN pins the outputs)
+        calls = []
+        original = harness.ndoe_sample
+        monkeypatch.setattr(harness, "ndoe_sample", lambda *args: calls.append(1) or original(*args))
+        run_pipeline(ExperimentConfig(dataset="synthetic:40:3:1", theta=3, trials=2, seed=0, strategy=strategy))
+        assert len(calls) == (0 if strategy.uniform else 2)
+
 
 ## Private run_pipeline outputs at seed 3: per trial, the sha256 of the
 ## report's to_json() and the row's (mae_seq, mae_dist, edge_ratio) reprs.

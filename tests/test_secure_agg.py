@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -41,6 +42,23 @@ SUBGROUP_FACTORS = {
 def run_masks(values, p, seed):
     """Masks of a one-round run over len(values) parties."""
     return round_masks(*agree_keys(len(values), p, np.random.default_rng(seed)), p, 1)[0]
+
+
+def reference_key_pairs(p, rng, n):
+    """n key pairs drawn party by party, as ka_gen draws them: a rejection loop of rng.bytes(nbytes) each, then pow.
+
+    Returns the pairs and the number of rejected draws.
+    """
+    bound = p.q - 2
+    nbits = bound.bit_length()
+    pairs, rejected = [], 0
+    while len(pairs) < n:
+        x = int.from_bytes(rng.bytes((nbits + 7) // 8), "big") & (1 << nbits) - 1
+        if x < bound:
+            pairs.append((1 + x, pow(p.g, 1 + x, p.q)))
+        else:
+            rejected += 1
+    return pairs, rejected
 
 
 def complete_peers(n):
@@ -97,7 +115,7 @@ class TestKeyAgreement:
     def test_shared_key_symmetric(self, seed):
         p = ka_param(61)
         rng = np.random.default_rng(seed)
-        (a_sk, a_pk), (b_sk, b_pk) = ka_gen(p, rng), ka_gen(p, rng)
+        (a_sk, b_sk), (a_pk, b_pk) = ka_gen(p, rng, 2)
         keys = ka_agree([a_sk, b_sk], [a_pk, b_pk], p, complete_peers(2))
         assert keys[0, 0] == keys[1, 0] == pow(b_pk, a_sk, p.q)
 
@@ -105,9 +123,25 @@ class TestKeyAgreement:
         ## at 16 bits, seeds 55834 and 48182 drew sk = 0 and sk = q - 1 from [0, q): both give pk = 1
         cases = [(ka_param(17), seed) for seed in range(20)] + [(ka_param(16), 55834), (ka_param(16), 48182)]
         for p, seed in cases:
-            sk, pk = ka_gen(p, np.random.default_rng(seed))
+            (sk,), (pk,) = ka_gen(p, np.random.default_rng(seed), 1)
             assert 1 <= sk <= p.q - 2
             assert pk == pow(p.g, sk, p.q) != 1
+
+    @pytest.mark.parametrize("bits", sorted(_GROUPS))
+    def test_batched_key_pairs_are_the_sequential_draws(self, bits):
+        ## one rng.bytes batch, topped up by the shortfall, gives the party-by-party secrets, public keys and end state
+        p = ka_param(bits)
+        rejected = 0
+        for n in (2, 300, 4000):
+            batch, sequential = np.random.default_rng([1, n]), np.random.default_rng([1, n])
+            sks, pks = ka_gen(p, batch, n)
+            pairs, r = reference_key_pairs(p, sequential, n)
+            assert list(zip(sks, pks)) == pairs
+            assert batch.bit_generator.state == sequential.bit_generator.state
+            rejected += r
+        ## at 16 bits a draw is rejected with chance 17/65536: the seeds make the top-up batch run
+        if bits == 16:
+            assert rejected > 0
 
     def test_out_of_range_rejected(self):
         p = ka_param(61)
@@ -128,6 +162,28 @@ class TestKeyAgreement:
         assert stream != mask_scalar(123456789, ka_param(127), 3)
 
 
+@pytest.mark.parametrize("slot", [4, 8, 12, 16])
+@pytest.mark.parametrize("buffered", [False, True])
+def test_batched_bytes_are_the_split_draws(slot, buffered):
+    ## ka_gen draws n secrets as one rng.bytes(n * slot); that matches n calls of rng.bytes(slot) only if
+    ## the bytes and the final state agree, from a fresh state and from one holding a buffered uint32 half
+    split, batch = np.random.default_rng(5), np.random.default_rng(5)
+    if buffered:
+        split.bytes(4), batch.bytes(4)
+    assert split.bit_generator.state["has_uint32"] == buffered
+    assert b"".join(split.bytes(slot) for _ in range(7)) == batch.bytes(7 * slot)
+    assert split.bit_generator.state == batch.bit_generator.state
+
+
+@pytest.mark.parametrize("nbytes", [2, 3, 14])
+def test_short_bytes_request_uses_a_whole_slot(nbytes):
+    ## the 16-bit group's 2-byte secrets, the 17- and 19-bit groups' 3 bytes and the 107-bit group's 14 bytes
+    ## each take whole uint32s: the slot is the request rounded up to 4 bytes
+    short, whole = np.random.default_rng(5), np.random.default_rng(5)
+    assert short.bytes(nbytes) == whole.bytes(-(-nbytes // 4) * 4)[:nbytes]
+    assert short.bit_generator.state == whole.bit_generator.state
+
+
 def ring_reach(n):
     """h = min(ceil(log2 n), floor(n / 2)): ring position p masks with positions p ± 1, ..., p ± h."""
     return min(math.ceil(math.log2(n)), n // 2)
@@ -144,7 +200,7 @@ def check_tables(peers, keys, p, seed):
     k, h = ring_degree(n), ring_reach(n)
     ## the same draws as agree_keys: one key pair per party, in party order, then the ring
     rng = np.random.default_rng(seed)
-    pairs = [ka_gen(p, rng) for _ in range(n)]
+    pairs, _ = reference_key_pairs(p, rng, n)
     ring = rng.permutation(n)
     assert peers.shape == keys.shape == (n, k)
     position = {int(party): pos for pos, party in enumerate(ring)}
@@ -189,7 +245,7 @@ class TestArrayKeyAgreement:
     def test_one_out_of_range_entry_rejected(self, bits):
         p = ka_param(bits)
         rng = np.random.default_rng(0)
-        sks, pks = (list(x) for x in zip(*(ka_gen(p, rng) for _ in range(5))))
+        sks, pks = ka_gen(p, rng, 5)
         peers = complete_peers(5)
         assert ka_agree(sks, pks, p, peers).shape == (5, 4)
         with pytest.raises(ValueError, match="public key"):
@@ -211,12 +267,12 @@ class TestMasking:
     def _masks(self, n, seed, bits=61):
         p = ka_param(bits)
         rng = np.random.default_rng(seed)
-        keys = [ka_gen(p, rng) for _ in range(n)]
+        keys, _ = reference_key_pairs(p, rng, n)
         peers = secure_agg._ring_peers(rng.permutation(n))
         masks = []
         for i in range(n):
             row = np.array([pow(keys[j][1], keys[i][0], p.q) for j in peers[i]], dtype=np.uint64)
-            masks.append(compute_mask(i, peers[i], row, p, 1)[0])
+            masks.append(compute_mask(i, peers[i:i + 1], row[None], p, 1)[0][0])
         return p, masks
 
     @pytest.mark.parametrize("n,seed", [(2, 0), (3, 1), (5, 2), (8, 3), (12, 4)])
@@ -409,8 +465,12 @@ class TestKeyReuse:
         p = ka_param(bits)
         peers, keys = agree_keys(n, p, np.random.default_rng(seed))
         expected = reference_masks(peers, keys, p, rounds)
-        for i in range(n):
-            assert compute_mask(i, peers[i], keys[i], p, rounds) == [expected[r][i] for r in range(rounds)]
+        ## a block of any size gives each of its parties the masks of its own rows
+        for size in (1, 3, n):
+            for first in range(0, n, size):
+                rows = slice(first, first + size)
+                assert compute_mask(first, peers[rows], keys[rows], p, rounds) == [
+                    [expected[r][i] for r in range(rounds)] for i in range(first, min(first + size, n))]
         assert round_masks(peers, keys, p, rounds) == expected
 
     def test_derivation_is_prefix_stable(self):
@@ -419,8 +479,7 @@ class TestKeyReuse:
         peers, keys = agree_keys(5, p, np.random.default_rng(6))
         assert mask_scalar(int(keys[0, 0]), p, 7)[:6 * 32] == mask_scalar(int(keys[0, 0]), p, 6)
         assert round_masks(peers, keys, p, 7)[:6] == round_masks(peers, keys, p, 6)
-        for i in range(5):
-            assert compute_mask(i, peers[i], keys[i], p, 7)[:6] == compute_mask(i, peers[i], keys[i], p, 6)
+        assert [masks[:6] for masks in compute_mask(0, peers, keys, p, 7)] == compute_mask(0, peers, keys, p, 6)
 
     @pytest.fixture
     def key_calls(self, monkeypatch):
@@ -443,10 +502,10 @@ class TestKeyReuse:
         theta_by_deviation(degrees, cfg, np.random.default_rng(0), masked=masked, round_log=log)
         n = len(degrees)
         assert len(log) > 1
-        ## one key pair per party, one ka_agree call for the whole key table, one stream per party and peer:
-        ## n·k = 40·12, where the complete graph took n(n−1) = 1,560
+        ## one ka_gen call for every key pair, one ka_agree call for the whole key table, one stream per party and
+        ## peer: n·k = 40·12, where the complete graph took n(n−1) = 1,560
         assert ring_degree(n) == 12
-        assert key_calls == ({"ka_gen": n, "ka_agree": 1, "mask_scalar": n * ring_degree(n)} if masked
+        assert key_calls == ({"ka_gen": 1, "ka_agree": 1, "mask_scalar": n * ring_degree(n)} if masked
                              else {"ka_gen": 0, "ka_agree": 0, "mask_scalar": 0})
 
     @pytest.mark.parametrize("masked", [True, False])
@@ -457,8 +516,48 @@ class TestKeyReuse:
         theta_by_sum(g, degree_sequence(g), cfg, np.random.default_rng(0), masked=masked, round_log=log)
         assert len(log) == 7
         ## n·k = 8·6: at 8 parties the ring first leaves out a pair
-        assert key_calls == ({"ka_gen": 8, "ka_agree": 1, "mask_scalar": 8 * 6} if masked
+        assert key_calls == ({"ka_gen": 1, "ka_agree": 1, "mask_scalar": 8 * 6} if masked
                              else {"ka_gen": 0, "ka_agree": 0, "mask_scalar": 0})
+
+
+
+class TestMaskBlocks:
+    """round_masks derives the masks block by block, each block's streams and lanes in about 0.5 MB."""
+
+    @pytest.mark.parametrize("n,rounds", [(300, 7), (300, 64), (9, 3000)])
+    def test_blocks_cover_the_parties_in_bounded_memory(self, n, rounds, monkeypatch):
+        p = ka_param(61)
+        peers, keys = agree_keys(n, p, np.random.default_rng(n))
+        blocks, peaks = [], []
+        original = secure_agg.compute_mask
+
+        def spy(first, block_peers, block_keys, params, r):
+            blocks.append((first, len(block_peers)))
+            assert np.array_equal(block_peers, peers[first:first + len(block_peers)])
+            current = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out = original(first, block_peers, block_keys, params, r)
+            peaks.append(tracemalloc.get_traced_memory()[1] - current)
+            return out
+
+        monkeypatch.setattr(secure_agg, "compute_mask", spy)
+        tracemalloc.start()
+        try:
+            masks = round_masks(peers, keys, p, rounds)
+        finally:
+            tracemalloc.stop()
+        assert len(masks) == rounds and all(len(row) == n and sum(row) % p.q == 0 for row in masks)
+        ## consecutive blocks, in party order, every party once
+        assert [first for first, _ in blocks] == [sum(size for _, size in blocks[:b]) for b in range(len(blocks))]
+        assert sum(size for _, size in blocks) == n
+        ## a block holds several parties only while its streams and their int64 copy fit _MASK_BYTES:
+        ## 43 parties at 7 rounds, 4 at 64; one party's 8 streams of 3,000 chunks alone exceed it
+        party_bytes = 3 * peers.shape[1] * rounds * 32
+        assert {size for _, size in blocks[:-1]} == {max(1, secure_agg._MASK_BYTES // party_bytes)}
+        if blocks[0][1] > 1:
+            assert max(peaks) < 750_000
+        else:
+            assert party_bytes > secure_agg._MASK_BYTES
 
 
 SPARSE_SIZES = (2, 3, 7, 8, 9, 60, 300)
@@ -501,7 +600,7 @@ class TestSparseRing:
         p = ka_param(bits)
         rounds = 2000
         peers, keys = agree_keys(n, p, np.random.default_rng(7 * n + bits))
-        payloads = [(1 + m) % p.q for m in compute_mask(0, peers[0], keys[0], p, rounds)]
+        payloads = [(1 + m) % p.q for m in compute_mask(0, peers[:1], keys[:1], p, rounds)[0]]
         buckets = np.bincount([x * 16 // p.q for x in payloads], minlength=16)
         _, pvalue = sstats.chisquare(buckets)
         assert pvalue > 1e-4

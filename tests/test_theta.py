@@ -238,3 +238,30 @@ class TestSumGolden:
         theta = theta_by_sum(g, degree_sequence(g), cfg, np.random.default_rng(0), masked=False, round_log=log)
         assert len(log) == 64
         assert (theta, hashlib.sha256(repr(log).encode()).hexdigest()) == SUM_GOLDEN
+
+
+## theta, round count and sha256 of repr(round_log) for masked selections on
+## synthetic:300:11:1 (K 64, eps 3, default_rng(0)), by modulus bit length:
+## each payload is a value plus its party's mask, so a moved key draw, ring,
+## key or mask changes the hash
+MASKED_GOLDEN = {
+    ("deviation", 16): (20, 6, "efd50809a0e8a286826765c1cb3440a1273032e0b9813596f2624a1ea8cfba1c"),
+    ("deviation", 61): (20, 6, "9fff0c97db4b3cfeb2f5e8202975a178cacf9d007a9f9417275c181d77f2e686"),
+    ("deviation", 127): (20, 6, "5a21e13d4c5222bf18179738852f3663beef5c5f090dd155869f64bd23fd4693"),
+    ("sum", 61): (18, 64, "27e269e7bf803055f374db1b3665760f4dba08c941e6e7b92c93638883a4ab62"),
+}
+
+
+@pytest.mark.parametrize("method,bits", sorted(MASKED_GOLDEN))
+def test_masked_round_log_pinned(method, bits):
+    g, _ = load_dataset("synthetic:300:11:1")
+    degs = degree_sequence(g)
+    cfg = ThetaSearchConfig(K=64, epsilon=3.0, bits=bits, method=method)
+    log: list = []
+    rng = np.random.default_rng(0)
+    if method == "sum":
+        selected = theta_by_sum(g, degs, cfg, rng, masked=True, round_log=log)
+    else:
+        selected = theta_by_deviation(degs, cfg, rng, masked=True, round_log=log)
+    assert all(kind == "masked" for kind, _ in log)
+    assert (selected, len(log), hashlib.sha256(repr(log).encode()).hexdigest()) == MASKED_GOLDEN[method, bits]
