@@ -10,10 +10,13 @@ are below the degree bound theta, so the bound holds unconditionally.
 The removal strategy instead deletes random incident edges of each node
 above theta.
 
-``project`` fixes every strategy's turns and runs one of three loops:
-the truthful edge scan, the private negotiation or edge removal.  Each
-is one pass over the ends of Graph.pairs sorted by turn, reads no
-neighbor lists, and builds its result from one kept flag per edge.
+``project`` runs one of three loops: the truthful edge scan, the private
+negotiation or edge removal.  Each is one pass over the ends of
+Graph.pairs sorted by turn, reads no neighbor lists, and builds its
+result from one kept flag per edge.  lpea-low and lpea-high walk the
+ends that ``schedule(g, orders, strategy)`` sorts once; nothing in a
+schedule depends on theta, so the sum selection's K trial projections
+share one: ``lpea_low(g, schedule(g, orders), cfg, rng)``.
 """
 
 from __future__ import annotations
@@ -110,14 +113,72 @@ def _ends(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     return ends, ends[np.arange(ends.size) ^ 1]
 
 
-def _by_turn(at: np.ndarray, ends: np.ndarray, nbrs: np.ndarray, rank: np.ndarray, uniform: bool, rng) -> np.ndarray:
-    """The ends at, by their node's turn and then the neighbor's, or one permutation of at if uniform."""
-    after = rng.permutation(at.size) if uniform else rank[nbrs[at]]
-    ## both tie-breaks are below n + at.size
-    return at[np.argsort(rank[ends[at]] * (rank.size + at.size) + after)]
+def _by_turn(at: np.ndarray, ends: np.ndarray, rank: np.ndarray, rng) -> np.ndarray:
+    """The ends at, by their node's turn and, within a turn, by one permutation of at."""
+    ## the permutation's tie-breaks are below at.size
+    return at[np.argsort(rank[ends[at]] * at.size + rng.permutation(at.size))]
 
 
-def _edge_scan(g: Graph, cfg: ProjectionConfig, rank: np.ndarray, uniform: bool, rng) -> ProjectedGraph:
+@dataclass(frozen=True, eq=False)
+class Schedule:
+    """The turns of lpea-low or lpea-high over one graph, and its edges in walk order.
+
+    rank[v] is node v's turn.  sorted_ends lists every edge end (an
+    index into Graph.pairs.ravel()) by its node's turn and then the
+    neighbor's: the private negotiation's asking order.  walk has three
+    rows, node, neighbor and edge, and one column per edge: its
+    earlier-turn end, in the same order.  top is the larger degree of
+    each column's two endpoints; the truthful edge scan at bound theta
+    walks the columns whose top exceeds theta.  None of them depends on
+    theta, so one schedule serves a projection at every bound; n and m
+    name the graph it was built for.  The arrays are read-only.
+    """
+
+    strategy: Strategy
+    n: int
+    m: int
+    rank: np.ndarray
+    sorted_ends: np.ndarray
+    walk: np.ndarray
+    top: np.ndarray
+
+
+def schedule(g: Graph, orders: Sequence[int] | None, strategy: Strategy = Strategy.LPEA_LOW) -> Schedule:
+    """Fix a ranked strategy's turns from per-node orders; draws nothing.
+
+    lpea-low takes ascending (order, id) and lpea-high the reverse, so
+    high-order nodes go first.
+    """
+    if strategy.uniform:
+        raise ValueError(f"{strategy.value} draws its turns from rng, not from orders")
+    if orders is None:
+        raise ValueError(f"{strategy.value} requires per-node orders")
+    if len(orders) != g.n:
+        raise ValueError(f"orders must cover all {g.n} nodes, got {len(orders)}")
+    turns = np.argsort(np.asarray(orders), kind="stable")
+    if strategy is Strategy.LPEA_HIGH:
+        turns = turns[::-1]
+    rank = np.argsort(turns)
+    ## int32, as Graph.pairs: the schedule is held across a selection's trials, and its build is its peak
+    ends = g.pairs.ravel()
+    nbrs = ends[np.arange(ends.size) ^ 1]
+    key, nbr_turn = rank[ends], rank[nbrs]
+    forward = key < nbr_turn
+    key *= g.n
+    key += nbr_turn
+    del nbr_turn
+    ## a node's neighbors are distinct, so the keys are and the order is fixed
+    sorted_ends = np.argsort(key).astype(np.int32)
+    del key
+    at = sorted_ends[forward[sorted_ends]]
+    walk = np.stack([ends[at], nbrs[at], at >> 1])
+    top = np.maximum(g.degrees[walk[0]], g.degrees[walk[1]])
+    for a in (rank, sorted_ends, walk, top):
+        a.flags.writeable = False
+    return Schedule(strategy, g.n, g.m, rank, sorted_ends, walk, top)
+
+
+def _edge_scan(g: Graph, cfg: ProjectionConfig, walk) -> ProjectedGraph:
     """Truthful addition as one greedy pass over the edges.
 
     Each edge is decided at its earlier-turn end and kept iff both
@@ -126,18 +187,16 @@ def _edge_scan(g: Graph, cfg: ProjectionConfig, rank: np.ndarray, uniform: bool,
     both-below-theta test; degrees only grow, so an edge refused then
     stays refused at the later endpoint's turn.  A uniform order within
     each turn gives random-add's uniform pick.  A node of degree at most
-    theta never fills before its last edge, so only edges with an
-    endpoint above theta are scanned; the rest are kept outright.
+    theta never fills before its last edge, so walk, the node, neighbor
+    and edge rows of the ends to decide in turn order, holds only edges
+    with an endpoint above theta; the rest are kept outright.
     """
     theta = cfg.theta
-    ends, nbrs = _ends(g)
-    over = g.degrees > theta
-    at = np.flatnonzero((rank[ends] < rank[nbrs]) & (over[ends] | over[nbrs]))
-    at = _by_turn(at, ends, nbrs, rank, uniform, rng)
     deg = [0] * g.n
     live = bytearray(b"\x01") * g.m
+    node, nbr, edge = walk
     ## memoryview hands out each int as it is read; tolist would hold all of them at once
-    for i, j, e in zip(memoryview(ends[at]), memoryview(nbrs[at]), memoryview(at >> 1)):
+    for i, j, e in zip(memoryview(node), memoryview(nbr), memoryview(edge)):
         if deg[i] < theta and deg[j] < theta:
             deg[i] += 1
             deg[j] += 1
@@ -146,11 +205,11 @@ def _edge_scan(g: Graph, cfg: ProjectionConfig, rank: np.ndarray, uniform: bool,
     return ProjectedGraph._from_kept(g, live)
 
 
-def _addition_run(g: Graph, cfg: ProjectionConfig, rank: np.ndarray, uniform: bool, rng) -> ProjectedGraph:
+def _addition_run(g: Graph, cfg: ProjectionConfig, rank: np.ndarray, at: np.ndarray, rng) -> ProjectedGraph:
     """The private negotiation: the per-initiator loop, run in turn order.
 
-    An initiator's run of the sorted edge ends lists the neighbors it
-    asks, less edges already live.  After the turns, randomness is
+    An initiator's run of at, every edge end by turn, lists the neighbors
+    it asks, less edges already live.  After the turns, randomness is
     random-add's permutation, then one double u per request in request
     order; no responder draw.  j answers yes iff its true bit "j's current
     degree < theta" equals u < rate, rate = wrr_truth_rate(budget): the
@@ -162,12 +221,10 @@ def _addition_run(g: Graph, cfg: ProjectionConfig, rank: np.ndarray, uniform: bo
     theta = cfg.theta
     budget = cfg.params.negotiation_budget
     debias = wrr_debiaser(budget)
-    ends, nbrs = _ends(g)
-    at = _by_turn(np.arange(ends.size), ends, nbrs, rank, uniform, rng)
-    nbr, edge = memoryview(nbrs[at]), memoryview(at >> 1)
+    nbr, edge = memoryview(g.pairs.ravel()[at ^ 1]), memoryview(at >> 1)
     ## an edge is asked at most once per end: 2m coins cover every request
     state = rng.bit_generator.state
-    coin = (rng.random(ends.size) < wrr_truth_rate(budget)).tobytes()
+    coin = (rng.random(at.size) < wrr_truth_rate(budget)).tobytes()
     deg, live = [0] * g.n, bytearray(g.m)
     stop = used = 0
     turns = np.argsort(rank)
@@ -193,7 +250,7 @@ def _addition_run(g: Graph, cfg: ProjectionConfig, rank: np.ndarray, uniform: bo
     return ProjectedGraph._from_kept(g, live)
 
 
-def _edge_remove(g: Graph, cfg: ProjectionConfig, rank: np.ndarray, uniform: bool, rng) -> ProjectedGraph:
+def _edge_remove(g: Graph, cfg: ProjectionConfig, rank: np.ndarray, rng) -> ProjectedGraph:
     """Delete random incident edges until every degree is at most theta.
 
     Each node above theta deletes a uniform subset of its remaining edges
@@ -202,7 +259,7 @@ def _edge_remove(g: Graph, cfg: ProjectionConfig, rank: np.ndarray, uniform: boo
     """
     theta = cfg.theta
     ends, nbrs = _ends(g)
-    at = _by_turn(np.flatnonzero(g.degrees[ends] > theta), ends, nbrs, rank, uniform, rng)
+    at = _by_turn(np.flatnonzero(g.degrees[ends] > theta), ends, rank, rng)
     deg = g.degrees.tolist()
     live = bytearray(b"\x01") * g.m
     for i, j, e in zip(memoryview(ends[at]), memoryview(nbrs[at]), memoryview(at >> 1)):
@@ -213,17 +270,32 @@ def _edge_remove(g: Graph, cfg: ProjectionConfig, rank: np.ndarray, uniform: boo
     return ProjectedGraph._from_kept(g, live)
 
 
-def lpea_low(g: Graph, orders: Sequence[int], cfg: ProjectionConfig, rng: np.random.Generator) -> ProjectedGraph:
+def _ranked(g: Graph, sched: Schedule, cfg: ProjectionConfig, rng) -> ProjectedGraph:
+    """lpea-low or lpea-high on its schedule: the truthful edge scan, or the private negotiation."""
+    if (sched.n, sched.m) != (g.n, g.m):
+        raise ValueError(f"schedule built for n={sched.n}, m={sched.m}, given a graph with n={g.n}, m={g.m}")
+    if sched.strategy is not cfg.strategy:
+        raise ValueError(f"schedule built for {sched.strategy.value}, config names {cfg.strategy.value}")
+    if cfg.params is not None:
+        return _addition_run(g, cfg, sched.rank, sched.sorted_ends, rng)
+    ## a boolean filter keeps the walk's order
+    return _edge_scan(g, cfg, sched.walk.compress(sched.top > cfg.theta, axis=1))
+
+
+def lpea_low(g: Graph, sched: Schedule, cfg: ProjectionConfig, rng: np.random.Generator) -> ProjectedGraph:
     """Edge addition scheduled low-order-first; ties broken by node id.
 
     Initiators run in ascending (order, id) and connect to their
     lowest-ranked willing neighbors first, which favors nodes that can
     least afford to lose edges.  The paper's method under its own name;
-    cfg must name it.
+    cfg must name it.  sched is schedule(g, orders), built once and
+    reusable at every theta on the same graph.
     """
+    if not isinstance(sched, Schedule):
+        raise TypeError(f"lpea_low takes schedule(g, orders), got {type(sched).__name__}")
     if cfg.strategy is not Strategy.LPEA_LOW:
         raise ValueError(f"lpea_low runs the lpea-low strategy, got {cfg.strategy.value}")
-    return project(g, cfg, rng, orders=orders)
+    return _ranked(g, sched, cfg, rng)
 
 
 def project(
@@ -234,34 +306,28 @@ def project(
 ) -> ProjectedGraph:
     """Run the configured strategy.
 
-    The turns are fixed here, for every strategy.  random-add and
-    edge-remove take a uniform order, rng.permutation(n), as their first
-    draw.  lpea-low takes ascending (order, id) over per-node orders
-    (private encodings, or true degrees in non-private mode), and
-    lpea-high the reverse, so high-order nodes go first; neither draws
-    here.  Each loop then walks the edge ends by their node's turn and,
-    within a turn, by the neighbor's turn, or for random-add and
-    edge-remove by one permutation of the walked ends.  A truthful
-    (params None) addition run is one edge scan, which draws nothing
-    unless the strategy is random-add; edge-remove deletes excess edges
-    instead of adding.
+    random-add and edge-remove take a uniform order, rng.permutation(n),
+    as their first draw.  lpea-low and lpea-high build their schedule
+    from per-node orders (private encodings, or true degrees in
+    non-private mode) and draw nothing for it.  Each loop then walks the
+    edge ends by their node's turn and, within a turn, by the neighbor's
+    turn, or for random-add and edge-remove by one permutation of the
+    walked ends.  A truthful (params None) addition run is one edge
+    scan, which draws nothing unless the strategy is random-add;
+    edge-remove deletes excess edges instead of adding.
     """
-    uniform = cfg.strategy.uniform
-    if uniform:
-        turns = rng.permutation(g.n)
-    elif orders is None:
-        raise ValueError(f"{cfg.strategy.value} requires per-node orders")
-    elif len(orders) != g.n:
-        raise ValueError(f"orders must cover all {g.n} nodes, got {len(orders)}")
-    else:
-        turns = np.argsort(np.asarray(orders), kind="stable")
-        if cfg.strategy is Strategy.LPEA_HIGH:
-            turns = turns[::-1]
+    if not cfg.strategy.uniform:
+        return _ranked(g, schedule(g, orders, cfg.strategy), cfg, rng)
+    rank = np.argsort(rng.permutation(g.n))
     if cfg.strategy is Strategy.EDGE_REMOVE:
-        run = _edge_remove
-    else:
-        run = _edge_scan if cfg.params is None else _addition_run
-    return run(g, cfg, np.argsort(turns), uniform, rng)
+        return _edge_remove(g, cfg, rank, rng)
+    ends, nbrs = _ends(g)
+    if cfg.params is not None:
+        return _addition_run(g, cfg, rank, _by_turn(np.arange(ends.size), ends, rank, rng), rng)
+    ## the order within a turn permutes the ends to decide, so random-add draws its walk per call
+    over = g.degrees > cfg.theta
+    at = _by_turn(np.flatnonzero((rank[ends] < rank[nbrs]) & (over[ends] | over[nbrs])), ends, rank, rng)
+    return _edge_scan(g, cfg, (ends[at], nbrs[at], at >> 1))
 
 
 def projection_error(g: Graph, pg: ProjectedGraph) -> tuple[np.ndarray, int]:

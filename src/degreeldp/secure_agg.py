@@ -331,13 +331,14 @@ def masked_sum_round(
     round is refused when n * max(values) reaches q, since the sum could
     then wrap mod q.
     """
-    values = [int(v) for v in values]
+    values = list(map(int, values))
     n = len(values)
-    for v in values:
-        if not 0 <= v < params.q:
-            raise ValueError(f"value {v} outside [0, {params.q})")
-    if values and n * max(values) >= params.q:
-        raise ValueError(f"{n} values up to {max(values)} could sum past q={params.q}")
+    top = max(values, default=0)
+    if top >= params.q or min(values, default=0) < 0:
+        bad = next(v for v in values if not 0 <= v < params.q)
+        raise ValueError(f"value {bad} outside [0, {params.q})")
+    if n * top >= params.q:
+        raise ValueError(f"{n} values up to {top} could sum past q={params.q}")
     if not masked:
         if round_log is not None:
             round_log.append(("plain", tuple(values)))

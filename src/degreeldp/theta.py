@@ -31,7 +31,7 @@ import numpy as np
 from .graph import Graph, check_count
 from .graph import degree_sequence  # noqa: F401  (bench/tracing.py spans theta.degree_sequence)
 from .mechanisms import check_epsilon
-from .projection import ProjectionConfig, lpea_low, projection_error
+from .projection import ProjectionConfig, lpea_low, projection_error, schedule
 from .secure_agg import DEFAULT_BITS, agree_keys, ka_param, masked_sum_round, round_masks
 
 METHODS = ("sum", "deviation")
@@ -131,19 +131,21 @@ def theta_by_sum(
 
     For each k in 1..K the parties run one truthful low-order-first
     addition projection at bound k and submit their degree losses to a
-    masked sum.  The keys are agreed once, before round 1, and each
-    pair's key is expanded once into one SHAKE-256 stream with a 32-byte
-    chunk per round; round k masks with chunk k - 1.  The collector scores
-    each k as n * k / epsilon plus the summed loss and returns the
-    smallest minimizer.  Exactly K aggregation rounds.
+    masked sum.  The K trial projections share one schedule, built once
+    from the orders: its turns and sorted edge layout do not depend on
+    k, so each trial only filters that layout.  The keys are agreed
+    once, before round 1, and each pair's key is expanded once into one
+    SHAKE-256 stream with a 32-byte chunk per round; round k masks with
+    chunk k - 1.  The collector scores each k as n * k / epsilon plus
+    the summed loss and returns the smallest minimizer.  Exactly K
+    aggregation rounds.
     """
     K = int(cfg.K)
     sum_round = _round_sums(g.n, cfg, rng, masked, round_log, K)
-    ## converted once, not in each of the K trials' schedule sorts
-    orders = np.asarray(orders, dtype=np.int64)
+    sched = schedule(g, orders)
     scores = []
     for k in range(1, K + 1):
-        losses, _ = projection_error(g, lpea_low(g, orders, ProjectionConfig(theta=k), rng))
+        losses, _ = projection_error(g, lpea_low(g, sched, ProjectionConfig(theta=k), rng))
         ## modeled release error: Laplace noise term plus projection loss
         scores.append(g.n * k / cfg.epsilon + float(sum_round(losses.tolist())))
     return 1 + int(np.argmin(scores))

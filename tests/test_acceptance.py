@@ -16,7 +16,7 @@ from degreeldp.encoding import build_partitions, ndoe_sample, order_cdfs
 from degreeldp.graph import Graph, degree_sequence, load_edge_list, load_graph
 from degreeldp.harness import ExperimentConfig, run_grid, run_pipeline
 from degreeldp.mechanisms import PrivacyParams, laplace_sample, wrr_debias_count, wrr_respond, wrr_truth_rate
-from degreeldp.projection import ProjectionConfig, Strategy, lpea_low, project
+from degreeldp.projection import ProjectionConfig, Strategy, lpea_low, project, schedule
 from degreeldp.secure_agg import agree_keys, ka_param, masked_sum_round, round_masks
 from degreeldp.synthetic import powerlaw_graph
 from degreeldp.theta import ThetaSearchConfig, quantile_oracle, theta_by_deviation, theta_by_sum
@@ -35,7 +35,7 @@ def test_criterion_1_worked_example_projection():
     t0 = time.perf_counter()
     g = load_edge_list(io.StringIO(FIG_EDGE_LIST))
     cfg = ProjectionConfig(theta=1, strategy=Strategy.LPEA_LOW)
-    pg = lpea_low(g, degree_sequence(g), cfg, np.random.default_rng(0))
+    pg = lpea_low(g, schedule(g, degree_sequence(g)), cfg, np.random.default_rng(0))
     got = edge_set(pg)
     _report(1, got == {(1, 3), (0, 2)}, f"edges={sorted(got)} expected BD, AC", t0)
 
@@ -142,7 +142,7 @@ def test_criterion_5_strategy_ordering_on_facebook():
     for theta, want_mae in reference_mae.items():
         ## the ranked non-private run is deterministic, one evaluation suffices
         cfg = ProjectionConfig(theta=theta, strategy=Strategy.LPEA_LOW)
-        pg = lpea_low(g, degs, cfg, np.random.default_rng(0))
+        pg = lpea_low(g, schedule(g, degs), cfg, np.random.default_rng(0))
         ll_ratio = pg.edge_count() / g.m
         ll_mae = sum(abs(a - b) for a, b in zip(degs, pg.degrees)) / g.n
         ra = np.mean([

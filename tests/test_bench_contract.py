@@ -24,7 +24,7 @@ import pytest
 from degreeldp import theta
 from degreeldp.graph import Graph, degree_sequence
 from degreeldp.mechanisms import PrivacyParams
-from degreeldp.projection import ProjectedGraph, ProjectionConfig, Strategy, project
+from degreeldp.projection import ProjectedGraph, ProjectionConfig, Strategy, project, schedule
 from degreeldp.theta import ThetaSearchConfig
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -125,12 +125,30 @@ def test_traced_sum_selection_samples_once_per_release_trial():
     assert metrics["projection.lpea_low_calls"] > 0
 
 
+def test_sum_selection_calls_lpea_low_once_per_bound(monkeypatch):
+    ## bench/workloads.py observes every theta.lpea_low result as trial k, and bench/test_bench.py
+    ## swaps in a stand-in that takes exactly four positional arguments
+    seen = []
+    original = theta.lpea_low
+
+    def four_args(g, sched, cfg, rng):
+        seen.append(cfg.theta)
+        return original(g, sched, cfg, rng)
+
+    monkeypatch.setattr(theta, "lpea_low", four_args)
+    g = Graph(8, [(0, i) for i in range(1, 8)] + [(1, 2), (2, 3), (3, 4)])
+    K = 6
+    tcfg = ThetaSearchConfig(K=K, epsilon=3.0, method="sum")
+    theta.theta_by_sum(g, degree_sequence(g), tcfg, np.random.default_rng(0), masked=False)
+    assert seen == list(range(1, K + 1))
+
+
 def test_truthful_projection_layout():
     ## the edge scan, edge removal and the private negotiation keep edge arrays and build the sets on the first read
     g = Graph(6, [(0, i) for i in range(1, 6)] + [(1, 2), (2, 3)])
     private = ProjectionConfig(theta=2, params=PrivacyParams(3.0, 0.1))
     for pg in (
-        theta.lpea_low(g, degree_sequence(g), ProjectionConfig(theta=2), np.random.default_rng(0)),
+        theta.lpea_low(g, schedule(g, degree_sequence(g)), ProjectionConfig(theta=2), np.random.default_rng(0)),
         project(g, ProjectionConfig(theta=2, strategy=Strategy.EDGE_REMOVE), np.random.default_rng(0)),
         project(g, private, np.random.default_rng(0), orders=degree_sequence(g)),
     ):

@@ -22,6 +22,7 @@ from degreeldp.projection import (
     lpea_low,
     project,
     projection_error,
+    schedule,
 )
 from conftest import edge_set, random_graph
 
@@ -55,11 +56,13 @@ class TestWorkedExample:
     """4-node graph A-B, B-C, B-D, A-C with true-degree orders [2, 3, 2, 1]."""
 
     def test_low_first_keeps_bd_and_ac(self, fig_graph):
-        pg = lpea_low(fig_graph, degree_sequence(fig_graph), nonprivate(1), np.random.default_rng(0))
+        sched = schedule(fig_graph, degree_sequence(fig_graph))
+        pg = lpea_low(fig_graph, sched, nonprivate(1), np.random.default_rng(0))
         assert edge_set(pg) == {(1, 3), (0, 2)}
 
     def test_low_first_theta_two(self, fig_graph):
-        pg = lpea_low(fig_graph, degree_sequence(fig_graph), nonprivate(2), np.random.default_rng(0))
+        sched = schedule(fig_graph, degree_sequence(fig_graph))
+        pg = lpea_low(fig_graph, sched, nonprivate(2), np.random.default_rng(0))
         assert edge_set(pg) == {(0, 1), (0, 2), (1, 3)}
 
     def test_high_first_keeps_single_hub_edge(self, fig_graph):
@@ -84,14 +87,15 @@ class TestWorkedExample:
         assert total == 6
 
     def test_projection_error_low_first(self, fig_graph):
-        pg = lpea_low(fig_graph, degree_sequence(fig_graph), nonprivate(1), np.random.default_rng(0))
+        sched = schedule(fig_graph, degree_sequence(fig_graph))
+        pg = lpea_low(fig_graph, sched, nonprivate(1), np.random.default_rng(0))
         losses, total = projection_error(fig_graph, pg)
         assert losses.tolist() == [1, 2, 1, 0]
         assert total == 4
 
     def test_projection_error_needs_same_node_set(self, fig_graph):
         other = Graph(fig_graph.n + 1, fig_graph.pairs.tolist())
-        pg = lpea_low(other, degree_sequence(other), nonprivate(1), np.random.default_rng(0))
+        pg = lpea_low(other, schedule(other, degree_sequence(other)), nonprivate(1), np.random.default_rng(0))
         with pytest.raises(ValueError, match="different node set"):
             projection_error(fig_graph, pg)
 
@@ -105,16 +109,16 @@ class TestWorkedExample:
 
 class TestDeterminism:
     def test_nonprivate_ranked_runs_ignore_rng(self, fig_graph):
-        orders = degree_sequence(fig_graph)
-        a = lpea_low(fig_graph, orders, nonprivate(2), np.random.default_rng(1))
-        b = lpea_low(fig_graph, orders, nonprivate(2), np.random.default_rng(999))
+        sched = schedule(fig_graph, degree_sequence(fig_graph))
+        a = lpea_low(fig_graph, sched, nonprivate(2), np.random.default_rng(1))
+        b = lpea_low(fig_graph, sched, nonprivate(2), np.random.default_rng(999))
         assert edge_set(a) == edge_set(b)
 
     def test_private_run_seed_determinism(self, fig_graph):
-        orders = [1, 2, 1, 1]
+        sched = schedule(fig_graph, [1, 2, 1, 1])
         cfg = private_cfg(2)
-        a = lpea_low(fig_graph, orders, cfg, np.random.default_rng(4))
-        b = lpea_low(fig_graph, orders, cfg, np.random.default_rng(4))
+        a = lpea_low(fig_graph, sched, cfg, np.random.default_rng(4))
+        b = lpea_low(fig_graph, sched, cfg, np.random.default_rng(4))
         assert edge_set(a) == edge_set(b)
 
 
@@ -587,7 +591,7 @@ class TestInvariants:
         ## randomized answers may exclude willing neighbors, so exact
         ## reconstruction is not guaranteed in private mode
         tri = Graph(3, [(0, 1), (1, 2), (0, 2)])
-        pg = lpea_low(tri, degree_sequence(tri), private_cfg(2), np.random.default_rng(1))
+        pg = lpea_low(tri, schedule(tri, degree_sequence(tri)), private_cfg(2), np.random.default_rng(1))
         assert pg.edge_count() < 3
 
     def test_removal_monotone_in_theta_per_seed(self):
@@ -633,7 +637,7 @@ def test_certain_answers_give_the_truthful_projection(seed, data):
 class TestOrdersValidation:
     def test_orders_length_checked(self, fig_graph):
         with pytest.raises(ValueError):
-            lpea_low(fig_graph, [1, 2], nonprivate(1), np.random.default_rng(0))
+            lpea_low(fig_graph, schedule(fig_graph, [1, 2]), nonprivate(1), np.random.default_rng(0))
         with pytest.raises(ValueError, match="cover all 4 nodes"):
             project(fig_graph, nonprivate(1, Strategy.LPEA_HIGH), np.random.default_rng(0), orders=[1, 2])
 
@@ -641,7 +645,52 @@ class TestOrdersValidation:
     def test_lpea_low_refuses_other_strategies(self, fig_graph, strategy):
         ## lpea_low is the paper's named method; other strategies go through project
         with pytest.raises(ValueError, match="lpea-low"):
-            lpea_low(fig_graph, degree_sequence(fig_graph), nonprivate(1, strategy), np.random.default_rng(0))
+            sched = schedule(fig_graph, degree_sequence(fig_graph))
+            lpea_low(fig_graph, sched, nonprivate(1, strategy), np.random.default_rng(0))
+
+
+class TestSchedule:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_one_schedule_serves_every_theta(self, seed, data):
+        rng = np.random.default_rng(seed)
+        g = random_graph(rng, int(rng.integers(1, 25)), float(rng.uniform(0.05, 0.7)))
+        ## three order values over up to 24 nodes: most turns are broken by node id
+        orders = data.draw(st.lists(st.integers(0, 2), min_size=g.n, max_size=g.n), label="orders")
+        for strategy in (Strategy.LPEA_LOW, Strategy.LPEA_HIGH):
+            sched = schedule(g, orders, strategy)
+            for theta in range(1, int(g.degrees.max(initial=0)) + 2):
+                cfg = nonprivate(theta, strategy)
+                shared = projection._ranked(g, sched, cfg, np.random.default_rng(0))
+                fresh = project(g, cfg, np.random.default_rng(0), orders=orders)
+                assert np.array_equal(shared._kept, fresh._kept), (strategy, theta)
+                assert shared.degrees == fresh.degrees, (strategy, theta)
+
+    @pytest.mark.parametrize("cfg", [nonprivate(1), private_cfg(1)])
+    def test_refused_on_another_graph(self, fig_graph, cfg):
+        sched = schedule(fig_graph, degree_sequence(fig_graph))
+        edges = [(0, 1), (1, 2), (1, 3), (0, 2)]
+        for other in (Graph(5, edges), Graph(4, edges[:3])):
+            with pytest.raises(ValueError, match="schedule built for n=4, m=4, given a graph with n="):
+                lpea_low(other, sched, cfg, np.random.default_rng(0))
+
+    def test_refused_for_another_strategy(self, fig_graph):
+        high = schedule(fig_graph, degree_sequence(fig_graph), Strategy.LPEA_HIGH)
+        with pytest.raises(ValueError, match="schedule built for lpea-high, config names lpea-low"):
+            lpea_low(fig_graph, high, nonprivate(1), np.random.default_rng(0))
+        for strategy in (Strategy.RANDOM_ADD, Strategy.EDGE_REMOVE):
+            with pytest.raises(ValueError, match=f"{strategy.value} draws its turns from rng"):
+                schedule(fig_graph, degree_sequence(fig_graph), strategy)
+
+    def test_lpea_low_takes_a_schedule(self, fig_graph):
+        with pytest.raises(TypeError, match="lpea_low takes schedule"):
+            lpea_low(fig_graph, degree_sequence(fig_graph), nonprivate(1), np.random.default_rng(0))
+
+    def test_arrays_are_read_only(self, fig_graph):
+        sched = schedule(fig_graph, degree_sequence(fig_graph))
+        for a in (sched.rank, sched.sorted_ends, sched.walk, sched.top):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0
 
 
 class TestProjectedGraph:

@@ -5,14 +5,14 @@ import pytest
 
 from degreeldp.graph import Graph, degree_sequence
 from degreeldp.mechanisms import PrivacyParams, laplace_sample
-from degreeldp.projection import ProjectionConfig, lpea_low
+from degreeldp.projection import ProjectionConfig, lpea_low, schedule
 from degreeldp.release import degree_distribution, dsr, noise_scale
 
 
 def small_projected(theta=2):
     g = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5), (1, 4)])
     cfg = ProjectionConfig(theta=theta)
-    return g, lpea_low(g, degree_sequence(g), cfg, np.random.default_rng(0))
+    return g, lpea_low(g, schedule(g, degree_sequence(g)), cfg, np.random.default_rng(0))
 
 
 class TestNoiseScale:
@@ -119,7 +119,7 @@ class TestDsr:
         ## average |noisy - projected| approaches the Laplace scale
         g = Graph(2000, [(i, (i + 1) % 2000) for i in range(2000)])
         cfg = ProjectionConfig(theta=2)
-        pg = lpea_low(g, degree_sequence(g), cfg, np.random.default_rng(0))
+        pg = lpea_low(g, schedule(g, degree_sequence(g)), cfg, np.random.default_rng(0))
         params = PrivacyParams(2.0, 0.5)
         report = dsr(pg, 2, params, np.random.default_rng(3))
         dev = np.abs(np.asarray(report.noisy_degrees) - np.asarray(pg.degrees))

@@ -359,6 +359,20 @@ class TestMaskedSumRound:
         with pytest.raises(ValueError):
             masked_sum_round([p.q], p, masked=False)
 
+    @pytest.mark.parametrize("bad", [[-2], [70000, -2], [-2, 70000]])
+    def test_first_bad_value_named_after_good_ones(self, bad):
+        ## builtin min and max find a bad value anywhere; the error names the first
+        p = ka_param(16)
+        assert p.q < 70000
+        with pytest.raises(ValueError, match=rf"^value {bad[0]} outside \[0, {p.q}\)$"):
+            masked_sum_round([1] * 3999 + bad, p, masked=False)
+
+    def test_range_ends_at_q_minus_one(self):
+        p = ka_param(61)
+        assert masked_sum_round([p.q - 1], p, masked=False) == p.q - 1
+        with pytest.raises(ValueError, match=rf"^value {p.q} outside \[0, {p.q}\)$"):
+            masked_sum_round([p.q], p, masked=False)
+
     def test_round_log_records_payloads(self):
         p = ka_param(61)
         log: list = []

@@ -181,7 +181,7 @@ class TestThetaBySum:
     def test_matches_unmasked_objective_argmin(self):
         ## independent oracle: recompute the objective per candidate with
         ## plain sums and take the smallest argmin
-        from degreeldp.projection import ProjectionConfig, Strategy, lpea_low, projection_error
+        from degreeldp.projection import ProjectionConfig, Strategy, lpea_low, projection_error, schedule
 
         rng = np.random.default_rng(8)
         g = Graph(12, [(int(a), int(b)) for a, b in rng.integers(0, 12, (30, 2)) if a != b])
@@ -189,7 +189,7 @@ class TestThetaBySum:
         K, eps = 6, 1.3
         objectives = []
         for k in range(1, K + 1):
-            pg = lpea_low(g, orders, ProjectionConfig(theta=k), np.random.default_rng(0))
+            pg = lpea_low(g, schedule(g, orders), ProjectionConfig(theta=k), np.random.default_rng(0))
             _, total = projection_error(g, pg)
             objectives.append(g.n * k / eps + total)
         expected = int(np.argmin(objectives)) + 1
