@@ -91,25 +91,18 @@ def wrr_respond(rng: np.random.Generator, truth: bool, budget: float) -> bool:
 
 
 def wrr_debiaser(budget: float):
-    """wrr_debias_count's estimator at one budget as a function of (u1, u2), which it does not check."""
+    """Unbiased estimate of the true Yes count among u1 answers, u2 of them Yes, as a function of (u1, u2).
+
+    Inverting the response distribution gives (u2 * (e^b + 1) - u1) / (e^b - 1),
+    which can fall outside [0, u1]: callers clamp, and nothing checks the
+    counts.  e^b - 1 comes from expm1, which stays positive where exp(b) - 1.0
+    rounds to 0 (b below ~1.1e-16).
+    """
     if not budget > 0:
         raise ValueError(f"budget must be positive, got {budget}")
     b = min(budget, _MAX_EXPONENT)
     plus, minus = math.exp(b) + 1.0, math.expm1(b)
     return lambda u1, u2: (u2 * plus - u1) / minus
-
-
-def wrr_debias_count(u1: float, u2: float, budget: float) -> float:
-    """Unbiased estimate of the number of true Yes answers among u1 responses.
-
-    u2 of the u1 randomized answers came back Yes.  Inverting the response
-    distribution gives (u2 * (e^b + 1) - u1) / (e^b - 1), which can fall
-    outside [0, u1]; callers clamp as needed.  e^b - 1 comes from expm1,
-    which stays positive where exp(b) - 1.0 rounds to 0 (b below ~1.1e-16).
-    """
-    if u1 < 0 or u2 < 0 or u2 > u1:
-        raise ValueError(f"need 0 <= u2 <= u1, got u1={u1}, u2={u2}")
-    return wrr_debiaser(budget)(u1, u2)
 
 
 def exp_mech_probs(scores: np.ndarray, budget: float, sensitivity: float) -> np.ndarray:

@@ -23,7 +23,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Sequence
+from functools import cache
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -125,10 +126,11 @@ class Schedule:
 
     rank[v] is node v's turn.  sorted_ends lists every edge end (an
     index into Graph.pairs.ravel()) by its node's turn and then the
-    neighbor's: the private negotiation's asking order.  walk has three
-    rows, node, neighbor and edge, and one column per edge: its
-    earlier-turn end, in the same order.  top is the larger degree of
-    each column's two endpoints; the truthful edge scan at bound theta
+    neighbor's: the private negotiation's asking order.  scan() returns
+    walk and top, built on its first call: only the truthful edge scan
+    needs them.  walk has three rows, node, neighbor and edge, and one
+    column per edge: its earlier-turn end, in the same order.  top is the
+    larger degree of each column's two endpoints; the scan at bound theta
     walks the columns whose top exceeds theta.  None of them depends on
     theta, so one schedule serves a projection at every bound; n and m
     name the graph it was built for.  The arrays are read-only.
@@ -139,8 +141,7 @@ class Schedule:
     m: int
     rank: np.ndarray
     sorted_ends: np.ndarray
-    walk: np.ndarray
-    top: np.ndarray
+    scan: Callable[[], tuple[np.ndarray, np.ndarray]]
 
 
 def schedule(g: Graph, orders: Sequence[int] | None, strategy: Strategy = Strategy.LPEA_LOW) -> Schedule:
@@ -161,21 +162,25 @@ def schedule(g: Graph, orders: Sequence[int] | None, strategy: Strategy = Strate
     rank = np.argsort(turns)
     ## int32, as Graph.pairs: the schedule is held across a selection's trials, and its build is its peak
     ends = g.pairs.ravel()
-    nbrs = ends[np.arange(ends.size) ^ 1]
-    key, nbr_turn = rank[ends], rank[nbrs]
-    forward = key < nbr_turn
+    key, nbr_turn = rank[ends], rank[ends[np.arange(ends.size) ^ 1]]
     key *= g.n
     key += nbr_turn
     del nbr_turn
     ## a node's neighbors are distinct, so the keys are and the order is fixed
     sorted_ends = np.argsort(key).astype(np.int32)
     del key
-    at = sorted_ends[forward[sorted_ends]]
-    walk = np.stack([ends[at], nbrs[at], at >> 1])
-    top = np.maximum(g.degrees[walk[0]], g.degrees[walk[1]])
-    for a in (rank, sorted_ends, walk, top):
-        a.flags.writeable = False
-    return Schedule(strategy, g.n, g.m, rank, sorted_ends, walk, top)
+
+    @cache
+    def scan():
+        ## each edge at its earlier-turn end
+        at = sorted_ends[rank[ends[sorted_ends]] < rank[ends[sorted_ends ^ 1]]]
+        walk = np.stack([ends[at], ends[at ^ 1], at >> 1])
+        top = np.maximum(g.degrees[walk[0]], g.degrees[walk[1]])
+        walk.flags.writeable = top.flags.writeable = False
+        return walk, top
+
+    rank.flags.writeable = sorted_ends.flags.writeable = False
+    return Schedule(strategy, g.n, g.m, rank, sorted_ends, scan)
 
 
 def _edge_scan(g: Graph, cfg: ProjectionConfig, walk) -> ProjectedGraph:
@@ -278,8 +283,9 @@ def _ranked(g: Graph, sched: Schedule, cfg: ProjectionConfig, rng) -> ProjectedG
         raise ValueError(f"schedule built for {sched.strategy.value}, config names {cfg.strategy.value}")
     if cfg.params is not None:
         return _addition_run(g, cfg, sched.rank, sched.sorted_ends, rng)
+    walk, top = sched.scan()
     ## a boolean filter keeps the walk's order
-    return _edge_scan(g, cfg, sched.walk.compress(sched.top > cfg.theta, axis=1))
+    return _edge_scan(g, cfg, walk.compress(top > cfg.theta, axis=1))
 
 
 def lpea_low(g: Graph, sched: Schedule, cfg: ProjectionConfig, rng: np.random.Generator) -> ProjectedGraph:

@@ -15,7 +15,7 @@ import pytest
 from degreeldp.encoding import build_partitions, ndoe_sample, order_cdfs
 from degreeldp.graph import Graph, degree_sequence, load_edge_list, load_graph
 from degreeldp.harness import ExperimentConfig, run_grid, run_pipeline
-from degreeldp.mechanisms import PrivacyParams, laplace_sample, wrr_debias_count, wrr_respond, wrr_truth_rate
+from degreeldp.mechanisms import PrivacyParams, laplace_sample, wrr_debiaser, wrr_respond, wrr_truth_rate
 from degreeldp.projection import ProjectionConfig, Strategy, lpea_low, project, schedule
 from degreeldp.secure_agg import agree_keys, ka_param, masked_sum_round, round_masks
 from degreeldp.synthetic import powerlaw_graph
@@ -67,13 +67,14 @@ def test_criterion_3_debiased_count_unbiased():
     ## c holders answer Yes w.p. p, the other u1 - c w.p. 1 - p
     uniforms = rng.random((rounds, u1))
     yes = (uniforms[:, :c] < p).sum(axis=1) + (uniforms[:, c:] < 1 - p).sum(axis=1)
-    estimates = np.array([wrr_debias_count(u1, int(u2), budget) for u2 in yes])
+    debias = wrr_debiaser(budget)
+    estimates = debias(u1, yes)
     se = estimates.std(ddof=1) / math.sqrt(rounds)
     dev = abs(estimates.mean() - c)
     ## cross-check the single-response op path on a smaller sample
     loop_rounds = 2000
     loop_est = np.array([
-        wrr_debias_count(u1, sum(wrr_respond(rng, i < c, budget) for i in range(u1)), budget)
+        debias(u1, sum(wrr_respond(rng, i < c, budget) for i in range(u1)))
         for _ in range(loop_rounds)
     ])
     loop_se = loop_est.std(ddof=1) / math.sqrt(loop_rounds)

@@ -8,7 +8,7 @@ from degreeldp.mechanisms import (
     PrivacyParams,
     exp_mech_probs,
     laplace_sample,
-    wrr_debias_count,
+    wrr_debiaser,
     wrr_respond,
     wrr_truth_rate,
 )
@@ -84,7 +84,7 @@ class TestWrr:
         with pytest.raises(ValueError):
             wrr_respond(np.random.default_rng(0), True, 0.0)
         with pytest.raises(ValueError):
-            wrr_debias_count(10, 5, 0.0)
+            wrr_debiaser(0.0)
 
     def test_truth_rate_formula(self):
         assert wrr_truth_rate(math.log(3)) == pytest.approx(0.75)
@@ -102,7 +102,7 @@ class TestWrr:
     @pytest.mark.parametrize("u1,u2", [(10, 0), (10, 7), (10, 10), (1, 1)])
     def test_debias_finite_at_any_budget(self, u1, u2, budget):
         ## past e^b = 2^53 the estimate rounds to u2, as the uncapped formula's does where finite
-        got = wrr_debias_count(u1, u2, budget)
+        got = wrr_debiaser(budget)(u1, u2)
         assert math.isfinite(got) and round(got) == u2
         if budget < 709:
             e = math.exp(budget)
@@ -111,9 +111,9 @@ class TestWrr:
     @pytest.mark.parametrize("budget", [1e-17, 5e-309])
     def test_debias_at_a_tiny_budget(self, budget):
         ## exp(b) - 1.0 is 0.0 below b ~ 1.1e-16, which divided by zero; the estimate keeps its sign
-        assert wrr_debias_count(10, 5, budget) == 0.0
-        assert wrr_debias_count(10, 7, budget) > 10
-        assert wrr_debias_count(10, 3, budget) < 0
+        assert wrr_debiaser(budget)(10, 5) == 0.0
+        assert wrr_debiaser(budget)(10, 7) > 10
+        assert wrr_debiaser(budget)(10, 3) < 0
 
     def test_empirical_truth_rate(self):
         rng = np.random.default_rng(99)
@@ -126,12 +126,7 @@ class TestWrr:
         [(10, 5, math.log(3), 5.0), (4, 1, math.log(3), 0.0), (10, 10, math.log(3), 15.0)],
     )
     def test_debias_spot_values(self, u1, u2, budget, expected):
-        assert wrr_debias_count(u1, u2, budget) == pytest.approx(expected)
-
-    @pytest.mark.parametrize("u1,u2", [(-1, 0), (5, -1), (5, 6)])
-    def test_debias_rejects_bad_counts(self, u1, u2):
-        with pytest.raises(ValueError):
-            wrr_debias_count(u1, u2, 1.0)
+        assert wrr_debiaser(budget)(u1, u2) == pytest.approx(expected)
 
     @given(
         u1=st.integers(1, 500),
@@ -143,7 +138,7 @@ class TestWrr:
         c = frac * u1
         p = wrr_truth_rate(budget)
         expected_u2 = c * p + (u1 - c) * (1 - p)
-        assert wrr_debias_count(u1, expected_u2, budget) == pytest.approx(c, abs=1e-6)
+        assert wrr_debiaser(budget)(u1, expected_u2) == pytest.approx(c, abs=1e-6)
 
 
 class TestExpMech:

@@ -4,20 +4,28 @@ Each check computes a randomizer's output probabilities for every input a
 node can hold and compares the largest log ratio between two inputs with
 the stage's budget: the order encoding over every degree in [d_min, d_max],
 randomized response over the true bit, and the Laplace release over a
-degree change of theta.  The negotiation's composition over many answers
-is not covered here.
+degree change of theta: relation (a), where a node's messages change with
+its own list and everything it receives is held fixed.  The negotiation's
+composition over many answers is not covered here.  Under relation (b), G
+and G' differ only in one node's edges and the whole release is compared;
+test_node_neighbouring_stability_gap pins how far the truthful ranked
+projections move under it.
 """
 
 import math
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from degreeldp.encoding import build_partitions, order_cdfs
+from degreeldp.graph import Graph, degree_sequence
 from degreeldp.mechanisms import PrivacyParams, wrr_truth_rate
+from degreeldp.projection import ProjectionConfig, Strategy, project
 from degreeldp.release import noise_scale
+from conftest import random_graph
 
 
 def order_loss(d_min: int, d_max: int, params: PrivacyParams, p_size: int) -> np.ndarray:
@@ -80,3 +88,36 @@ def test_laplace_release_loss_is_the_release_budget(theta, epsilon, alpha):
     ## a node's projected degree moves by at most theta, so the loss is theta / scale
     params = PrivacyParams(epsilon, alpha)
     assert math.isclose(theta / noise_scale(theta, params), params.release_budget, rel_tol=1e-15)
+
+
+## S at theta = 1, 2, 3; 150 graphs give lpea-low the same and lpea-high 4, 10 and 12,
+## so these bound S only from below
+NODE_STABILITY = {Strategy.LPEA_LOW: [4, 6, 8], Strategy.LPEA_HIGH: [4, 8, 10]}
+
+
+def test_node_neighbouring_stability_gap():
+    """Relation (b)'s S = max ||D(G) - D(G')||_1 of truthful lpea-low and lpea-high, a documented gap.
+
+    D is the projected degree vector, each graph projected with its own true
+    degrees as orders, and G' runs over every graph that differs from G only
+    in one node v's neighbor set.  dsr scales each node's noise to theta, so
+    under (b) the release spends up to S / theta times its budget.  A
+    projection with a stated bound would turn this into S <= bound.
+    """
+    rng = np.random.default_rng(0)
+    graphs = [random_graph(rng, int(rng.integers(4, 8)), float(rng.uniform(0.3, 0.8))) for _ in range(20)]
+
+    def projected(g):
+        cfgs = [ProjectionConfig(theta, s) for s in NODE_STABILITY for theta in (1, 2, 3)]
+        return np.array([project(g, cfg, rng, orders=degree_sequence(g)).degrees for cfg in cfgs])
+
+    worst = np.zeros(6, dtype=int)
+    for g in graphs:
+        base = projected(g)
+        for v in range(g.n):
+            rest = [(i, j) for i, j in g.pairs.tolist() if v not in (i, j)]
+            for k in range(g.n):
+                for nbrs in combinations([u for u in range(g.n) if u != v], k):
+                    moved = projected(Graph(g.n, rest + [(v, u) for u in nbrs]))
+                    worst = np.maximum(worst, np.abs(moved - base).sum(axis=1))
+    assert worst.tolist() == [s for row in NODE_STABILITY.values() for s in row]

@@ -1,9 +1,9 @@
 import hashlib
 import math
-from collections import defaultdict
+from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
-from itertools import combinations, permutations, product
+from functools import partial
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -13,7 +13,7 @@ from scipy import stats as sstats
 from degreeldp.encoding import build_partitions, ndoe_sample, order_cdfs
 from degreeldp.graph import Graph, degree_sequence, stats
 from degreeldp.harness import load_dataset
-from degreeldp.mechanisms import PrivacyParams, wrr_debias_count, wrr_truth_rate
+from degreeldp.mechanisms import PrivacyParams, wrr_debiaser, wrr_truth_rate
 from degreeldp import projection
 from degreeldp.projection import (
     ProjectedGraph,
@@ -25,6 +25,7 @@ from degreeldp.projection import (
     schedule,
 )
 from conftest import edge_set, random_graph
+from exact import Coin, Pick, Run, Shuffle, agree_on_small_cases, run, uniform_turns
 
 
 def nonprivate(theta: int, strategy: Strategy = Strategy.LPEA_LOW) -> ProjectionConfig:
@@ -122,75 +123,76 @@ class TestDeterminism:
         assert edge_set(a) == edge_set(b)
 
 
-def schedule_key(orders, strategy: Strategy) -> list[int]:
-    """Each node's turn key: ascending (order, id), reversed for lpea-high."""
-    n = len(orders)
-    key = [orders[i] * n + i for i in range(n)]
-    return [-k for k in key] if strategy is Strategy.LPEA_HIGH else key
+def pair(i: int, j: int) -> tuple[int, int]:
+    return (i, j) if i < j else (j, i)
 
 
-def reference_ranked_run(g: Graph, orders, theta: int, strategy: Strategy) -> set[tuple[int, int]]:
-    """The truthful rank-scheduled per-initiator loop, kept as the oracle for the edge scan."""
-    n = g.n
-    key = schedule_key(orders, strategy)
-    schedule = sorted(range(n), key=key.__getitem__)
-    ranked_adj = [sorted(g.adj[i], key=key.__getitem__) for i in range(n)]
-    established: list[set[int]] = [set() for _ in range(n)]
+def degrees(n: int, edges) -> list[int]:
     deg = [0] * n
-    for i in schedule:
-        pending = [j for j in ranked_adj[i] if j not in established[i]]
-        willing = [j for j in pending if deg[j] < theta]
-        count = min(len(willing), theta - deg[i])
-        for j in willing[:count]:
-            if deg[i] < theta and deg[j] < theta:
-                established[i].add(j)
-                established[j].add(i)
-                deg[i] += 1
-                deg[j] += 1
-    return {(i, j) for i in range(n) for j in established[i] if i < j}
+    for i, j in edges:
+        deg[i] += 1
+        deg[j] += 1
+    return deg
 
 
-def reference_addition_run(g: Graph, order_of, cfg: ProjectionConfig, rng: np.random.Generator) -> list[set[int]]:
-    """The private negotiation over neighbor sets with a degree list kept beside them, as an oracle.
+def addition_turn(g: Graph, theta: int, budget, ask):
+    """Initiator i's turn of the per-initiator loop, as a process turn(i, edges): the edges after it.
 
-    Each initiator draws rng.random(len(pending)) and connects to the first
-    count of its willing neighbors in asking order; random-add asks in the
-    order of one permutation of the edge ends, drawn after the schedule.
+    i asks its pending neighbors in the order the choice ask(i, pending)
+    gives.  Truthfully (budget None) the willing are those below theta;
+    privately j is willing iff its bit "degree < theta" equals one coin per
+    request, true at wrr_truth_rate(budget), and count is the code's float
+    debiased yes count.  i links the first min(count, theta - degree)
+    willing, or with ask None a uniform subset of that size; a nominated j
+    already at theta refuses.
     """
-    n = g.n
-    theta = cfg.theta
-    strategy = cfg.strategy
-    budget = cfg.params.negotiation_budget
-    rate = wrr_truth_rate(budget)
+    rr = budget and (Fraction(wrr_truth_rate(budget)), wrr_debiaser(budget))
+
+    def turn(i, edges):
+        deg = degrees(g.n, edges)
+        pending = [j for j in g.adj[i] if pair(i, j) not in edges]
+        ## with no room the order changes nothing: the coins are drawn and nothing is linked
+        if ask and pending and deg[i] < theta:
+            pending = yield ask(i, pending)
+        willing = [j for j in pending if deg[j] < theta]
+        count = len(willing)
+        if rr:
+            rate, debias = rr
+            willing = []
+            for j in pending:
+                if (deg[j] < theta) == (yield Coin(rate)):
+                    willing.append(j)
+            count = round(min(max(debias(len(pending), len(willing)), 0), len(willing)))
+        count = max(min(count, theta - deg[i]), 0)
+        chosen = willing[:count] if ask else (yield Pick(list(combinations(willing, count))))
+        return edges | {pair(i, j) for j in chosen if deg[j] < theta}
+
+    return turn
+
+
+def negotiation(g: Graph, orders, theta: int, strategy: Strategy, budget=None):
+    """A whole addition run of the per-initiator loop, as a process: project's oracle.
+
+    lpea-low's turns go in ascending (order, id), lpea-high's in reverse, and
+    each initiator asks in turn order, a Pick of one order, which draws
+    nothing.  random-add's turns are one Shuffle of the nodes and its asking
+    order one of the edge ends: the code's rng.permutation(n), then
+    rng.permutation(2m).
+    """
     if strategy is Strategy.RANDOM_ADD:
-        schedule = [int(i) for i in rng.permutation(n)]
+        turns = yield Shuffle(range(g.n))
         ends = g.pairs.ravel().tolist()
-        after = rng.permutation(len(ends)).tolist()
+        after = yield Shuffle(range(len(ends)))
         key = {(ends[k], ends[k ^ 1]): after[k] for k in range(len(ends))}
-        ranked_adj = [sorted(g.adj[i], key=lambda j: key[i, j]) for i in range(n)]
     else:
-        key = schedule_key(order_of, strategy)
-        schedule = sorted(range(n), key=key.__getitem__)
-        ranked_adj = [sorted(g.adj[i], key=key.__getitem__) for i in range(n)]
-    established: list[set[int]] = [set() for _ in range(n)]
-    deg = [0] * n
-    for i in schedule:
-        est_i = established[i]
-        pending = [j for j in ranked_adj[i] if j not in est_i]
-        if not pending:
-            continue
-        kept = (rng.random(len(pending)) < rate).tolist()
-        willing = [j for j, keep in zip(pending, kept) if (deg[j] < theta) == keep]
-        debiased = wrr_debias_count(len(pending), len(willing), budget)
-        count = round(min(max(debiased, 0), len(willing)))
-        count = min(count, theta - deg[i])
-        for j in willing[:count]:
-            if deg[j] < theta:
-                est_i.add(j)
-                established[j].add(i)
-                deg[i] += 1
-                deg[j] += 1
-    return established
+        sign = -1 if strategy is Strategy.LPEA_HIGH else 1
+        turns = sorted(range(g.n), key=lambda i: sign * (orders[i] * g.n + i))
+        key = {(i, j): sign * (orders[j] * g.n + j) for i in range(g.n) for j in g.adj[i]}
+    turn = addition_turn(g, theta, budget, lambda i, pending: Pick([sorted(pending, key=lambda j: key[i, j])]))
+    edges = frozenset()
+    for i in turns:
+        edges = yield from turn(i, edges)
+    return edges
 
 
 @given(seed=st.integers(0, 10_000), data=st.data())
@@ -206,7 +208,7 @@ def test_negotiation_matches_degree_list_reference(seed, data):
         cfg = private_cfg(theta, strategy, eps)
         run_rng, ref_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
         pg = project(g, cfg, run_rng, orders=orders)
-        assert pg.neighbors == reference_addition_run(g, orders, cfg, ref_rng), cfg
+        assert edge_set(pg) == run(ref_rng, negotiation, g, orders, theta, strategy, cfg.params.negotiation_budget), cfg
         assert run_rng.bit_generator.state == ref_rng.bit_generator.state, cfg
 
 
@@ -250,9 +252,9 @@ class TestEdgeScan:
             before = run_rng.bit_generator.state
             pg = project(g, nonprivate(theta, strategy), run_rng, orders=orders)
             assert run_rng.bit_generator.state == before, "a truthful ranked run drew from rng"
-            expected = reference_ranked_run(g, orders, theta, strategy)
+            expected = run(np.random.default_rng(seed), negotiation, g, orders, theta, strategy)
             ## degrees first: they come from the kept edges, before any set is built
-            assert pg.degrees == [sum(i in e for e in expected) for i in range(g.n)]
+            assert pg.degrees == degrees(g.n, expected)
             assert edge_set(pg) == expected, strategy
 
 
@@ -268,190 +270,86 @@ class TestEdgeScan:
                 project(fig_graph, private_cfg(1, strategy), np.random.default_rng(0), orders=orders)
 
 
-def _uniform_schedule_distribution(g: Graph, theta: int, turn, start=frozenset()) -> dict[frozenset, Fraction]:
-    """Exact output distribution of a projection under a uniform schedule.
+def addition_distribution(g: Graph, theta: int, budget=None, asking=None) -> dict[frozenset, Fraction]:
+    """random-add's exact distribution as the per-initiator loop, truthful or private.
 
-    The schedule is drawn one turn at a time, each next node uniform
-    among the nodes yet to go, from the edge set start (empty for
-    addition).  turn(i, remaining, edges) lists the node's outcomes as
-    (edge set after its turn, probability).  The distribution over
-    (nodes yet to go, edges) is carried forward one turn at a time.
+    With asking None an initiator links a uniform count-subset of the
+    willing, as a per-initiator rng.choice does; otherwise it asks in the
+    order the choice asking(pending) gives and links the first count willing.
     """
-    states: dict[tuple, Fraction] = {(frozenset(range(g.n)), start): Fraction(1)}
-    for _ in range(g.n):
-        ahead: dict[tuple, Fraction] = defaultdict(Fraction)
-        for (remaining, edges), p in states.items():
-            for i in remaining:
-                for after, q in turn(i, remaining, edges):
-                    ahead[remaining - {i}, after] += p * q / len(remaining)
-        states = ahead
-    return {edges: p for (_, edges), p in states.items()}
+    turn = addition_turn(g, theta, budget, asking and (lambda i, pending: asking(pending)))
+    return uniform_turns(g.n, lambda i, left, edges: Run(turn, i, edges), frozenset())
 
 
-def _degree(edges: frozenset, i: int) -> int:
-    return sum(i in e for e in edges)
+def scan_distribution(g: Graph, theta: int, asking) -> dict[frozenset, Fraction]:
+    """The greedy edge scan: i walks its later-turn neighbors in the order the choice asking(later) gives."""
+
+    def turn(i, left, edges):
+        kept, deg = set(edges), degrees(g.n, edges)
+        for j in (yield asking([j for j in g.adj[i] if j in left])):
+            if deg[i] < theta and deg[j] < theta:
+                kept.add(pair(i, j))
+                deg[i] += 1
+                deg[j] += 1
+        return frozenset(kept)
+
+    return uniform_turns(g.n, lambda i, left, edges: Run(turn, i, left, edges), frozenset())
 
 
-def loop_distribution(g: Graph, theta: int) -> dict[frozenset, Fraction]:
-    """The per-initiator loop: connect to a uniform subset of min(willing, theta - deg) willing neighbors."""
+def removal_distribution(g: Graph, theta: int, asking=None) -> dict[frozenset, Fraction]:
+    """edge-remove's exact distribution: each node in turn deletes edges while above theta.
 
-    def turn(i, remaining, edges):
-        willing = [j for j in g.adj[i] if frozenset((i, j)) not in edges and _degree(edges, j) < theta]
-        subsets = list(combinations(willing, max(min(len(willing), theta - _degree(edges, i)), 0)))
-        return [(edges | {frozenset((i, j)) for j in sub}, Fraction(1, len(subsets))) for sub in subsets]
+    With asking None it deletes a uniform subset of its remaining edges, the
+    set-based reference; otherwise it walks its edge ends in the order the
+    choice asking(neighbors) gives, deleting each live one while above theta.
+    """
 
-    return _uniform_schedule_distribution(g, theta, turn)
+    def turn(i, edges):
+        mine = [j for j in g.adj[i] if pair(i, j) in edges]
+        if asking is None:
+            return edges - {pair(i, j) for j in (yield Pick(list(combinations(mine, max(len(mine) - theta, 0)))))}
+        left, deg = set(edges), len(mine)
+        for j in (yield asking(g.adj[i])):
+            if deg > theta and pair(i, j) in left:
+                left.remove(pair(i, j))
+                deg -= 1
+        return frozenset(left)
 
-
-def scan_distribution(g: Graph, theta: int, later_order=None) -> dict[frozenset, Fraction]:
-    """The greedy edge scan: each initiator's later-scheduled neighbors in a uniform order, or in later_order's."""
-
-    def turn(i, remaining, edges):
-        later = [j for j in g.adj[i] if j in remaining]
-        orders = [later_order(later)] if later_order else list(permutations(later))
-        outcomes = []
-        for order in orders:
-            kept = set(edges)
-            for j in order:
-                if _degree(kept, i) < theta and _degree(kept, j) < theta:
-                    kept.add(frozenset((i, j)))
-            outcomes.append((frozenset(kept), Fraction(1, len(orders))))
-        return outcomes
-
-    return _uniform_schedule_distribution(g, theta, turn)
+    return uniform_turns(g.n, lambda i, left, edges: Run(turn, i, edges), frozenset(edge_set(g)))
 
 
-def small_cases() -> list[tuple[Graph, int]]:
-    """80 (graph, theta) cases on 3 to 5 nodes, each with a degree above theta."""
-    rng = np.random.default_rng(0)
-    cases = []
-    while len(cases) < 80:
-        g = random_graph(rng, int(rng.integers(3, 6)), float(rng.uniform(0.3, 0.9)))
-        cases += [(g, theta) for theta in (1, 2) if max(degree_sequence(g)) > theta]
-    return cases[:80]
+def fits(g: Graph, cfg: ProjectionConfig, expected: dict) -> None:
+    """2,000 seeded projections land only on expected's outcomes, at its probabilities by a chi-square test."""
+    runs = 2000
+    counts = Counter(frozenset(edge_set(project(g, cfg, np.random.default_rng(seed)))) for seed in range(runs))
+    assert set(counts) <= set(expected)
+    outcomes = sorted(expected, key=sorted)
+    assert min(runs * expected[e] for e in outcomes) >= 5
+    result = sstats.chisquare([counts[e] for e in outcomes], [float(runs * expected[e]) for e in outcomes])
+    assert result.pvalue > 1e-3, (len(outcomes), result)
 
 
 class TestTruthfulRandomAdd:
     def test_uniform_order_scan_has_the_loop_distribution(self):
-        by_id = 0
-        for g, theta in small_cases():
-            loop = loop_distribution(g, theta)
-            assert sum(loop.values()) == 1
-            assert scan_distribution(g, theta) == loop, (edge_set(g), theta)
-            by_id += scan_distribution(g, theta, later_order=sorted) != loop
-        ## the enumeration tells orders apart: a fixed order of the later neighbors gives another distribution
-        assert by_id > 0
+        agree_on_small_cases(addition_distribution, scan_distribution)
 
     def test_project_fits_the_exact_distribution(self):
         ## a 5-node graph whose truthful random-add at theta 2 has several likely outcomes
         g = Graph(5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 4), (2, 3), (3, 4)])
-        expected = {frozenset(tuple(sorted(e)) for e in final): p for final, p in loop_distribution(g, 2).items()}
-        cfg = nonprivate(2, Strategy.RANDOM_ADD)
-        runs = 2000
-        counts = defaultdict(int)
-        for seed in range(runs):
-            counts[frozenset(edge_set(project(g, cfg, np.random.default_rng(seed))))] += 1
-        assert set(counts) <= set(expected)
-        outcomes = sorted(expected, key=sorted)
-        assert min(runs * expected[e] for e in outcomes) >= 5
-        observed = [counts[e] for e in outcomes]
-        result = sstats.chisquare(observed, [float(runs * expected[e]) for e in outcomes])
-        assert result.pvalue > 1e-3, (len(outcomes), result)
-
-
-def private_distribution(g: Graph, theta: int, budget: float, orders=None) -> dict[frozenset, Fraction]:
-    """Exact output distribution of private random-add, one coin per pending request.
-
-    A request's answer is yes iff the neighbor's true bit "degree < theta"
-    equals a coin that lands true with probability wrr_truth_rate(budget),
-    and count is the code's own float estimate of the yes answers.  With
-    orders None the initiator connects to a uniform count-subset of the
-    willing, as the per-initiator rng.choice loop picks it; otherwise it asks
-    in one of orders(pending), equally likely, and takes the first count
-    willing.  A nominated neighbor already at theta refuses.
-    """
-    rate = Fraction(wrr_truth_rate(budget))
-
-    @lru_cache(maxsize=None)
-    def after(i, edges):
-        pending = [j for j in g.adj[i] if frozenset((i, j)) not in edges]
-        room = theta - _degree(edges, i)
-        if not pending or room <= 0:
-            return [(edges, Fraction(1))]
-        below = {j: _degree(edges, j) < theta for j in pending}
-        asked = list(orders(pending)) if orders else [pending]
-        out: dict[frozenset, Fraction] = defaultdict(Fraction)
-        for coins in product((True, False), repeat=len(pending)):
-            p = math.prod(rate if keep else 1 - rate for keep in coins) / len(asked)
-            for order in asked:
-                willing = [j for j, keep in zip(order, coins) if below[j] == keep]
-                debiased = wrr_debias_count(len(order), len(willing), budget)
-                count = min(round(min(max(debiased, 0), len(willing))), room)
-                picks = [willing[:count]] if orders else list(combinations(willing, count))
-                for chosen in picks:
-                    out[frozenset(j for j in chosen if below[j])] += p / len(picks)
-        return [(edges | {frozenset((i, j)) for j in chosen}, p) for chosen, p in out.items()]
-
-    return _uniform_schedule_distribution(g, theta, lambda i, remaining, edges: after(i, edges))
+        fits(g, nonprivate(2, Strategy.RANDOM_ADD), addition_distribution(g, 2))
 
 
 class TestPrivateRandomAdd:
     def test_uniform_order_prefix_has_the_choice_distribution(self):
         ## a budget whose truth rate is exactly 7/8 keeps the fractions small
-        budget = math.log(7)
-        assert wrr_truth_rate(budget) == 0.875
-        by_id = False
-        for g, theta in small_cases():
-            choice = private_distribution(g, theta, budget)
-            assert sum(choice.values()) == 1
-            assert private_distribution(g, theta, budget, orders=permutations) == choice, (edge_set(g), theta)
-            ## asking by id and cutting to a prefix gives another distribution; one case shows it
-            by_id = by_id or private_distribution(g, theta, budget, orders=lambda pending: [sorted(pending)]) != choice
-        assert by_id
-
-
-def set_removal_distribution(g: Graph, theta: int) -> dict[frozenset, Fraction]:
-    """The set-based removal, as the reference: a node over theta deletes a uniform subset of its remaining edges."""
-
-    def turn(i, remaining, edges):
-        current = [e for e in edges if i in e]
-        subsets = list(combinations(current, max(len(current) - theta, 0)))
-        return [(edges - set(sub), Fraction(1, len(subsets))) for sub in subsets]
-
-    return _uniform_schedule_distribution(g, theta, turn, frozenset(map(frozenset, edge_set(g))))
-
-
-def end_pass_distribution(g: Graph, theta: int, end_order=None) -> dict[frozenset, Fraction]:
-    """The pass over edge ends: a node's edges in a uniform order, or in end_order's, each live one deleted while over theta."""
-
-    @lru_cache(maxsize=None)
-    def after(i, edges):
-        orders = [end_order(g.adj[i])] if end_order else list(permutations(g.adj[i]))
-        counts: dict[frozenset, int] = defaultdict(int)
-        for order in orders:
-            left, deg = set(edges), _degree(edges, i)
-            for j in order:
-                if deg > theta and frozenset((i, j)) in left:
-                    left.remove(frozenset((i, j)))
-                    deg -= 1
-            counts[frozenset(left)] += 1
-        return [(final, Fraction(c, len(orders))) for final, c in counts.items()]
-
-    return _uniform_schedule_distribution(
-        g, theta, lambda i, remaining, edges: after(i, edges), frozenset(map(frozenset, edge_set(g)))
-    )
+        assert wrr_truth_rate(math.log(7)) == 0.875
+        private = partial(addition_distribution, budget=math.log(7))
+        agree_on_small_cases(private, private)
 
 
 class TestEdgeRemove:
     def test_end_pass_has_the_set_based_distribution(self):
-        by_id = 0
-        for g, theta in small_cases():
-            reference = set_removal_distribution(g, theta)
-            assert sum(reference.values()) == 1
-            assert end_pass_distribution(g, theta) == reference, (edge_set(g), theta)
-            by_id += end_pass_distribution(g, theta, end_order=sorted) != reference
-        ## deleting in neighbour-id order within a turn gives another distribution
-        assert by_id > 0
+        agree_on_small_cases(removal_distribution, removal_distribution)
 
     def test_project_fits_the_worked_distribution(self, fig_graph):
         ## theta 1 on the figure graph: each outcome's probability and projection_error total
@@ -462,23 +360,13 @@ class TestEdgeRemove:
             frozenset({(1, 3)}): (Fraction(11, 72), 6),
             frozenset({(0, 2), (1, 3)}): (Fraction(5, 18), 4),
         }
-        reference = set_removal_distribution(fig_graph, 1)
-        assert {frozenset(tuple(sorted(e)) for e in final): p for final, p in reference.items()} == {
-            e: p for e, (p, _) in expected.items()
-        }
+        probability = {e: p for e, (p, _) in expected.items()}
+        assert removal_distribution(fig_graph, 1) == probability
         cfg = nonprivate(1, Strategy.EDGE_REMOVE)
-        runs = 2000
-        counts = defaultdict(int)
-        for seed in range(runs):
+        fits(fig_graph, cfg, probability)
+        for seed in range(2000):
             pg = project(fig_graph, cfg, np.random.default_rng(seed))
-            kept = frozenset(edge_set(pg))
-            assert kept in expected, kept
-            assert projection_error(fig_graph, pg)[1] == expected[kept][1], kept
-            counts[kept] += 1
-        outcomes = sorted(expected, key=sorted)
-        observed = [counts[e] for e in outcomes]
-        result = sstats.chisquare(observed, [float(runs * expected[e][0]) for e in outcomes])
-        assert result.pvalue > 1e-3, result
+            assert projection_error(fig_graph, pg)[1] == expected[frozenset(edge_set(pg))][1]
 
 
 def test_projections_read_no_adjacency_lists(fig_graph):
@@ -686,9 +574,17 @@ class TestSchedule:
         with pytest.raises(TypeError, match="lpea_low takes schedule"):
             lpea_low(fig_graph, degree_sequence(fig_graph), nonprivate(1), np.random.default_rng(0))
 
+    def test_scan_arrays_built_once_and_only_for_the_scan(self, fig_graph):
+        sched = schedule(fig_graph, degree_sequence(fig_graph))
+        lpea_low(fig_graph, sched, private_cfg(1), np.random.default_rng(0))
+        assert sched.scan.cache_info().misses == 0
+        for theta in (1, 2, 3):
+            lpea_low(fig_graph, sched, nonprivate(theta), np.random.default_rng(0))
+        assert (sched.scan.cache_info().hits, sched.scan.cache_info().misses) == (2, 1)
+
     def test_arrays_are_read_only(self, fig_graph):
         sched = schedule(fig_graph, degree_sequence(fig_graph))
-        for a in (sched.rank, sched.sorted_ends, sched.walk, sched.top):
+        for a in (sched.rank, sched.sorted_ends, *sched.scan()):
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 0
 
