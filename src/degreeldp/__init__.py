@@ -11,7 +11,7 @@ from .harness import ExperimentConfig, emit_csv, load_dataset, run_grid, run_pip
 from .mechanisms import PrivacyParams
 from .projection import ProjectionConfig, Strategy, project
 from .release import ReleaseReport
-from .secure_agg import agree_keys, ka_param, masked_sum_round
+from .secure_agg import agree_keys, masked_sum_round
 from .theta import ThetaSearchConfig, theta_by_deviation
 
 __version__ = "0.1.0"

@@ -67,8 +67,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="total privacy budget, or a comma list of budgets (default %(default)s)")
         p.add_argument("--K", type=int, default=ExperimentConfig.K,
                        help="upper bound of the threshold search (default: max degree)")
-        p.add_argument("--lambda", dest="bits", type=int, default=ExperimentConfig.bits,
-                       help="modulus bit length for masked aggregation (default %(default)s)")
         p.add_argument("--seed", type=int, default=ExperimentConfig.seed, help="master seed (default %(default)s)")
         p.add_argument("--no-mask", action="store_true",
                        help="skip pairwise masking in threshold selection (same result, much faster on large graphs)")
@@ -149,7 +147,7 @@ def cli_main(argv: list[str] | None = None) -> int:
             alpha=args.alpha, p_size=args.psize, trials=args.trials, private=args.private
         )
         base = ExperimentConfig(
-            dataset=args.dataset, K=args.K, bits=args.bits, seed=args.seed, masked=not args.no_mask, **run
+            dataset=args.dataset, K=args.K, seed=args.seed, masked=not args.no_mask, **run
         )
         grid = [{"theta": t, "epsilon": e} for t in args.theta for e in args.epsilon]
         if args.command == "select-theta":

@@ -29,7 +29,6 @@ from .graph import Graph, check_count, degree_sequence, load_graph, stats
 from .mechanisms import PrivacyParams
 from .projection import ProjectionConfig, Strategy, project
 from .release import ReleaseReport, degree_distribution, dsr
-from .secure_agg import DEFAULT_BITS, ka_param
 from .synthetic import powerlaw_graph
 
 DATA_DIR_ENV = "LDP_DEGREE_DATA_DIR"
@@ -76,7 +75,6 @@ class ExperimentConfig:
     theta: int | str = "auto-deviation"
     K: int | None = None
     p_size: int = DEFAULT_PARTITION_SIZE
-    bits: int = DEFAULT_BITS
     trials: int = 20
     seed: int = 0
     private: bool = True  # False: true-degree orders, truthful negotiation, no Laplace release
@@ -97,7 +95,6 @@ class ExperimentConfig:
         check_count("p_size", self.p_size)
         check_count("seed", self.seed, least=0)
         PrivacyParams(self.epsilon, self.alpha)  # raises for a bad epsilon or alpha
-        ka_param(self.bits)  # raises for a modulus bit length with no group
 
 
 @dataclass(frozen=True)
@@ -169,7 +166,7 @@ def select_theta(cfg: ExperimentConfig, graph: Graph, rng: np.random.Generator) 
         return cfg.theta
     K = cfg.K if cfg.K is not None else int(graph.degrees.max(initial=1))
     method = cfg.theta.removeprefix(AUTO_PREFIX)
-    tcfg = theta.ThetaSearchConfig(K=K, epsilon=cfg.epsilon, bits=cfg.bits, method=method)
+    tcfg = theta.ThetaSearchConfig(K=K, epsilon=cfg.epsilon, method=method)
     degs = degree_sequence(graph)
     ## through the module, so that a patched protocol is the one called
     if method == "deviation":

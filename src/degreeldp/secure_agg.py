@@ -11,15 +11,14 @@ k = min(2h, n - 1) peers (Bell et al., CCS 2020): 18 at n = 300, 32 at
 n = 40,000, and every other party up to n = 7.  Each party derives its
 shared key with each of its peers from its own secret key and the
 peer's public key; the n x k key table is one windowed array
-exponentiation, one row per party from its own secret key: in uint64
-for the groups of at most 61 bits (the default), in Python ints for the
-89- to 127-bit groups.  Each party then expands each of its keys once
-into one SHAKE-256 stream of 32 bytes per round of the run
-(``round_masks``); round r's scalar for a pair is chunk r of its
-stream, reduced into Z_q (Bonawitz et al., CCS 2017), and a party's mask
-for the round adds the scalars with a sign that depends on the party
-ordering.  The masks are derived in blocks of parties whose streams fit
-in about 0.5 MB, and each party's come from its own rows alone.  Summed
+exponentiation in uint64, one row per party from its own secret key.
+Each party then expands each of its keys once into one SHAKE-256
+stream of 32 bytes per round of the run (``round_masks``); round r's
+scalar for a pair is chunk r of its stream, reduced into Z_q (Bonawitz
+et al., CCS 2017), and a party's mask for the round adds the scalars
+with a sign that depends on the party ordering.  The masks are derived
+in blocks of parties whose streams fit in about 0.5 MB, and each
+party's come from its own rows alone.  Summed
 over all parties the masks telescope to zero, so the collector of a
 round (``masked_sum_round``) recovers the exact plaintext sum while any
 single masked value is uniformly distributed.  The collector learns the
@@ -27,9 +26,10 @@ sum over a set S of parties only if every peer of S outside S colludes
 with it: for one party, all k of its peers.  Keys, ring and masks live
 for one run only; the next run agrees new ones.
 
+All of it runs in one group, GROUP: q = 2^61 - 1 with generator 37.
 This is a protocol simulation for experiments, not hardened
-cryptography: group sizes are small (moduli of at most 127 bits), there is
-no authentication, and all parties run in one process.
+cryptography: the group is small (q - 1 has no prime factor above
+1,321), there is no authentication, and all parties run in one process.
 """
 
 from __future__ import annotations
@@ -41,23 +41,6 @@ from typing import Sequence
 
 import numpy as np
 
-## Fixed published groups, keyed by modulus bit length: (q, g).  Moduli
-## are the Mersenne primes 2^lam - 1 (65521, the largest 16-bit prime,
-## fills the lam=16 slot).  Generators are the smallest primitive roots;
-## tests/test_secure_agg.py checks their order against the factors of q-1.
-_GROUPS: dict[int, tuple[int, int]] = {
-    16: (65521, 17),
-    17: (2**17 - 1, 3),
-    19: (2**19 - 1, 3),
-    31: (2**31 - 1, 7),
-    61: (2**61 - 1, 37),
-    89: (2**89 - 1, 3),
-    107: (2**107 - 1, 3),
-    127: (2**127 - 1, 43),
-}
-
-DEFAULT_BITS = 61
-
 
 @dataclass(frozen=True)
 class GroupParams:
@@ -65,88 +48,86 @@ class GroupParams:
     g: int
 
 
-def ka_param(bits: int = DEFAULT_BITS) -> GroupParams:
-    """Fixed published group for the requested modulus bit length."""
-    if bits not in _GROUPS:
-        raise ValueError(f"unsupported modulus bit length {bits}; supported: {sorted(_GROUPS)}")
-    return GroupParams(*_GROUPS[bits])
+## the masking group: the Mersenne prime 2^61 - 1 and its smallest primitive root;
+## tests/test_secure_agg.py checks the order of g against the factors of q - 1
+GROUP = GroupParams(2**61 - 1, 37)
+## 4-bit windows of an exponent below q
+_WINDOWS = -(-GROUP.q.bit_length() // 4)
 
 
-def ka_gen(params: GroupParams, rng: np.random.Generator, n: int) -> tuple[list[int], list[int]]:
+def ka_param(bits: int = 61) -> GroupParams:
+    """GROUP, for the one modulus bit length it has; any other raises.
+
+    Only bench/workloads.py and bench/test_bench.py call this, reading q as
+    ka_param(ThetaSearchConfig.bits).q; ROADMAP item 2 moves them to
+    GROUP.q and deletes both names.
+    """
+    if bits != 61:
+        raise ValueError(f"unsupported modulus bit length {bits}; the masking group has 61 bits")
+    return GROUP
+
+
+def ka_gen(rng: np.random.Generator, n: int) -> tuple[list[int], list[int]]:
     """n fresh key pairs (sks, pks) in party order: secrets uniform in [1, q - 2], so pk = g^sk mod q is never 1.
 
     g has order q - 1.  Each party's secret is 1 plus the first accepted
-    draw of a rejection loop: rng.bytes(nbytes) read big-endian, masked to
-    the bit length of q - 2, is accepted below q - 2.  rng.bytes(nbytes)
-    takes ceil(nbytes / 4) whole uint32s from the stream, so one rng.bytes
-    call over n slots of that many uint32s draws what n single calls
-    draw, and each rejected slot is replaced by a further batch the size
-    of the shortfall: the secrets and the generator's end state are those
-    of n party-by-party loops.  The public keys are one 4-bit fixed-base
-    window exponentiation of g over all n secrets.
+    draw of a rejection loop: rng.bytes(8) read big-endian, masked to its
+    low 61 bits, is accepted below q - 2.  rng.bytes(8) takes two whole
+    uint32s from the stream, so one rng.bytes call over n 8-byte slots
+    draws what n single calls draw, and each rejected slot is replaced by
+    a further batch the size of the shortfall: the secrets and the
+    generator's end state are those of n party-by-party loops.  The public
+    keys are one 4-bit fixed-base window exponentiation of g over all n
+    secrets.
     """
-    q = params.q
-    bound = q - 2
-    nbits = bound.bit_length()
-    nbytes = (nbits + 7) // 8
-    slot = -(-nbytes // 4) * 4
-    dtype = _dtype(q)
-    sks = np.empty(0, dtype=dtype)
+    q = GROUP.q
+    sks = np.empty(0, dtype=np.uint64)
     while sks.size < n:
-        raw = np.frombuffer(rng.bytes((n - sks.size) * slot), dtype=np.uint8).reshape(-1, slot)[:, :nbytes]
-        draws = np.zeros(len(raw), dtype=dtype)
-        for column in raw.T.astype(dtype):
-            draws = draws << 8 | column
-        draws &= (1 << nbits) - 1
-        sks = np.concatenate([sks, draws[draws < bound]])
+        draws = np.frombuffer(rng.bytes(8 * (n - sks.size)), dtype=">u8") & q  # low 61 bits: q = 2^61 - 1
+        sks = np.concatenate([sks, draws[draws < q - 2]])
     sks += 1
-    windows = -(-q.bit_length() // 4)
     ## table[w, d] = g^(d * 16^w), one row per 4-bit window of the exponent
-    table = np.empty((windows, 16), dtype=dtype)
-    base = params.g
-    for w in range(windows):
+    table = np.empty((_WINDOWS, 16), dtype=np.uint64)
+    base = GROUP.g
+    for w in range(_WINDOWS):
         table[w] = [pow(base, d, q) for d in range(16)]
         base = pow(base, 16, q)
-    pks = np.ones(n, dtype=dtype)
-    for w, digits in enumerate(_digits(sks, windows).T):
-        pks = _mulmod(pks, table[w, digits], q)
+    pks = np.ones(n, dtype=np.uint64)
+    for w, digits in enumerate(_digits(sks).T):
+        pks = _mulmod(pks, table[w, digits])
     return sks.tolist(), pks.tolist()
 
 
-_M61 = 2**61 - 1
 ## rows of the key table exponentiated at once: temporaries stay O(_ROWS * k)
 _ROWS = 1024
-## entries of the window tables held at once: all 16 windows of the default group up to n = 1024
+## entries of the window tables held at once: all 16 windows up to n = 1024
 _TABLE = 1 << 18
 
 
-def ka_agree(sks: Sequence[int], pks: Sequence[int], params: GroupParams, peers: np.ndarray) -> np.ndarray:
+def ka_agree(sks: Sequence[int], pks: Sequence[int], peers: np.ndarray) -> np.ndarray:
     """Each party's keys with its peers: entry [i, c] is pks[peers[i, c]]^sks[i] mod q, so row i is sks[i]'s alone.
 
     For key pairs (sks[i], pks[i]) both ends of an edge hold the same key;
-    one _pow_rows call for every group, uint64 up to 61 bits and Python
-    ints above.  Secrets outside [1, q - 2] and the public key 1 are
-    refused: each makes its keys 1.
+    the whole table is one _pow_rows call in uint64.  Secrets outside
+    [1, q - 2] and the public key 1 are refused: each makes its keys 1.
     """
-    q = params.q
+    q = GROUP.q
     if not all(0 < s < q - 1 for s in sks):
         raise ValueError(f"secret key out of range for q={q}")
     if not all(1 < p < q for p in pks):
         raise ValueError(f"public key out of range for q={q}")
-    return _pow_rows(sks, pks, peers, q)
+    return _pow_rows(sks, pks, peers)
 
 
-def _mulmod(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
-    """a * b mod q elementwise on arrays of residues: uint64 for q < 2^32 or q = 2^61 - 1, else Python ints.
+def _mulmod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a * b mod q elementwise on uint64 arrays of residues mod q = 2^61 - 1.
 
-    Below 2^32 the uint64 product fits, and Python ints never overflow.
-    For 2^61 - 1 each factor is split into 32-bit halves, a = ah*2^32 + al,
-    and the 122-bit product ah*bh*2^64 + mid*2^32 + al*bl is folded with
+    Each factor is split into 32-bit halves, a = ah*2^32 + al, and the
+    122-bit product ah*bh*2^64 + mid*2^32 + al*bl is folded with
     2^61 = 1 (mod q), so 2^64 = 8: every term stays below 2^61 and their
     sum below 2^63.  Sums are taken in place, to keep few temporaries.
     """
-    if q != _M61:
-        return a * b % q
+    q = GROUP.q
     ah, al, bh, bl = a >> 32, a & 0xFFFFFFFF, b >> 32, b & 0xFFFFFFFF
     mid = ah * bl
     mid += al * bh  # < 2^62
@@ -159,28 +140,23 @@ def _mulmod(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
     s += mid
     low = al * bl  # < 2^64
     s += low >> 61
-    low &= _M61
+    low &= q
     s += low
     low = s >> 61
-    s &= _M61
+    s &= q
     s += low  # <= 2^61 + 2
     ## s - q wraps past 2^64 when s < q, so the minimum is s mod q
-    return np.minimum(s, s - _M61, out=s)
+    return np.minimum(s, s - q, out=s)
 
 
-def _dtype(q: int):
-    """Residues mod q as uint64 up to q = 2^61 - 1 and Python ints above."""
-    return np.uint64 if q <= _M61 else object
-
-
-def _digits(exponents: np.ndarray, windows: int) -> np.ndarray:
-    """The 4-bit digits of each exponent, least significant first: one row of windows digits per exponent."""
-    shifts = np.arange(0, 4 * windows, 4, dtype=exponents.dtype)
+def _digits(exponents: np.ndarray) -> np.ndarray:
+    """The 4-bit digits of each exponent, least significant first: one row of _WINDOWS digits per exponent."""
+    shifts = np.arange(0, 4 * _WINDOWS, 4, dtype=np.uint64)
     return (exponents[:, None] >> shifts & 15).astype(np.intp)
 
 
-def _pow_rows(sk: Sequence[int], pk: Sequence[int], peers: np.ndarray, q: int) -> np.ndarray:
-    """keys[i, c] = pk[peers[i, c]]^sk[i] mod q, uint64 up to q = 2^61 - 1 and Python ints above, by a 4-bit window.
+def _pow_rows(sk: Sequence[int], pk: Sequence[int], peers: np.ndarray) -> np.ndarray:
+    """keys[i, c] = pk[peers[i, c]]^sk[i] mod q in uint64, by a 4-bit window.
 
     Window w of the exponent contributes pk^(d * 16^w) for its digit d, so
     one 16-entry table per window, built from the n public keys, turns
@@ -190,30 +166,28 @@ def _pow_rows(sk: Sequence[int], pk: Sequence[int], peers: np.ndarray, q: int) -
     entries.
     """
     n = len(pk)
-    dtype = _dtype(q)
-    windows = -(-q.bit_length() // 4)
-    digits = _digits(np.array(sk, dtype=dtype), windows)
-    keys = np.ones(peers.shape, dtype=dtype)
+    digits = _digits(np.array(sk, dtype=np.uint64))
+    keys = np.ones(peers.shape, dtype=np.uint64)
     group = max(1, _TABLE // (16 * n))
     ## square = pk^(2^(4 * first)) at the start of each group of windows
-    square = np.array(pk, dtype=dtype)
-    for first in range(0, windows, group):
-        stop = min(first + group, windows)
+    square = np.array(pk, dtype=np.uint64)
+    for first in range(0, _WINDOWS, group):
+        stop = min(first + group, _WINDOWS)
         ## squares[k] = pk^(2^(4 * first + k)), one squaring of the n public keys at a time
-        squares = np.empty((4 * (stop - first), n), dtype=dtype)
+        squares = np.empty((4 * (stop - first), n), dtype=np.uint64)
         for k in range(len(squares)):
             squares[k] = square
-            square = _mulmod(square, square, q)
+            square = _mulmod(square, square)
         ## tables[w - first, d] = pk^(d * 16^w): entries 2^b..2^(b+1)-1 of every
         ## window are entries 0..2^b-1 times pk^(2^(4w+b))
-        tables = np.empty((stop - first, 16, n), dtype=dtype)
+        tables = np.empty((stop - first, 16, n), dtype=np.uint64)
         tables[:, 0] = 1
         for b in range(4):
-            tables[:, 1 << b:2 << b] = _mulmod(tables[:, :1 << b], squares[b::4, None], q)
+            tables[:, 1 << b:2 << b] = _mulmod(tables[:, :1 << b], squares[b::4, None])
         for w in range(first, stop):
             for start in range(0, len(sk), _ROWS):
                 rows = slice(start, start + _ROWS)
-                keys[rows] = _mulmod(keys[rows], tables[w - first, digits[rows, w, None], peers[rows]], q)
+                keys[rows] = _mulmod(keys[rows], tables[w - first, digits[rows, w, None], peers[rows]])
     return keys
 
 
@@ -235,7 +209,7 @@ def _ring_peers(ring: np.ndarray) -> np.ndarray:
     return peers
 
 
-def agree_keys(n: int, params: GroupParams, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+def agree_keys(n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Key agreement for one protocol run of n parties, before its first round: the (peers, keys) tables.
 
     Every party draws one key pair, in party order; then the collector
@@ -247,9 +221,9 @@ def agree_keys(n: int, params: GroupParams, rng: np.random.Generator) -> tuple[n
     """
     if n < 2:
         raise ValueError(f"masking needs at least 2 parties, got {n}")
-    sks, pks = ka_gen(params, rng, n)
+    sks, pks = ka_gen(rng, n)
     peers = _ring_peers(rng.permutation(n))
-    return peers, ka_agree(sks, pks, params, peers)
+    return peers, ka_agree(sks, pks, peers)
 
 
 ## one round's chunk of a pair's mask stream, summed as 32-bit big-endian
@@ -261,7 +235,7 @@ _LANE_WEIGHTS = np.array([1 << 32 * (_LANES - 1 - k) for k in range(_LANES)], dt
 _MASK_BYTES = 1 << 19
 
 
-def mask_scalar(shared_key: int, params: GroupParams, rounds: int) -> bytes:
+def mask_scalar(shared_key: int, rounds: int) -> bytes:
     """A pair's mask stream for a run of rounds rounds: one SHAKE-256 output of 32 bytes per round.
 
     Round r's Z_q scalar is the big-endian chunk r (bytes 32r to 32r+32)
@@ -269,11 +243,11 @@ def mask_scalar(shared_key: int, params: GroupParams, rounds: int) -> bytes:
     stream is prefix-stable: deriving more rounds never changes an
     earlier round's chunk.
     """
-    data = b"mask-kdf\x00" + params.q.to_bytes(16, "big") + shared_key.to_bytes(16, "big")
+    data = b"mask-kdf\x00" + GROUP.q.to_bytes(16, "big") + shared_key.to_bytes(16, "big")
     return hashlib.shake_256(data).digest(_CHUNK_BYTES * rounds)
 
 
-def compute_mask(first: int, peers: np.ndarray, keys: np.ndarray, params: GroupParams, rounds: int) -> list[list[int]]:
+def compute_mask(first: int, peers: np.ndarray, keys: np.ndarray, rounds: int) -> list[list[int]]:
     """Additive masks of parties first, first + 1, ... for rounds 0..rounds-1, from their own rows of the tables.
 
     peers and keys hold those parties' rows of the tables from agree_keys,
@@ -284,14 +258,14 @@ def compute_mask(first: int, peers: np.ndarray, keys: np.ndarray, params: GroupP
     reduces mod q once, which is the same value mod q as summing the
     reduced scalars.
     """
-    streams = b"".join(map(mask_scalar, keys.ravel().tolist(), repeat(params), repeat(rounds)))
+    streams = b"".join(map(mask_scalar, keys.ravel().tolist(), repeat(rounds)))
     chunks = np.frombuffer(streams, dtype=">u4").reshape(*peers.shape, rounds * _LANES)
     signs = np.where(peers > np.arange(first, first + len(peers))[:, None], 1, -1)
     lanes = (signs[:, None] @ chunks).reshape(len(peers), rounds, _LANES)
-    return (lanes.astype(object) @ _LANE_WEIGHTS % params.q).tolist()
+    return (lanes.astype(object) @ _LANE_WEIGHTS % GROUP.q).tolist()
 
 
-def round_masks(peers: np.ndarray, keys: np.ndarray, params: GroupParams, rounds: int) -> list[tuple[int, ...]]:
+def round_masks(peers: np.ndarray, keys: np.ndarray, rounds: int) -> list[tuple[int, ...]]:
     """Every party's masks for rounds 0..rounds-1 of the run whose tables came from agree_keys.
 
     Entry r holds round r's masks in party order, ready for
@@ -303,18 +277,17 @@ def round_masks(peers: np.ndarray, keys: np.ndarray, params: GroupParams, rounds
     masks = []
     for first in range(0, len(peers), block):
         rows = slice(first, first + block)
-        masks += compute_mask(first, peers[rows], keys[rows], params, rounds)
+        masks += compute_mask(first, peers[rows], keys[rows], rounds)
     return list(zip(*masks))
 
 
-def aggregate(values: Sequence[int], params: GroupParams) -> int:
+def aggregate(values: Sequence[int]) -> int:
     """Sum of masked values mod q; exact when the plaintext sum is below q."""
-    return sum(values) % params.q
+    return sum(values) % GROUP.q
 
 
 def masked_sum_round(
     values: Sequence[int],
-    params: GroupParams,
     masked: bool = True,
     round_log: list | None = None,
     masks: Sequence[int] | None = None,
@@ -331,18 +304,19 @@ def masked_sum_round(
     round is refused when n * max(values) reaches q, since the sum could
     then wrap mod q.
     """
+    q = GROUP.q
     values = list(map(int, values))
     n = len(values)
     top = max(values, default=0)
-    if top >= params.q or min(values, default=0) < 0:
-        bad = next(v for v in values if not 0 <= v < params.q)
-        raise ValueError(f"value {bad} outside [0, {params.q})")
-    if n * top >= params.q:
-        raise ValueError(f"{n} values up to {top} could sum past q={params.q}")
+    if top >= q or min(values, default=0) < 0:
+        bad = next(v for v in values if not 0 <= v < q)
+        raise ValueError(f"value {bad} outside [0, {q})")
+    if n * top >= q:
+        raise ValueError(f"{n} values up to {top} could sum past q={q}")
     if not masked:
         if round_log is not None:
             round_log.append(("plain", tuple(values)))
-        return sum(values) % params.q
+        return sum(values) % q
 
     if n < 2:
         raise ValueError(f"masking needs at least 2 parties, got {n}")
@@ -350,7 +324,7 @@ def masked_sum_round(
         raise ValueError("a masked round needs its masks from round_masks")
     if len(masks) != n:
         raise ValueError(f"{len(masks)} masks for {n} parties")
-    payloads = tuple((v + m) % params.q for v, m in zip(values, masks))
+    payloads = tuple((v + m) % q for v, m in zip(values, masks))
     if round_log is not None:
         round_log.append(("masked", payloads))
-    return aggregate(payloads, params)
+    return aggregate(payloads)

@@ -17,7 +17,7 @@ from degreeldp.graph import Graph, degree_sequence, load_edge_list, load_graph
 from degreeldp.harness import ExperimentConfig, run_grid, run_pipeline
 from degreeldp.mechanisms import PrivacyParams, laplace_sample, wrr_debiaser, wrr_respond, wrr_truth_rate
 from degreeldp.projection import ProjectionConfig, Strategy, lpea_low, project, schedule
-from degreeldp.secure_agg import agree_keys, ka_param, masked_sum_round, round_masks
+from degreeldp.secure_agg import agree_keys, masked_sum_round, round_masks
 from degreeldp.synthetic import powerlaw_graph
 from degreeldp.theta import ThetaSearchConfig, quantile_oracle, theta_by_deviation, theta_by_sum
 from conftest import FIG_EDGE_LIST, edge_set, find_facebook, random_graph
@@ -43,15 +43,14 @@ def test_criterion_1_worked_example_projection():
 def test_criterion_2_masked_aggregation_exact():
     """Masked sums equal plaintext sums bit-exactly for 2, 3, and 50 parties."""
     t0 = time.perf_counter()
-    params = ka_param(61)
     rng = np.random.default_rng(17)
     checked = 0
     ok = True
     for n in (2, 3, 50):
         for _ in range(100):
             values = [int(v) for v in rng.integers(0, 2**40, n)]
-            masks = round_masks(*agree_keys(n, params, rng), params, 1)[0]
-            if masked_sum_round(values, params, masks=masks) != sum(values):
+            masks = round_masks(*agree_keys(n, rng), 1)[0]
+            if masked_sum_round(values, masks=masks) != sum(values):
                 ok = False
             checked += 1
     _report(2, ok, f"{checked} rounds over n in (2, 3, 50), 61-bit modulus", t0)

@@ -23,7 +23,7 @@ PUBLIC = {
     "PrivacyParams",
     "ProjectionConfig", "Strategy", "project",
     "ReleaseReport",
-    "agree_keys", "ka_param", "masked_sum_round",
+    "agree_keys", "masked_sum_round",
     "ThetaSearchConfig", "theta_by_deviation",
 }
 

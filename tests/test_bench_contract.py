@@ -25,6 +25,7 @@ from degreeldp import theta
 from degreeldp.graph import Graph, degree_sequence
 from degreeldp.mechanisms import PrivacyParams
 from degreeldp.projection import ProjectedGraph, ProjectionConfig, Strategy, project, schedule
+from degreeldp.secure_agg import GROUP, ka_param
 from degreeldp.theta import ThetaSearchConfig
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -51,6 +52,14 @@ def test_every_traced_call_site_exists(tracing):
     for mod_name, attr, _ in sites:
         module = importlib.import_module(f"degreeldp.{mod_name}")
         assert callable(getattr(module, attr, None)), f"degreeldp.{mod_name}.{attr}"
+
+
+def test_bench_reads_the_group_modulus():
+    ## bench/workloads.py and bench/test_bench.py read q as ka_param(tcfg.bits).q until ROADMAP item 2
+    ## moves them to secure_agg.GROUP.q
+    assert ka_param(ThetaSearchConfig(K=1, epsilon=1.0).bits).q == GROUP.q
+    with pytest.raises(ValueError, match="unsupported modulus bit length 127"):
+        ka_param(127)
 
 
 @pytest.fixture

@@ -122,6 +122,11 @@ class TestSelectTheta:
         assert cli_main(["select-theta", "synthetic:40:3:1", "--method", "sum"]) == 2
         assert capsys.readouterr().out == ""
 
+    def test_lambda_flag_is_gone(self, capsys):
+        ## masking runs in its one group, q = 2^61 - 1, so no flag picks a modulus size
+        assert cli_main(["select-theta", "synthetic:40:3:1", "--lambda", "61"]) == 2
+        assert capsys.readouterr().out == ""
+
     def test_epsilon_list_on_self_loops_only(self, tmp_path, capsys):
         ## every degree is 0; K used to be 0 here, which the search refused
         path = tmp_path / "loops.txt"
@@ -310,11 +315,7 @@ class TestBadValues:
         err = capsys.readouterr().err
         assert "error: epsilon must be finite and positive" in err
 
-    @pytest.mark.parametrize("flags,named", [
-        (["--K", "-4"], "K must be at least 1"),
-        (["--lambda", "3"], "modulus bit length"),
-        (["--K", "-4", "--lambda", "3"], "K must be at least 1"),
-    ])
+    @pytest.mark.parametrize("flags,named", [(["--K", "-4"], "K must be at least 1")])
     @pytest.mark.parametrize("theta", ["5", "auto-deviation"])
     def test_bad_K_or_bits_fails_at_construction(self, flags, named, theta, capsys, tmp_path):
         out = tmp_path / "rows.csv"

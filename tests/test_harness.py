@@ -100,12 +100,6 @@ class TestConfigValidation:
             ExperimentConfig(dataset="x", theta=5, K=K)
         ExperimentConfig(dataset="x", theta=5, K=1)
 
-    @pytest.mark.parametrize("bits", [3, 15, 20])
-    def test_bits_must_name_a_group(self, bits):
-        with pytest.raises(ValueError, match="modulus bit length"):
-            ExperimentConfig(dataset="x", theta=5, bits=bits)
-        ExperimentConfig(dataset="x", theta=5, bits=16)
-
     @pytest.mark.parametrize("field,value,named", [
         ("p_size", 0, "p_size must be at least 1"),
         ("alpha", 1.5, "alpha must lie in (0, 1)"),

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from degreeldp import theta
 from degreeldp.graph import Graph, degree_sequence, stats
 from degreeldp.harness import load_dataset
+from degreeldp.secure_agg import GROUP
 from degreeldp.theta import (
     ThetaSearchConfig,
     quantile_oracle,
@@ -28,7 +29,6 @@ class TestConfig:
         dict(K=5, epsilon=math.inf),
         dict(K=5, epsilon=math.nan),
         dict(K=5, epsilon=True),
-        dict(K=5, epsilon=1.0, bits=3),
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
@@ -151,7 +151,7 @@ class TestThetaByDeviation:
         ## every probe goes right, so K = 7 takes all 3 rounds; with masks for 2 the third has none
         original = theta.round_masks
         monkeypatch.setattr(theta, "round_masks",
-                            lambda peers, keys, params, rounds: original(peers, keys, params, rounds - 1))
+                            lambda peers, keys, rounds: original(peers, keys, rounds - 1))
         cfg = ThetaSearchConfig(K=7, epsilon=1.0)
         with pytest.raises(IndexError):
             theta_by_deviation([9, 9, 9], cfg, np.random.default_rng(0), masked=True)
@@ -241,22 +241,21 @@ class TestSumGolden:
 
 
 ## theta, round count and sha256 of repr(round_log) for masked selections on
-## synthetic:300:11:1 (K 64, eps 3, default_rng(0)), by modulus bit length:
-## each payload is a value plus its party's mask, so a moved key draw, ring,
-## key or mask changes the hash
+## synthetic:300:11:1 (K 64, eps 3, default_rng(0)), by method and modulus
+## bit length (61, the one group's): each payload is a value plus its
+## party's mask, so a moved key draw, ring, key or mask changes the hash
 MASKED_GOLDEN = {
-    ("deviation", 16): (20, 6, "efd50809a0e8a286826765c1cb3440a1273032e0b9813596f2624a1ea8cfba1c"),
     ("deviation", 61): (20, 6, "9fff0c97db4b3cfeb2f5e8202975a178cacf9d007a9f9417275c181d77f2e686"),
-    ("deviation", 127): (20, 6, "5a21e13d4c5222bf18179738852f3663beef5c5f090dd155869f64bd23fd4693"),
     ("sum", 61): (18, 64, "27e269e7bf803055f374db1b3665760f4dba08c941e6e7b92c93638883a4ab62"),
 }
 
 
 @pytest.mark.parametrize("method,bits", sorted(MASKED_GOLDEN))
 def test_masked_round_log_pinned(method, bits):
+    assert bits == GROUP.q.bit_length()
     g, _ = load_dataset("synthetic:300:11:1")
     degs = degree_sequence(g)
-    cfg = ThetaSearchConfig(K=64, epsilon=3.0, bits=bits, method=method)
+    cfg = ThetaSearchConfig(K=64, epsilon=3.0, method=method)
     log: list = []
     rng = np.random.default_rng(0)
     if method == "sum":
