@@ -546,24 +546,28 @@ class TestMaskBlocks:
 
 
 SPARSE_SIZES = (2, 3, 7, 8, 9, 60, 300)
+## eight key draws per ring size: a case's seed is n * 1000 + salt (tables), n + salt (sums) or 7n + salt (payloads)
+SPARSE_SALTS = (16, 17, 19, 31, 61, 89, 107, 127)
 
 
 class TestSparseRing:
     """Masking runs over the Harary ring: k peers per party, n·k keys and streams, exact sums."""
 
+    @pytest.mark.parametrize("salt", SPARSE_SALTS)
     @pytest.mark.parametrize("n", SPARSE_SIZES)
-    def test_tables_are_the_ring(self, n):
-        peers, keys = agree_keys(n, np.random.default_rng(n * 1000 + 61))
-        check_tables(peers, keys, n * 1000 + 61)
+    def test_tables_are_the_ring(self, n, salt):
+        peers, keys = agree_keys(n, np.random.default_rng(n * 1000 + salt))
+        check_tables(peers, keys, n * 1000 + salt)
 
     def test_ring_degree(self):
         ## the complete graph up to 7 parties, then 2 ceil(log2 n)
         assert [ring_degree(n) for n in SPARSE_SIZES] == [1, 2, 6, 6, 8, 12, 18]
         assert [ring_degree(n) for n in (4000, 40000)] == [24, 32]
 
+    @pytest.mark.parametrize("salt", SPARSE_SALTS)
     @pytest.mark.parametrize("n", SPARSE_SIZES)
-    def test_masks_telescope_and_sums_are_exact(self, n):
-        rng = np.random.default_rng(n + 61)
+    def test_masks_telescope_and_sums_are_exact(self, n, salt):
+        rng = np.random.default_rng(n + salt)
         masks = round_masks(*agree_keys(n, rng), 5)
         assert len(masks) == 5
         top = (Q - 1) // n
@@ -573,12 +577,13 @@ class TestSparseRing:
             values = [int.from_bytes(rng.bytes(16), "big") % (top + 1) for _ in range(n)]
             assert masked_sum_round(values, masks=masks[r]) == sum(values)
 
+    @pytest.mark.parametrize("salt", SPARSE_SALTS)
     @pytest.mark.parametrize("n", SPARSE_SIZES)
-    def test_party_zero_payloads_look_uniform(self, n):
+    def test_party_zero_payloads_look_uniform(self, n, salt):
         ## chi-square on party 0's payloads over 2,000 rounds of one run, from its own rows of the tables;
-        ## 7 cases, each passing at 1e-4
+        ## 56 cases, so each must pass at 1e-4 (a family-wise level of about 0.006)
         rounds = 2000
-        peers, keys = agree_keys(n, np.random.default_rng(7 * n + 61))
+        peers, keys = agree_keys(n, np.random.default_rng(7 * n + salt))
         payloads = [(1 + m) % Q for m in compute_mask(0, peers[:1], keys[:1], rounds)[0]]
         buckets = np.bincount([x * 16 // Q for x in payloads], minlength=16)
         _, pvalue = sstats.chisquare(buckets)
