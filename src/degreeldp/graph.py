@@ -6,9 +6,9 @@ Node labels are remapped to contiguous internal ids 0..n-1 in order of
 first appearance on a line that is not a self-loop; labels seen only on
 self-loops take the last ids.  The ``Graph`` constructor is the one
 place that drops self-loops (the endpoint still counts as a node) and
-merges duplicate edges.  It builds a graph's sorted neighbor lists and,
-once, two read-only arrays: the edge pairs and the degrees, which
-projections and statistics read instead of the lists.
+merges duplicate edges.  It builds, once, two read-only arrays: the edge
+pairs and the degrees, which projections and statistics read.  The
+sorted neighbor lists are built from the pairs on their first read.
 """
 
 from __future__ import annotations
@@ -37,14 +37,15 @@ class Graph:
     Attributes:
         n: number of nodes.
         m: number of distinct undirected edges.
-        adj: per-node neighbor lists, each sorted by internal id; no projection reads them.
+        adj: per-node neighbor lists, each sorted by internal id, built on
+            the first read; no projection reads them.
         labels: internal id -> original external label.
         pairs: read-only int32 array of shape (m, 2), each edge once with
             the lower id first, in the order of first appearance.
         degrees: read-only int32 array of length n.
     """
 
-    __slots__ = ("n", "m", "adj", "labels", "pairs", "degrees")
+    __slots__ = ("n", "m", "_adj", "labels", "pairs", "degrees")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]], labels: list[str] | None = None):
         """Build from integer id pairs, dropping self-loops and merging duplicates."""
@@ -52,30 +53,32 @@ class Graph:
         labels = [str(i) for i in range(n)] if labels is None else labels
         if len(labels) != n:
             raise ValueError("labels must have one entry per node")
-        ## a dict keeps input order; a set would hand each node's sort a
-        ## scrambled list, which sorts slower
+        ## a dict keeps first appearances in input order, the order of pairs
         kept: dict[tuple[int, int], None] = {}
         for i, j in edges:
             if not (0 <= i < n and 0 <= j < n):
                 raise ValueError(f"edge ({i}, {j}) out of range for n={n}")
             if i != j:
                 kept[(i, j) if i < j else (j, i)] = None
-        adj: list[list[int]] = [[] for _ in range(n)]
-        for i, j in kept:
-            adj[i].append(j)
-            adj[j].append(i)
-        for nbrs in adj:
-            nbrs.sort()
         pairs = np.fromiter(chain.from_iterable(kept), dtype=np.int32, count=2 * len(kept)).reshape(-1, 2)
         degrees = np.bincount(pairs.ravel(), minlength=n).astype(np.int32)
         pairs.flags.writeable = False
         degrees.flags.writeable = False
         self.n = n
         self.m = len(kept)
-        self.adj = adj
+        self._adj = None
         self.labels = labels
         self.pairs = pairs
         self.degrees = degrees
+
+    @property
+    def adj(self) -> list[list[int]]:
+        if self._adj is None:
+            ends, nbrs = self.pairs.ravel(), self.pairs[:, ::-1].ravel()
+            flat = nbrs[np.lexsort((nbrs, ends))].tolist()
+            stops = np.cumsum(self.degrees).tolist()
+            self._adj = [flat[a:b] for a, b in zip([0, *stops], stops)]
+        return self._adj
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"

@@ -16,7 +16,11 @@ Graph.pairs sorted by turn, reads no neighbor lists, and builds its
 result from one kept flag per edge.  lpea-low and lpea-high walk the
 ends that ``schedule(g, orders, strategy)`` sorts once; nothing in a
 schedule depends on theta, so the sum selection's K trial projections
-share one: ``lpea_low(g, schedule(g, orders), cfg, rng)``.
+share one: ``lpea_low(g, schedule(g, orders, bounds=K), cfg, rng)``.
+Such a schedule decides the truthful scan at every bound 1..min(K, 64)
+in one pass (``_sweep``), one uint64 bit per bound and edge; 64 is the
+word's width and about where one pass per bound becomes cheaper, as a
+bound's scan walks only the edges with an endpoint above it.
 """
 
 from __future__ import annotations
@@ -81,8 +85,8 @@ class ProjectedGraph:
         self._kept = None
 
     @classmethod
-    def _from_kept(cls, g: Graph, live: bytearray) -> "ProjectedGraph":
-        """The projection of g that keeps the edges whose flag in live is set."""
+    def _from_kept(cls, g: Graph, live: bytearray | np.ndarray) -> "ProjectedGraph":
+        """The projection of g that keeps the edges whose flag in live, one byte per edge, is set."""
         pg = cls.__new__(cls)
         pg.n = g.n
         pg._kept = g.pairs.compress(np.frombuffer(live, dtype=bool), axis=0)
@@ -133,7 +137,10 @@ class Schedule:
     larger degree of each column's two endpoints; the scan at bound theta
     walks the columns whose top exceeds theta.  None of them depends on
     theta, so one schedule serves a projection at every bound; n and m
-    name the graph it was built for.  The arrays are read-only.
+    name the graph it was built for.  A truthful projection at a bound
+    theta <= lanes reads bit theta - 1 of swept(), the table _sweep
+    fills on its first call; lanes is min(bounds, 64), 0 unless the
+    schedule was built with bounds.  The arrays are read-only.
     """
 
     strategy: Strategy
@@ -142,14 +149,21 @@ class Schedule:
     rank: np.ndarray
     sorted_ends: np.ndarray
     scan: Callable[[], tuple[np.ndarray, np.ndarray]]
+    lanes: int
+    swept: Callable[[], np.ndarray]
 
 
-def schedule(g: Graph, orders: Sequence[int] | None, strategy: Strategy = Strategy.LPEA_LOW) -> Schedule:
+def schedule(
+    g: Graph, orders: Sequence[int] | None, strategy: Strategy = Strategy.LPEA_LOW, bounds: int = 0
+) -> Schedule:
     """Fix a ranked strategy's turns from per-node orders; draws nothing.
 
     lpea-low takes ascending (order, id) and lpea-high the reverse, so
-    high-order nodes go first.
+    high-order nodes go first.  bounds, the largest bound a caller will
+    project at, lets the truthful projections at 1..min(bounds, 64)
+    share one pass; a schedule for one bound, as project's, sets none.
     """
+    check_count("bounds", bounds, least=0)
     if strategy.uniform:
         raise ValueError(f"{strategy.value} draws its turns from rng, not from orders")
     if orders is None:
@@ -179,8 +193,16 @@ def schedule(g: Graph, orders: Sequence[int] | None, strategy: Strategy = Strate
         walk.flags.writeable = top.flags.writeable = False
         return walk, top
 
+    lanes = min(bounds, 64)
+
+    @cache
+    def swept():
+        table = _sweep(g, scan()[0], lanes)
+        table.flags.writeable = False
+        return table
+
     rank.flags.writeable = sorted_ends.flags.writeable = False
-    return Schedule(strategy, g.n, g.m, rank, sorted_ends, scan)
+    return Schedule(strategy, g.n, g.m, rank, sorted_ends, scan, lanes, swept)
 
 
 def _edge_scan(g: Graph, cfg: ProjectionConfig, walk) -> ProjectedGraph:
@@ -208,6 +230,32 @@ def _edge_scan(g: Graph, cfg: ProjectionConfig, walk) -> ProjectedGraph:
         else:
             live[e] = 0
     return ProjectedGraph._from_kept(g, live)
+
+
+def _sweep(g: Graph, walk, lanes: int) -> np.ndarray:
+    """The edge scan at every bound 1..lanes (at most 64) in one pass: bit k - 1 of word e keeps edge e at bound k.
+
+    walk lists each node's later-turn edges as one run, and their
+    neighbors are distinct, so within a run only the run's own edge moves
+    a neighbor's count.  room[v, k - 1] is k less v's count at bound k;
+    the run at i keeps, in every lane at once, the willing (room > 0)
+    while their running count fits i's room: the scan's both-below test.
+    """
+    node, nbr, edge = walk
+    room = np.tile(np.arange(1, lanes + 1, dtype=np.int16), (g.n, 1))
+    bits, width = np.zeros((node.size, 8), np.uint8), (lanes + 7) // 8
+    starts = np.flatnonzero(np.diff(node, prepend=-1))
+    for i, s, t in zip(node[starts].tolist(), starts.tolist(), [*starts[1:].tolist(), node.size]):
+        js, ri = nbr[s:t], room[i]
+        r = room[js]
+        ok = r > 0
+        take = ok & (ok.cumsum(axis=0) <= ri)
+        room[js] = r - take
+        ri -= take.sum(axis=0, dtype=np.int16)
+        bits[s:t, :width] = np.packbits(take, axis=1, bitorder="little")
+    table = np.empty(g.m, np.uint64)
+    table[edge] = bits.view("<u8").ravel()
+    return table
 
 
 def _addition_run(g: Graph, cfg: ProjectionConfig, rank: np.ndarray, at: np.ndarray, rng) -> ProjectedGraph:
@@ -283,6 +331,8 @@ def _ranked(g: Graph, sched: Schedule, cfg: ProjectionConfig, rng) -> ProjectedG
         raise ValueError(f"schedule built for {sched.strategy.value}, config names {cfg.strategy.value}")
     if cfg.params is not None:
         return _addition_run(g, cfg, sched.rank, sched.sorted_ends, rng)
+    if cfg.theta <= sched.lanes:
+        return ProjectedGraph._from_kept(g, ((sched.swept() >> cfg.theta - 1) & 1).astype(bool))
     walk, top = sched.scan()
     ## a boolean filter keeps the walk's order
     return _edge_scan(g, cfg, walk.compress(top > cfg.theta, axis=1))
@@ -295,7 +345,9 @@ def lpea_low(g: Graph, sched: Schedule, cfg: ProjectionConfig, rng: np.random.Ge
     lowest-ranked willing neighbors first, which favors nodes that can
     least afford to lose edges.  The paper's method under its own name;
     cfg must name it.  sched is schedule(g, orders), built once and
-    reusable at every theta on the same graph.
+    reusable at every theta on the same graph; built with bounds=K, it
+    answers a truthful call at theta <= min(K, 64) from one shared pass,
+    and scans any other theta on its own.
     """
     if not isinstance(sched, Schedule):
         raise TypeError(f"lpea_low takes schedule(g, orders), got {type(sched).__name__}")

@@ -133,7 +133,10 @@ def theta_by_sum(
     addition projection at bound k and submit their degree losses to a
     masked sum.  The K trial projections share one schedule, built once
     from the orders: its turns and sorted edge layout do not depend on
-    k, so each trial only filters that layout.  The keys are agreed
+    k.  One pass over that layout decides the trials at k <= 64 at once,
+    one bit per k, so each of them only reads its bit; a trial at k > 64
+    scans the edges with an endpoint above k on its own, which is by then
+    cheaper than carrying wider words.  The keys are agreed
     once, before round 1, and each pair's key is expanded once into one
     SHAKE-256 stream with a 32-byte chunk per round; round k masks with
     chunk k - 1.  The collector scores each k as n * k / epsilon plus
@@ -142,7 +145,7 @@ def theta_by_sum(
     """
     K = int(cfg.K)
     sum_round = _round_sums(g.n, cfg, rng, masked, round_log, K)
-    sched = schedule(g, orders)
+    sched = schedule(g, orders, bounds=K)
     scores = []
     for k in range(1, K + 1):
         losses, _ = projection_error(g, lpea_low(g, sched, ProjectionConfig(theta=k), rng))

@@ -153,11 +153,14 @@ def test_sum_selection_calls_lpea_low_once_per_bound(monkeypatch):
 
 
 def test_truthful_projection_layout():
-    ## the edge scan, edge removal and the private negotiation keep edge arrays and build the sets on the first read
+    ## the edge scan, the sum selection's swept trials, edge removal and the private negotiation keep edge
+    ## arrays and build the sets on the first read
     g = Graph(6, [(0, i) for i in range(1, 6)] + [(1, 2), (2, 3)])
     private = ProjectionConfig(theta=2, params=PrivacyParams(3.0, 0.1))
     for pg in (
         theta.lpea_low(g, schedule(g, degree_sequence(g)), ProjectionConfig(theta=2), np.random.default_rng(0)),
+        theta.lpea_low(g, schedule(g, degree_sequence(g), bounds=5), ProjectionConfig(theta=2),
+                       np.random.default_rng(0)),
         project(g, ProjectionConfig(theta=2, strategy=Strategy.EDGE_REMOVE), np.random.default_rng(0)),
         project(g, private, np.random.default_rng(0), orders=degree_sequence(g)),
     ):

@@ -370,14 +370,17 @@ class TestEdgeRemove:
 
 
 def test_projections_read_no_adjacency_lists(fig_graph):
-    ## each is a pass over the ends of pairs, so a graph without adj gives the same edges
+    ## each is a pass over the ends of pairs, so a graph whose adj was never read gives the same edges
     bare = Graph(fig_graph.n, fig_graph.pairs.tolist())
-    bare.adj = None
     orders = degree_sequence(fig_graph)
     for cfg in [f(1, s) for f in (nonprivate, private_cfg) for s in Strategy]:
         for seed in range(5):
             want = project(fig_graph, cfg, np.random.default_rng(seed), orders=orders).neighbors
             assert project(bare, cfg, np.random.default_rng(seed), orders=orders).neighbors == want, cfg
+    sched = schedule(bare, orders, bounds=2)
+    for theta in (1, 2, 3):
+        lpea_low(bare, sched, nonprivate(theta), np.random.default_rng(0))
+    assert bare._adj is None
 
 
 ## sha256 of repr(sorted(edge_set(pg))) for private projections of
@@ -583,10 +586,74 @@ class TestSchedule:
         assert (sched.scan.cache_info().hits, sched.scan.cache_info().misses) == (2, 1)
 
     def test_arrays_are_read_only(self, fig_graph):
-        sched = schedule(fig_graph, degree_sequence(fig_graph))
-        for a in (sched.rank, sched.sorted_ends, *sched.scan()):
+        sched = schedule(fig_graph, degree_sequence(fig_graph), bounds=1)
+        for a in (sched.rank, sched.sorted_ends, *sched.scan(), sched.swept()):
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 0
+
+
+def star_with_chords(rng: np.random.Generator, leaves: int) -> Graph:
+    """Node 0 joined to every leaf, plus random edges among the leaves: d_max is at least leaves."""
+    chords = random_graph(rng, leaves, float(rng.uniform(0.02, 0.2))).pairs + 1
+    return Graph(leaves + 1, [(0, i) for i in range(1, leaves + 1)] + chords.tolist())
+
+
+class TestSweep:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_every_bound_is_the_edge_scan(self, seed, data):
+        ## a star of 70 leaves takes bounds past the 64 lanes, where the schedule scans each bound on its own
+        rng = np.random.default_rng(seed)
+        star = data.draw(st.booleans(), label="star")
+        if star:
+            g = star_with_chords(rng, 70)
+        else:
+            g = random_graph(rng, int(rng.integers(1, 30)), float(rng.uniform(0.05, 0.7)))
+        dmax = int(g.degrees.max(initial=0))
+        K = data.draw(st.integers(65 if star else 1, dmax + 2), label="K")
+        ## few distinct order values, so ties are common
+        orders = rng.integers(0, int(rng.integers(1, 5)), size=g.n).tolist()
+        for strategy in (Strategy.LPEA_LOW, Strategy.LPEA_HIGH):
+            sched = schedule(g, orders, strategy, bounds=K)
+            walk, _ = sched.scan()
+            for theta in range(1, K + 1):
+                cfg = nonprivate(theta, strategy)
+                swept = projection._ranked(g, sched, cfg, np.random.default_rng(0))
+                scanned = projection._edge_scan(g, cfg, walk)
+                assert np.array_equal(swept._kept, scanned._kept), (strategy, theta)
+                assert swept.degrees == scanned.degrees, (strategy, theta)
+            assert sched.lanes == min(K, 64)
+            assert sched.swept.cache_info().misses == 1
+
+    def test_table_holds_one_word_per_edge(self):
+        g = star_with_chords(np.random.default_rng(5), 70)
+        sched = schedule(g, degree_sequence(g), bounds=100)
+        assert sched.lanes == 64
+        assert sched.swept().dtype == np.uint64 and sched.swept().shape == (g.m,)
+
+    @pytest.mark.parametrize("bounds", [-1, True, 2.0])
+    def test_bounds_is_a_count(self, fig_graph, bounds):
+        with pytest.raises(ValueError, match="bounds must be at least 0"):
+            schedule(fig_graph, degree_sequence(fig_graph), bounds=bounds)
+
+    def test_only_a_bounded_schedule_sweeps(self, fig_graph, monkeypatch):
+        ## a pass costs far more than one bound's scan, so nothing but a truthful call at a swept bound runs it
+        def refuse(*args):
+            raise AssertionError("ran _sweep")
+
+        monkeypatch.setattr(projection, "_sweep", refuse)
+        orders = degree_sequence(fig_graph)
+        for strategy in Strategy:
+            for theta in (1, 2, 3):
+                for cfg in (nonprivate(theta, strategy), private_cfg(theta, strategy)):
+                    project(fig_graph, cfg, np.random.default_rng(0), orders=orders)
+        unbounded, bounded = schedule(fig_graph, orders), schedule(fig_graph, orders, bounds=2)
+        for sched, thetas in ((unbounded, (1, 2, 3, 4)), (bounded, (3, 4))):
+            for theta in thetas:
+                lpea_low(fig_graph, sched, nonprivate(theta), np.random.default_rng(0))
+            lpea_low(fig_graph, sched, private_cfg(1), np.random.default_rng(0))
+        with pytest.raises(AssertionError, match="ran _sweep"):
+            lpea_low(fig_graph, schedule(fig_graph, orders, bounds=2), nonprivate(2), np.random.default_rng(0))
 
 
 class TestProjectedGraph:
