@@ -268,15 +268,14 @@ def _addition_run(g: Graph, cfg: ProjectionConfig, rank: np.ndarray, at: np.ndar
     degree < theta" equals u < rate, rate = wrr_truth_rate(budget): the
     answer wrr_respond gives on u.  The initiator takes the first count
     willing, count the debiased yes count: a uniform subset for random-add.
-    The doubles come from one rng.random(2m), and rng is left where
-    rng.random(used) leaves it.
+    The doubles are the used prefix of one rng.random(2m), and rng is left
+    where that call leaves it.
     """
     theta = cfg.theta
     budget = cfg.params.negotiation_budget
     debias = wrr_debiaser(budget)
     nbr, edge = memoryview(g.pairs.ravel()[at ^ 1]), memoryview(at >> 1)
     ## an edge is asked at most once per end: 2m coins cover every request
-    state = rng.bit_generator.state
     coin = (rng.random(at.size) < wrr_truth_rate(budget)).tobytes()
     deg, live = [0] * g.n, bytearray(g.m)
     stop = used = 0
@@ -298,8 +297,6 @@ def _addition_run(g: Graph, cfg: ProjectionConfig, rank: np.ndarray, at: np.ndar
                     deg[i] += 1
                     deg[j] += 1
         used += pending
-    rng.bit_generator.state = state
-    rng.random(used)
     return ProjectedGraph._from_kept(g, live)
 
 

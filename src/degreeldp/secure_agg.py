@@ -3,9 +3,8 @@
 A protocol run (one theta selection) starts with key agreement
 (``agree_keys``): every party draws one key pair (sk, pk), and the
 collector draws a uniform permutation of the parties, the order of one
-Harary ring.  The n key pairs come from one batch (``ka_gen``) that
-takes the same draws as n party-by-party rejection loops.  Ring position
-p masks with positions p +- 1, ..., p +- h (mod n),
+Harary ring.  The n secret keys are one bounded draw (``ka_gen``).
+Ring position p masks with positions p +- 1, ..., p +- h (mod n),
 h = min(ceil(log2 n), floor(n / 2)), so every party has
 k = min(2h, n - 1) peers (Bell et al., CCS 2020): 18 at n = 300, 32 at
 n = 40,000, and every other party up to n = 7.  Each party derives its
@@ -70,22 +69,12 @@ def ka_param(bits: int = 61) -> GroupParams:
 def ka_gen(rng: np.random.Generator, n: int) -> tuple[list[int], list[int]]:
     """n fresh key pairs (sks, pks) in party order: secrets uniform in [1, q - 2], so pk = g^sk mod q is never 1.
 
-    g has order q - 1.  Each party's secret is 1 plus the first accepted
-    draw of a rejection loop: rng.bytes(8) read big-endian, masked to its
-    low 61 bits, is accepted below q - 2.  rng.bytes(8) takes two whole
-    uint32s from the stream, so one rng.bytes call over n 8-byte slots
-    draws what n single calls draw, and each rejected slot is replaced by
-    a further batch the size of the shortfall: the secrets and the
-    generator's end state are those of n party-by-party loops.  The public
+    g has order q - 1.  The secrets are one rng.integers call; the public
     keys are one 4-bit fixed-base window exponentiation of g over all n
     secrets.
     """
     q = GROUP.q
-    sks = np.empty(0, dtype=np.uint64)
-    while sks.size < n:
-        draws = np.frombuffer(rng.bytes(8 * (n - sks.size)), dtype=">u8") & q  # low 61 bits: q = 2^61 - 1
-        sks = np.concatenate([sks, draws[draws < q - 2]])
-    sks += 1
+    sks = rng.integers(1, q - 1, size=n, dtype=np.uint64)
     ## table[w, d] = g^(d * 16^w), one row per 4-bit window of the exponent
     table = np.empty((_WINDOWS, 16), dtype=np.uint64)
     base = GROUP.g
@@ -107,16 +96,47 @@ _TABLE = 1 << 18
 def ka_agree(sks: Sequence[int], pks: Sequence[int], peers: np.ndarray) -> np.ndarray:
     """Each party's keys with its peers: entry [i, c] is pks[peers[i, c]]^sks[i] mod q, so row i is sks[i]'s alone.
 
-    For key pairs (sks[i], pks[i]) both ends of an edge hold the same key;
-    the whole table is one _pow_rows call in uint64.  Secrets outside
-    [1, q - 2] and the public key 1 are refused: each makes its keys 1.
+    For key pairs (sks[i], pks[i]) both ends of an edge hold the same key.
+    Secrets outside [1, q - 2] and the public key 1 are refused: each
+    makes its keys 1.
+
+    The table is one 4-bit window exponentiation in uint64.  Window w of
+    the exponent contributes pk^(d * 16^w) for its digit d, so one
+    16-entry table per window, built from the n public keys, turns each
+    entry into a product of one table entry per window: per window, a
+    gather and a _mulmod over the n x k entries, _ROWS rows at a time.
+    The tables are built for as many windows at once as fit in _TABLE
+    entries.
     """
     q = GROUP.q
     if not all(0 < s < q - 1 for s in sks):
         raise ValueError(f"secret key out of range for q={q}")
     if not all(1 < p < q for p in pks):
         raise ValueError(f"public key out of range for q={q}")
-    return _pow_rows(sks, pks, peers)
+    n = len(pks)
+    digits = _digits(np.array(sks, dtype=np.uint64))
+    keys = np.ones(peers.shape, dtype=np.uint64)
+    group = max(1, _TABLE // (16 * n))
+    ## square = pk^(2^(4 * first)) at the start of each group of windows
+    square = np.array(pks, dtype=np.uint64)
+    for first in range(0, _WINDOWS, group):
+        stop = min(first + group, _WINDOWS)
+        ## squares[k] = pk^(2^(4 * first + k)), one squaring of the n public keys at a time
+        squares = np.empty((4 * (stop - first), n), dtype=np.uint64)
+        for k in range(len(squares)):
+            squares[k] = square
+            square = _mulmod(square, square)
+        ## tables[w - first, d] = pk^(d * 16^w): entries 2^b..2^(b+1)-1 of every
+        ## window are entries 0..2^b-1 times pk^(2^(4w+b))
+        tables = np.empty((stop - first, 16, n), dtype=np.uint64)
+        tables[:, 0] = 1
+        for b in range(4):
+            tables[:, 1 << b:2 << b] = _mulmod(tables[:, :1 << b], squares[b::4, None])
+        for w in range(first, stop):
+            for start in range(0, len(sks), _ROWS):
+                rows = slice(start, start + _ROWS)
+                keys[rows] = _mulmod(keys[rows], tables[w - first, digits[rows, w, None], peers[rows]])
+    return keys
 
 
 def _mulmod(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -153,42 +173,6 @@ def _digits(exponents: np.ndarray) -> np.ndarray:
     """The 4-bit digits of each exponent, least significant first: one row of _WINDOWS digits per exponent."""
     shifts = np.arange(0, 4 * _WINDOWS, 4, dtype=np.uint64)
     return (exponents[:, None] >> shifts & 15).astype(np.intp)
-
-
-def _pow_rows(sk: Sequence[int], pk: Sequence[int], peers: np.ndarray) -> np.ndarray:
-    """keys[i, c] = pk[peers[i, c]]^sk[i] mod q in uint64, by a 4-bit window.
-
-    Window w of the exponent contributes pk^(d * 16^w) for its digit d, so
-    one 16-entry table per window, built from the n public keys, turns
-    each entry into a product of one table entry per window: per window,
-    a gather and a _mulmod over the n x k entries, _ROWS rows at a time.
-    The tables are built for as many windows at once as fit in _TABLE
-    entries.
-    """
-    n = len(pk)
-    digits = _digits(np.array(sk, dtype=np.uint64))
-    keys = np.ones(peers.shape, dtype=np.uint64)
-    group = max(1, _TABLE // (16 * n))
-    ## square = pk^(2^(4 * first)) at the start of each group of windows
-    square = np.array(pk, dtype=np.uint64)
-    for first in range(0, _WINDOWS, group):
-        stop = min(first + group, _WINDOWS)
-        ## squares[k] = pk^(2^(4 * first + k)), one squaring of the n public keys at a time
-        squares = np.empty((4 * (stop - first), n), dtype=np.uint64)
-        for k in range(len(squares)):
-            squares[k] = square
-            square = _mulmod(square, square)
-        ## tables[w - first, d] = pk^(d * 16^w): entries 2^b..2^(b+1)-1 of every
-        ## window are entries 0..2^b-1 times pk^(2^(4w+b))
-        tables = np.empty((stop - first, 16, n), dtype=np.uint64)
-        tables[:, 0] = 1
-        for b in range(4):
-            tables[:, 1 << b:2 << b] = _mulmod(tables[:, :1 << b], squares[b::4, None])
-        for w in range(first, stop):
-            for start in range(0, len(sk), _ROWS):
-                rows = slice(start, start + _ROWS)
-                keys[rows] = _mulmod(keys[rows], tables[w - first, digits[rows, w, None], peers[rows]])
-    return keys
 
 
 def _ring_peers(ring: np.ndarray) -> np.ndarray:

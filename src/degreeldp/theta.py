@@ -74,7 +74,7 @@ def quantile_oracle(degrees: Sequence[int], epsilon: float, K: int) -> int:
     return K
 
 
-def _round_sums(n: int, cfg: ThetaSearchConfig, rng: np.random.Generator, masked: bool, round_log, rounds: int):
+def _round_sums(n: int, rng: np.random.Generator, masked: bool, round_log, rounds: int):
     """One selection run's aggregation: a function that sums one round's n values per call, at most rounds calls.
 
     A masked run agrees its peer and key tables and derives the masks of every round here, once, before the first
@@ -107,7 +107,7 @@ def theta_by_deviation(
     degrees = np.asarray(degrees)
     n = degrees.size
     K = int(cfg.K)
-    sum_round = _round_sums(n, cfg, rng, masked, round_log, K.bit_length())
+    sum_round = _round_sums(n, rng, masked, round_log, K.bit_length())
     lo, hi = 1, K
     while lo <= hi:
         probe = (lo + hi) // 2
@@ -144,7 +144,7 @@ def theta_by_sum(
     aggregation rounds.
     """
     K = int(cfg.K)
-    sum_round = _round_sums(g.n, cfg, rng, masked, round_log, K)
+    sum_round = _round_sums(g.n, rng, masked, round_log, K)
     sched = schedule(g, orders, bounds=K)
     scores = []
     for k in range(1, K + 1):

@@ -37,37 +37,20 @@ def run_masks(values, seed):
 
 
 def reference_key_pairs(rng, n):
-    """n key pairs drawn party by party, as ka_gen draws them: a rejection loop of rng.bytes(nbytes) each, then pow.
-
-    Returns the pairs and the number of rejected draws.
-    """
-    bound = Q - 2
-    nbits = bound.bit_length()
-    pairs, rejected = [], 0
-    while len(pairs) < n:
-        x = int.from_bytes(rng.bytes((nbits + 7) // 8), "big") & (1 << nbits) - 1
-        if x < bound:
-            pairs.append((1 + x, pow(GROUP.g, 1 + x, Q)))
-        else:
-            rejected += 1
-    return pairs, rejected
+    """n key pairs drawn as ka_gen draws them: one rng.integers call for the secrets in [1, q - 2], then pow."""
+    return [(sk, pow(GROUP.g, sk, Q)) for sk in rng.integers(1, Q - 1, size=n, dtype=np.uint64).tolist()]
 
 
-class SlotBytes:
-    """A stand-in generator whose bytes(k) hands out the next k / 8 of the given values as 8-byte big-endian slots."""
+class BoundedDraw:
+    """A stand-in generator whose integers() returns the given secrets and records the bounds it was asked for."""
 
-    def __init__(self, slots):
-        self.slots = list(slots)
-        self.used = 0
+    def __init__(self, secrets):
+        self.secrets = secrets
         self.requests = []
 
-    def bytes(self, k):
-        assert k % 8 == 0
-        self.requests.append(k)
-        taken = self.slots[self.used:self.used + k // 8]
-        assert len(taken) == k // 8, "ran out of slots"
-        self.used += len(taken)
-        return b"".join(x.to_bytes(8, "big") for x in taken)
+    def integers(self, low, high, size, dtype):
+        self.requests.append((low, high, size, dtype))
+        return np.array(self.secrets, dtype=dtype)
 
 
 def complete_peers(n):
@@ -121,37 +104,13 @@ class TestKeyAgreement:
         assert keys[0, 0] == keys[1, 0] == pow(b_pk, a_sk, Q)
 
     def test_public_key_in_group(self):
-        ## slot 0 is the smallest secret, 1, and slot q - 3 the largest, q - 2; from [0, q) the slots 0 and
-        ## q - 2 would give sk = 0 and sk = q - 1, both with pk = 1
-        for slots in ([0], [Q - 3], [0, Q - 3]):
-            stub = SlotBytes(slots)
-            sks, pks = ka_gen(stub, len(slots))
-            assert sks == [1 + x for x in slots] and stub.requests == [8 * len(slots)]
-            assert list(zip(sks, pks)) == reference_key_pairs(SlotBytes(slots), len(slots))[0]
+        ## the extremes of [1, q - 1): sk = 0 and sk = q - 1 would both give pk = 1
+        for secrets in ([1], [Q - 2], [1, Q - 2]):
+            stub = BoundedDraw(secrets)
+            sks, pks = ka_gen(stub, len(secrets))
+            assert sks == secrets and stub.requests == [(1, Q - 1, len(secrets), np.uint64)]
             for sk, pk in zip(sks, pks):
-                assert 1 <= sk <= Q - 2
                 assert pk == pow(GROUP.g, sk, Q) != 1
-
-    def test_rejected_slots_are_topped_up(self):
-        ## q - 2, q - 1 and 2^61 - 1 (= q) are rejected; 2^64 - 1 is 2^61 - 1 in its low 61 bits, and 2^63 + 5 is 5
-        slots = [0, Q - 2, Q - 3, Q - 1, 2**61 - 1, 2**64 - 1, 2**63 + 5, 7]
-        stub = SlotBytes(slots)
-        sks, pks = ka_gen(stub, 3)
-        assert sks == [1, Q - 2, 6]
-        ## one batch of 3 slots, then a batch the size of each shortfall
-        assert stub.requests == [24, 8, 8, 8, 8] and stub.used == 7
-        reference = SlotBytes(slots)
-        pairs, rejected = reference_key_pairs(reference, 3)
-        assert list(zip(sks, pks)) == pairs and rejected == 4 and reference.used == stub.used
-
-    def test_batched_key_pairs_are_the_sequential_draws(self):
-        ## one rng.bytes batch, topped up by the shortfall, gives the party-by-party secrets, public keys and end state
-        for n in (2, 300, 4000):
-            batch, sequential = np.random.default_rng([1, n]), np.random.default_rng([1, n])
-            sks, pks = ka_gen(batch, n)
-            pairs, _ = reference_key_pairs(sequential, n)
-            assert list(zip(sks, pks)) == pairs
-            assert batch.bit_generator.state == sequential.bit_generator.state
 
     def test_out_of_range_rejected(self):
         peers = complete_peers(1)
@@ -172,19 +131,6 @@ class TestKeyAgreement:
         assert stream == hashlib.shake_256(kdf_input).digest(3 * 32)
 
 
-@pytest.mark.parametrize("slot", [8])
-@pytest.mark.parametrize("buffered", [False, True])
-def test_batched_bytes_are_the_split_draws(slot, buffered):
-    ## ka_gen draws n secrets as one rng.bytes(n * slot); that matches n calls of rng.bytes(slot) only if
-    ## the bytes and the final state agree, from a fresh state and from one holding a buffered uint32 half
-    split, batch = np.random.default_rng(5), np.random.default_rng(5)
-    if buffered:
-        split.bytes(4), batch.bytes(4)
-    assert split.bit_generator.state["has_uint32"] == buffered
-    assert b"".join(split.bytes(slot) for _ in range(7)) == batch.bytes(7 * slot)
-    assert split.bit_generator.state == batch.bit_generator.state
-
-
 def ring_reach(n):
     """h = min(ceil(log2 n), floor(n / 2)): ring position p masks with positions p ± 1, ..., p ± h."""
     return min(math.ceil(math.log2(n)), n // 2)
@@ -201,7 +147,7 @@ def check_tables(peers, keys, seed):
     k, h = ring_degree(n), ring_reach(n)
     ## the same draws as agree_keys: one key pair per party, in party order, then the ring
     rng = np.random.default_rng(seed)
-    pairs, _ = reference_key_pairs(rng, n)
+    pairs = reference_key_pairs(rng, n)
     ring = rng.permutation(n)
     assert peers.shape == keys.shape == (n, k)
     position = {int(party): pos for pos, party in enumerate(ring)}
@@ -234,7 +180,7 @@ class TestArrayKeyAgreement:
     @given(data=st.data())
     @settings(max_examples=60, deadline=None)
     def test_mulmod_matches_python_ints(self, data):
-        ## uint64 residues, as _pow_rows holds them, with the edge residues 0, 1 and q - 1 among the draws
+        ## uint64 residues, as ka_agree holds them, with the edge residues 0, 1 and q - 1 among the draws
         residue = st.one_of(st.sampled_from([0, 1, Q - 1]), st.integers(0, Q - 1))
         xs = data.draw(st.lists(st.tuples(residue, residue), min_size=1, max_size=20))
         a, b = (np.array(x, dtype=np.uint64) for x in zip(*xs))
@@ -263,7 +209,7 @@ class TestArrayKeyAgreement:
 class TestMasking:
     def _masks(self, n, seed):
         rng = np.random.default_rng(seed)
-        keys, _ = reference_key_pairs(rng, n)
+        keys = reference_key_pairs(rng, n)
         peers = secure_agg._ring_peers(rng.permutation(n))
         masks = []
         for i in range(n):
